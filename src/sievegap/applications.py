@@ -1,16 +1,13 @@
 """Composite runs of polynomial values and coprimality witnesses,
-built on the sieving construction, plus re-exports of the numeric
-constants."""
+built on the sieving construction."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (ConstantsReport, c_rho, c_rho_lower_bound,
-                        constants_report, rho_derangement)
 from .errors import DomainError
 from .primes import primality, primes_in_range, primes_upto
 from .rng import substream
@@ -18,9 +15,8 @@ from .systems import IntPolynomial, SievingSystem, polynomial_system
 from .window import ShiftVector, verify_empty
 
 __all__ = [
-    "ConstantsReport", "c_rho", "c_rho_lower_bound", "constants_report",
-    "rho_derangement", "RunResult", "composite_run_bruteforce",
-    "ConstructedRun", "composite_run_constructed", "coprimality_witness",
+    "RunResult", "composite_run_bruteforce", "ConstructedRun",
+    "composite_run_constructed", "coprimality_witness",
     "CoprimalityWitness", "coprimality_constructed",
 ]
 
@@ -31,17 +27,6 @@ _BRUTE_X_CAP = 100_000_000
 
 def _as_poly(f) -> IntPolynomial:
     return IntPolynomial.parse(f) if isinstance(f, str) else f
-
-
-def _horner_fn(poly: IntPolynomial):
-    coeffs, fact = poly.scaled_standard_coeffs()
-
-    def f(n: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * n + c
-        return acc // fact
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +54,6 @@ def composite_run_bruteforce(f, X: int) -> RunResult:
     poly = _as_poly(f)
     if X < 1 or X > _BRUTE_X_CAP:
         raise DomainError(f"X must lie in [1, {_BRUTE_X_CAP}]")
-    fn = _horner_fn(poly)
     system = polynomial_system(poly)
     # spf[n] = smallest presieve prime dividing f(n), or 0
     spf = np.zeros(X + 1, dtype=np.int32)
@@ -80,7 +64,7 @@ def composite_run_bruteforce(f, X: int) -> RunResult:
     run_start, run_len = 1, 0
     prob = 0
     for n in range(1, X + 1):
-        v = fn(n)
+        v = poly(n)
         if abs(v) >= _OVERFLOW_LIMIT:
             raise DomainError(f"|f({n})| exceeds 128 bits")
         p = int(spf[n])
@@ -196,10 +180,9 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
     start = n0 + P * ((X // 2 - n0 + P - 1) // P)
     if start + L - 1 > X:
         raise DomainError("period too large to map the run into [X/2, X]")
-    fn = _horner_fn(poly)
     prob = 0
     for n in range(start, start + L):
-        v = abs(fn(n))
+        v = abs(poly(n))
         is_p, tag = primality(v)
         if tag == "probabilistic":
             prob += 1
@@ -226,9 +209,9 @@ def _has_prime_factor_above(g: int, d: int) -> bool:
     return g > 1
 
 
-def _verify_witness(fn, d: int, n: int, k: int) -> bool:
+def _verify_witness(poly: IntPolynomial, d: int, n: int, k: int) -> bool:
     """Every i in [1, k] must share a prime > d with some j != i."""
-    vals = [fn(n + i) for i in range(1, k + 1)]
+    vals = [poly(n + i) for i in range(1, k + 1)]
     for i in range(k):
         ok = False
         for j in range(k):
@@ -259,10 +242,9 @@ def coprimality_witness(f, k: int, search_bound: int) -> CoprimalityWitness:
     poly = _as_poly(f)
     if k < 2:
         raise DomainError("k must be >= 2")
-    fn = _horner_fn(poly)
     d = max(1, poly.degree)
     for n in range(0, search_bound + 1):
-        if _verify_witness(fn, d, n, k):
+        if _verify_witness(poly, d, n, k):
             return CoprimalityWitness(found=True, n=n, k=k,
                                       checked_up_to=n)
     return CoprimalityWitness(found=False, n=None, k=k,
@@ -310,9 +292,8 @@ def coprimality_constructed(f, x: int, seed: int = 0) -> ConstructedCoprimality:
     n = (-b) % mod
     if n == 0:
         n = mod
-    fn = _horner_fn(poly)
     for i in range(1, L + 1):
-        if not _has_prime_factor_above(fn(n + i), d):
+        if not _has_prime_factor_above(poly(n + i), d):
             raise DomainError(
                 f"verification failed: f(n+{i}) has no prime factor > {d}")
     return ConstructedCoprimality(n=n, k_requested=L, k_verified=L, x=x)

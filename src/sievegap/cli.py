@@ -21,8 +21,8 @@ import os
 import sys
 
 from .applications import (composite_run_bruteforce, composite_run_constructed,
-                           constants_report, coprimality_constructed,
-                           coprimality_witness, rho_derangement)
+                           coprimality_constructed, coprimality_witness)
+from .constants import constants_report, rho_derangement
 from .construction import construct, derive_params, trivial_baseline
 from .cover import (CoverInstance, assign_indices, check_hypotheses,
                     plan_rounds, progression_instance, run_cover)
@@ -105,8 +105,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--config", help="JSON file of options; flags win")
     sub.add_argument("--format", choices=("json", "csv"))
-    sub.add_argument("--threads", type=int,
-                     help="worker cap; output is independent of it")
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -118,13 +116,16 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 if k in known and v is not None}
     cfg = dict(defaults)
     cfg.setdefault("format", "json")
-    cfg.setdefault("threads", os.cpu_count() or 1)
     env_seed = os.environ.get("SIEVEGAP_SEED")
     cfg["seed"] = int(env_seed) if env_seed else DEFAULT_SEED
     path = provided.pop("config", None)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SievegapError(
+                f"cannot read config file {path!r}: {exc}") from exc
         unknown = set(file_cfg) - known
         if unknown:
             raise SievegapError(
@@ -144,14 +145,19 @@ def _window_arg(text: str) -> tuple[int, int]:
 
 
 def _load_shift_file(path: str, x: int) -> ShiftVector:
+    """One "prime residue" pair a line; blank and # lines are skipped."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            p, r = line.split()
-            entries[int(p)] = int(r)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                p, r = line.split()
+                entries[int(p)] = int(r)
+    except (OSError, ValueError) as exc:
+        raise SievegapError(f"cannot read shift file {path!r} (one "
+                            f"'prime residue' pair a line): {exc}") from exc
     return ShiftVector(entries, x)
 
 

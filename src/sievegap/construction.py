@@ -23,7 +23,7 @@ from .errors import DomainError
 from .primes import primes_in_range
 from .rng import derive_seed, substream
 from .systems import SievingSystem, estimate_rho, sigma
-from .window import ShiftVector, sift, verify_empty
+from .window import ShiftVector, _strike, sift, verify_empty
 
 DEFAULT_M = 4.6
 DEFAULT_K = 3
@@ -132,43 +132,7 @@ def stage1_uniform(system: SievingSystem, z: int,
 
 
 # ---------------------------------------------------------------------------
-# stage 2: AP sets, weights, selection
-
-
-def _membership_tables(system: SievingSystem, shift: ShiftVector,
-                       lo: float, hi: float):
-    primes = system.active_primes(hi, lo)
-    return [(p, shift.residue(p), set(system.residues(p))) for p in primes]
-
-
-def _survives(n: int, tables) -> bool:
-    return all((n - b) % p not in res for p, b, res in tables)
-
-
-def compute_AP(system: SievingSystem, stage1_shift: ShiftVector,
-               H: float, q: int, n: int, J: int,
-               M: float = DEFAULT_M) -> list[int]:
-    """{n + q h : 1 <= h <= J} intersected with S1 = S_{H^M} + b1.
-
-    Callers typically pass J = floor(K H).
-    """
-    tables = _membership_tables(system, stage1_shift, 1, H ** M)
-    return [n + q * h for h in range(1, J + 1)
-            if _survives(n + q * h, tables)]
-
-
-def weight_lambda(system: SievingSystem, stage1_shift: ShiftVector,
-                  H: float, q: int, n: int, *, M: float, K: int,
-                  z: int, sigma2: float | None = None) -> float:
-    """sigma2^{-|AP(KH; q, n)|} if the AP survives the (H^M, z] sieve, else 0."""
-    HM = H ** M
-    if sigma2 is None:
-        sigma2 = float(sigma(system, HM, z)) if HM < z else 1.0
-    ap = compute_AP(system, stage1_shift, H, q, n, int(K * H), M=M)
-    mid_tables = _membership_tables(system, stage1_shift, HM, z)
-    if all(_survives(m, mid_tables) for m in ap):
-        return sigma2 ** -len(ap)
-    return 0.0
+# stage 2: weights and selection
 
 
 @dataclass
@@ -192,7 +156,12 @@ class WeightTable:
 def build_weight_tables(system: SievingSystem, params: Params,
                         stage1_shift: ShiftVector,
                         H: float) -> dict[int, WeightTable]:
-    """Vectorized lambda tables for every q in Q_H over n in (-Ky, y]."""
+    """Vectorized lambda tables for every q in Q_H over n in (-Ky, y].
+
+    lambda(H; q, n) = sigma2^{-|AP|} with AP = {n + q h : 1 <= h <= KH}
+    intersected with S_{H^M} + b1, when every element of AP also survives
+    the primes in (H^M, z]; otherwise 0.
+    """
     K, y, M, z = params.K, params.y, params.M, params.z_eff
     HM = H ** M
     J = int(K * H)
@@ -364,13 +333,10 @@ def _survivors_above(system: SievingSystem, shift: ShiftVector,
     already fixed for a prime > cutoff."""
     if y < 1:
         return []
-    base = [int(m) for m in sift(system, cutoff, shift, 1, y).members()]
-    extra = [(q, shift.entries[q], set(system.residues(q)))
-             for q in shift.entries if q > cutoff]
-    if not extra:
-        return base
-    return [m for m in base
-            if all((m - b) % q not in res for q, b, res in extra)]
+    win = sift(system, cutoff, shift, 1, y)
+    _strike(win.bits, 1, system, [q for q in shift.entries if q > cutoff],
+            shift)
+    return [int(m) for m in win.members()]
 
 
 def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,

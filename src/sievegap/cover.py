@@ -37,15 +37,11 @@ class EdgeSampler:
     def max_size(self) -> int:
         raise NotImplementedError
 
-    def pair_prob(self, v: int, w: int) -> float:
-        """Pr(v in e and w in e) for distinct vertices v != w."""
-        raise NotImplementedError
-
     def inclusion_probs(self, vertices: np.ndarray) -> np.ndarray:
         return np.array([self.inclusion_prob(int(v)) for v in vertices])
 
     def codegree_bound(self) -> float:
-        """An upper bound on max_{v != w} pair_prob(v, w)."""
+        """An upper bound on max_{v != w} Pr(v in e and w in e)."""
         raise NotImplementedError
 
 
@@ -81,9 +77,6 @@ class ProgressionSampler(EdgeSampler):
 
     def max_size(self) -> int:
         return 1
-
-    def pair_prob(self, v: int, w: int) -> float:
-        return 0.0
 
     def codegree_bound(self) -> float:
         return 0.0

@@ -14,9 +14,9 @@ import json
 import math
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from mpmath import mp, mpf
@@ -32,16 +32,13 @@ BRUTE_ROOT_LIMIT = 100_000      # brute-force root finding cap on p
 # integer-valued polynomials
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(-n + k - 1, k)
-
-
 class IntPolynomial:
     """Integer-valued polynomial stored as f(n) = sum_j a_j * C(n, j).
 
     The binomial-basis coefficients a_j are integers exactly when f maps
     the integers to the integers, which is the acceptance test applied by
-    :meth:`from_coefficients`.
+    :meth:`from_coefficients`.  Evaluation runs Horner's rule on the
+    integer standard-basis coefficients of d! * f, computed once here.
     """
 
     def __init__(self, binomial_coeffs: Sequence[int]):
@@ -49,6 +46,23 @@ class IntPolynomial:
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         self.binomial_coeffs = tuple(coeffs)
+        # d! * C(n, j) = (d!/j!) * n (n-1) ... (n-j+1) has integer
+        # coefficients, so d! * f does too
+        d = self.degree
+        fact = math.factorial(d)
+        out = [0] * (d + 1)
+        for j, a in enumerate(self.binomial_coeffs):
+            poly = [1]  # falling factorial n (n-1) ... (n-j+1)
+            for i in range(j):
+                new = [0] * (len(poly) + 1)
+                for k, c in enumerate(poly):
+                    new[k + 1] += c
+                    new[k] -= i * c
+                poly = new
+            scale = a * (fact // math.factorial(j))
+            for k, c in enumerate(poly):
+                out[k] += scale * c
+        self._scaled = (tuple(out), fact)
 
     @property
     def degree(self) -> int:
@@ -101,29 +115,15 @@ class IntPolynomial:
         return cls.from_coefficients(std)
 
     def __call__(self, n: int) -> int:
-        return sum(a * _binom(n, j) for j, a in enumerate(self.binomial_coeffs))
+        coeffs, fact = self._scaled
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * n + c
+        return acc // fact
 
-    def scaled_standard_coeffs(self) -> tuple[list[int], int]:
-        """Return (coeffs of d! * f in the standard basis, d!).
-
-        d! * C(n, j) = (d!/j!) * n (n-1) ... (n-j+1) has integer
-        coefficients, so d! * f does too.
-        """
-        d = self.degree
-        fact = math.factorial(d)
-        out = [0] * (d + 1)
-        for j, a in enumerate(self.binomial_coeffs):
-            poly = [1]  # falling factorial n (n-1) ... (n-j+1)
-            for i in range(j):
-                new = [0] * (len(poly) + 1)
-                for k, c in enumerate(poly):
-                    new[k + 1] += c
-                    new[k] -= i * c
-                poly = new
-            scale = a * (fact // math.factorial(j))
-            for k, c in enumerate(poly):
-                out[k] += scale * c
-        return out, fact
+    def scaled_standard_coeffs(self) -> tuple[tuple[int, ...], int]:
+        """Return (coeffs of d! * f in the standard basis, d!)."""
+        return self._scaled
 
     def __repr__(self) -> str:
         return f"IntPolynomial(binomial_coeffs={list(self.binomial_coeffs)})"
@@ -187,11 +187,15 @@ def _roots_brute(poly: IntPolynomial, p: int) -> tuple[int, ...]:
     return tuple(int(n) for n in np.flatnonzero(vals == 0))
 
 
+def _quadratic_mod(poly: IntPolynomial, p: int) -> tuple[int, int, int]:
+    """(A, B, C) mod p where 2 f(y) = A y^2 + B y + C."""
+    c0, c1, c2 = poly.scaled_standard_coeffs()[0]
+    return c2 % p, c1 % p, c0 % p
+
+
 def _roots_quadratic(poly: IntPolynomial, p: int) -> tuple[int, ...]:
     """Fast path for degree-2 polynomials, p odd and p > 2 = degree."""
-    coeffs, _ = poly.scaled_standard_coeffs()  # 2*f = A y^2 + B y + C
-    c0, c1, c2 = (coeffs + [0, 0, 0])[:3]
-    a, b, c = c2 % p, c1 % p, c0 % p
+    a, b, c = _quadratic_mod(poly, p)
     if a == 0:
         if b == 0:
             return tuple(range(p)) if c == 0 else ()
@@ -208,9 +212,7 @@ def _roots_quadratic(poly: IntPolynomial, p: int) -> tuple[int, ...]:
 
 def _quadratic_root_count(poly: IntPolynomial, p: int) -> int:
     """|I_p| for a degree-2 polynomial without materializing the roots."""
-    coeffs, _ = poly.scaled_standard_coeffs()
-    c0, c1, c2 = (coeffs + [0, 0, 0])[:3]
-    a, b, c = c2 % p, c1 % p, c0 % p
+    a, b, c = _quadratic_mod(poly, p)
     if a == 0:
         if b == 0:
             return p if c == 0 else 0
@@ -250,7 +252,7 @@ class DensityReport:
 
 
 class SievingSystem:
-    """Residue classes I_p per prime, with bound B and metadata.
+    """Residue classes I_p per prime, with metadata.
 
     Residue tables are computed lazily and cached per prime; the cache is
     guarded by a lock so distinct primes may be materialized concurrently.
@@ -259,7 +261,6 @@ class SievingSystem:
     def __init__(self, kind: str, *, poly: IntPolynomial | None = None,
                  table: dict[int, tuple[int, ...]] | None = None,
                  small_prime_mode: str = "roots",
-                 zero_aligned: bool = False,
                  name: str | None = None):
         if kind not in ("eratosthenes", "polynomial", "table"):
             raise DomainError(f"unknown system kind {kind!r}")
@@ -271,7 +272,6 @@ class SievingSystem:
         if small_prime_mode not in ("roots", "empty"):
             raise DomainError("small_prime_mode must be 'roots' or 'empty'")
         self.small_prime_mode = small_prime_mode
-        self.zero_aligned = zero_aligned
         self.name = name or kind
         self.degree_d = poly.degree if (kind == "polynomial" and poly) else 0
         self.degenerate_primes: set[int] = set()
@@ -303,9 +303,6 @@ class SievingSystem:
         res = self._raw_residues(p)
         if len(res) == p:
             self.degenerate_primes.add(p)
-        elif res and self.zero_aligned:
-            lo = res[0]
-            res = tuple(sorted((r - lo) % p for r in res))
         with self._lock:
             self._cache[p] = res
             self._count_cache[p] = len(res)
@@ -334,42 +331,13 @@ class SievingSystem:
             self._count_cache[p] = n
         return n
 
-    @property
-    def bound_B(self) -> int:
-        if self.kind == "eratosthenes":
-            return 1
-        if self.kind == "polynomial":
-            return max(1, self.degree_d)
-        return max((len(v) for v in self.table.values()), default=1)
-
     def is_degenerate_at(self, p: int) -> bool:
         return self.residue_count(p) >= p
-
-    def check_non_degenerate(self, x: float, z: float = 1) -> None:
-        for p in primes_in_range(z, x):
-            if self.is_degenerate_at(int(p)):
-                raise DegenerateSystemError(int(p))
 
     def active_primes(self, x: float, z: float = 1) -> list[int]:
         """Primes p in (z, x] with I_p nonempty."""
         return [int(p) for p in primes_in_range(z, x)
                 if self.residue_count(int(p)) >= 1]
-
-    def copy(self, **overrides) -> "SievingSystem":
-        kw = dict(kind=self.kind, poly=self.poly, table=self.table,
-                  small_prime_mode=self.small_prime_mode,
-                  zero_aligned=self.zero_aligned, name=self.name)
-        kw.update(overrides)
-        return SievingSystem(**kw)
-
-
-def normalize_shift(system: SievingSystem) -> SievingSystem:
-    """Translate every nonempty I_p so that 0 is a member.
-
-    A per-prime translation does not change the gap structure of the
-    sifted set, it only shifts which b realizes a given configuration.
-    """
-    return system.copy(zero_aligned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -507,24 +475,40 @@ def system_from_spec(spec: str, *, table_limit: int = 1_000_000) -> SievingSyste
 
 
 def load_system_file(path: str) -> SievingSystem:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read system file {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"system file {path!r} must hold a JSON object")
     kind = data.get("kind")
     if kind == "eratosthenes":
         return eratosthenes()
     if kind == "polynomial":
-        if "binomial_coeffs" in data:
-            poly = IntPolynomial(data["binomial_coeffs"])
-        elif "coeffs" in data:
-            poly = IntPolynomial.from_coefficients(
-                [Fraction(c) if isinstance(c, str) else c for c in data["coeffs"]])
-        else:
-            raise DomainError("polynomial file needs binomial_coeffs or coeffs")
+        try:
+            if "binomial_coeffs" in data:
+                poly = IntPolynomial(data["binomial_coeffs"])
+            elif "coeffs" in data:
+                poly = IntPolynomial.from_coefficients(
+                    [Fraction(c) if isinstance(c, str) else c
+                     for c in data["coeffs"]])
+            else:
+                raise DomainError(
+                    "polynomial file needs binomial_coeffs or coeffs")
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise DomainError(f"polynomial file {path!r} has a malformed "
+                              f"coefficient list: {exc}") from exc
         return SievingSystem(
             "polynomial", poly=poly,
             small_prime_mode=data.get("small_prime_mode", "roots"))
     if kind == "table":
-        table = {int(p): tuple(int(r) for r in rs) for p, rs in data["entries"]}
+        try:
+            table = {int(p): tuple(int(r) for r in rs)
+                     for p, rs in data["entries"]}
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DomainError(f"table file {path!r} needs "
+                              '"entries": [[p, [r, ...]], ...]') from exc
         for p, rs in table.items():
             if not is_prime(p):
                 raise DomainError(f"table modulus {p} is not prime")

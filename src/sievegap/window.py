@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateSystemError, DomainError
 from .systems import SievingSystem
 
-MAX_WINDOW = 1 << 31
+MAX_WINDOW = 1 << 27     # one flag byte per integer: at most 128 MiB
 
 
 @dataclass
@@ -34,16 +34,6 @@ class ShiftVector:
     def residue(self, p: int) -> int:
         return self.entries.get(p, 0) % p
 
-    def restricted(self, x: int) -> "ShiftVector":
-        """Projection mod P(x) for x <= self.x (keep primes <= x)."""
-        return ShiftVector({p: r for p, r in self.entries.items() if p <= x}, x)
-
-    def merged(self, other: "ShiftVector") -> "ShiftVector":
-        """Union of residue constraints; ``other`` wins on overlap."""
-        out = dict(self.entries)
-        out.update(other.entries)
-        return ShiftVector(out, max(self.x, other.x))
-
     def crt_value(self) -> tuple[int, int]:
         """(b mod P, P) as explicit integers, for position mapping only."""
         b, mod = 0, 1
@@ -55,22 +45,10 @@ class ShiftVector:
         return b, mod
 
     @classmethod
-    def zero(cls, system: SievingSystem, x: int) -> "ShiftVector":
-        return cls({p: 0 for p in system.active_primes(x)}, x)
-
-    @classmethod
     def uniform(cls, system: SievingSystem, x: int,
                 rng: random.Random) -> "ShiftVector":
         """Independent uniform residue for each active prime p <= x."""
         return cls({p: rng.randrange(p) for p in system.active_primes(x)}, x)
-
-    def validate(self, system: SievingSystem) -> None:
-        active = set(system.active_primes(self.x))
-        if set(self.entries) != active:
-            raise DomainError("shift keys do not match active primes <= x")
-        for p, r in self.entries.items():
-            if not 0 <= r < p:
-                raise DomainError(f"residue {r} out of range mod {p}")
 
 
 @dataclass
@@ -111,17 +89,25 @@ def sift(system: SievingSystem, x: int, shift: ShiftVector,
         raise DomainError(f"window wider than {MAX_WINDOW}; chunk the request")
     if z >= x:
         raise DomainError(f"need z < x, got z={z}, x={x}")
-    width = hi - lo + 1
-    bits = np.ones(width, dtype=bool)
-    for p in system.active_primes(x, z):
+    bits = np.ones(hi - lo + 1, dtype=bool)
+    _strike(bits, lo, system, system.active_primes(x, z), shift)
+    return SiftedWindow(lo, hi, bits, x, z, shift)
+
+
+def _strike(bits: np.ndarray, lo: int, system: SievingSystem,
+            primes, shift: ShiftVector) -> None:
+    """Clear bits[n - lo] for every n with (n - b) mod p in I_p, p in primes.
+
+    The strided marker behind sift(); callers that already hold a window
+    use it to sieve by further primes.
+    """
+    for p in primes:
         res = system.residues(p)
         if len(res) >= p:
             raise DegenerateSystemError(p)
         b = shift.residue(p)
         for r in res:
-            start = (b + r - lo) % p
-            bits[start::p] = False
-    return SiftedWindow(lo, hi, bits, x, z, shift)
+            bits[(b + r - lo) % p::p] = False
 
 
 @dataclass

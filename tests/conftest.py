@@ -1,5 +1,6 @@
 """Shared helpers: brute-force oracles and random small systems."""
 
+import math
 import random
 
 import pytest
@@ -36,6 +37,15 @@ def brute_members(system: SievingSystem, x: int, shift, lo: int, hi: int,
         if all(t[n % p] for p, t in tables):
             out.append(n)
     return out
+
+
+def binomial_eval(poly, n: int) -> int:
+    """f(n) = sum_j a_j C(n, j) in the binomial basis: the reference for
+    IntPolynomial evaluation, sharing no code with its Horner rule."""
+    def binom(m: int, k: int) -> int:
+        return math.comb(m, k) if m >= 0 else \
+            (-1) ** k * math.comb(-m + k - 1, k)
+    return sum(a * binom(n, j) for j, a in enumerate(poly.binomial_coeffs))
 
 
 def brute_gap(members: list[int], lo: int, hi: int):

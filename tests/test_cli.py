@@ -144,17 +144,41 @@ def test_config_file_merges_flags_win(tmp_path):
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nonsense": 1}))
-    code, _ = run_cli(["constants", "--rho", "1", "--config", str(cfg)])
-    assert code == 1
+    for key in ("nonsense", "threads"):
+        cfg.write_text(json.dumps({key: 1}))
+        code, _ = run_cli(["constants", "--rho", "1", "--config", str(cfg)])
+        assert code == 1
 
 
-def test_threads_flag_does_not_change_output():
-    a = run_json(["gaps", "--system", "eratosthenes", "--x", "7",
-                  "--window", "1..100", "--threads", "1"])
-    b = run_json(["gaps", "--system", "eratosthenes", "--x", "7",
-                  "--window", "1..100", "--threads", "8"])
-    assert a["result"] == b["result"]
+_GAPS = ["gaps", "--system", "eratosthenes", "--x", "5", "--window", "1..30"]
+
+# case -> (contents of the file "f", None for a missing file; argv added
+# to _GAPS, where a later --system wins)
+BAD_FILES = {
+    "shift-file-line": ("2 1\n3\n", ["--shift-file", "f"]),
+    "system-missing": (None, ["--system", "f"]),
+    "system-not-json": ("{", ["--system", "f"]),
+    "system-not-object": ("[1, 2]", ["--system", "f"]),
+    "table-without-entries": ('{"kind": "table"}', ["--system", "f"]),
+    "table-malformed-entries": ('{"kind": "table", "entries": [[5, 3]]}',
+                                ["--system", "f"]),
+    "polynomial-bad-coefficient": (
+        '{"kind": "polynomial", "binomial_coeffs": ["a"]}', ["--system", "f"]),
+    "polynomial-zero-denominator": (
+        '{"kind": "polynomial", "coeffs": ["1/0"]}', ["--system", "f"]),
+    "config-missing": (None, ["--config", "f"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_unreadable_user_file_exits_1(case, tmp_path, monkeypatch, capsys):
+    text, extra = BAD_FILES[case]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "f").write_text(text)
+    code, out = run_cli(_GAPS + extra)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,44 @@ import random
 
 import numpy as np
 import pytest
+from conftest import brute_members, random_table_system
 
-from sievegap.construction import (Params, apply_stage2, build_weight_tables,
-                                   compute_AP, construct, derive_params,
-                                   stage1_uniform, stage2_select,
-                                   stage3_cleanup, trivial_baseline,
-                                   weight_lambda)
+from sievegap.construction import (DEFAULT_M, Params, _survivors_above,
+                                   apply_stage2, build_weight_tables,
+                                   construct, derive_params, stage1_uniform,
+                                   stage2_select, stage3_cleanup,
+                                   trivial_baseline)
 from sievegap.errors import DomainError
+from sievegap.primes import primes_in_range
 from sievegap.rng import substream
 from sievegap.systems import eratosthenes, polynomial_system, sigma
 from sievegap.window import ShiftVector, sift, verify_empty
 
 ERA = eratosthenes()
+
+
+# ---------------------------------------------------------------------------
+# per-integer oracles for the stage-2 weights
+
+
+def compute_AP(system, stage1_shift, H, q, n, J, M=DEFAULT_M):
+    """{n + q h : 1 <= h <= J} intersected with S1 = S_{H^M} + b1."""
+    if J < 1:
+        return []
+    s1 = set(brute_members(system, H ** M, stage1_shift, n + q, n + q * J))
+    return [n + q * h for h in range(1, J + 1) if n + q * h in s1]
+
+
+def weight_lambda(system, stage1_shift, H, q, n, *, M, K, z):
+    """sigma2^{-|AP(KH; q, n)|} if the AP survives the (H^M, z] sieve, else 0."""
+    HM = H ** M
+    sigma2 = float(sigma(system, HM, z)) if HM < z else 1.0
+    ap = compute_AP(system, stage1_shift, H, q, n, int(K * H), M=M)
+    if ap:
+        mid = set(brute_members(system, z, stage1_shift, ap[0], ap[-1], z=HM))
+        if not mid.issuperset(ap):
+            return 0.0
+    return sigma2 ** -len(ap)
 
 
 def small_params(**overrides) -> Params:
@@ -94,7 +120,8 @@ def test_stage1_deterministic():
     a = stage1_uniform(ERA, 50, substream(123, "stage1"))
     b = stage1_uniform(ERA, 50, substream(123, "stage1"))
     assert a.entries == b.entries
-    a.validate(ERA)
+    assert set(a.entries) == set(ERA.active_primes(50))
+    assert all(0 <= r < p for p, r in a.entries.items())
 
 
 def test_stage1_mod2_split():
@@ -221,6 +248,27 @@ def test_apply_stage2_sieves_chosen_class():
 
 # ---------------------------------------------------------------------------
 # stage 3
+
+
+def test_survivors_above_matches_oracle():
+    """Shifts fixed at primes on both sides of the cutoff, as apply_stage2
+    leaves them: survivors are the members of the cutoff sieve that every
+    fixed prime above the cutoff also spares."""
+    rng = random.Random(31)
+    for trial in range(20):
+        sys_ = ERA if trial % 2 else random_table_system(rng, prime_cap=60)
+        if any(sys_.is_degenerate_at(p) for p in sys_.active_primes(60)):
+            continue
+        cutoff, y = rng.choice([(7, 300), (13, 500), (23, 800)])
+        b = ShiftVector.uniform(sys_, cutoff, rng)
+        above = [p for p in (int(p) for p in primes_in_range(cutoff, 60))
+                 if sys_.residue_count(p) and rng.random() < 0.5]
+        b.entries.update({p: rng.randrange(p) for p in above})
+        expect = [m for m in brute_members(sys_, cutoff, b, 1, y)
+                  if all(m in brute_members(sys_, p, b, m, m, z=p - 1)
+                         for p in above)]
+        assert _survivors_above(sys_, b, cutoff, y) == expect
+        assert _survivors_above(sys_, b, cutoff, 0) == []
 
 
 def test_stage3_empty_survivors_succeeds():

@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import binomial_eval
 
 from sievegap.errors import DomainError
 from sievegap.primes import primes_upto
 from sievegap.systems import (IntPolynomial, SievingSystem, eratosthenes,
-                              estimate_rho, mertens_fit, normalize_shift,
-                              period, polynomial_system, sigma,
-                              system_from_spec, twin_system)
+                              estimate_rho, mertens_fit, period,
+                              polynomial_system, sigma, system_from_spec,
+                              twin_system)
 
 N2P1 = polynomial_system("n^2+1")
 
@@ -57,7 +58,7 @@ def test_residues_match_bruteforce_random_pairs():
         poly = IntPolynomial.from_coefficients(coeffs)
         sys_ = polynomial_system(poly)
         p = rng.choice(primes)
-        brute = tuple(n for n in range(p) if poly(n) % p == 0)
+        brute = tuple(n for n in range(p) if binomial_eval(poly, n) % p == 0)
         if len(brute) == p:
             continue  # degenerate at p; flag tested elsewhere
         assert sys_.residues(p) == brute
@@ -70,7 +71,7 @@ def test_quadratic_fast_path_matches_bruteforce():
         poly = IntPolynomial.from_coefficients(
             [rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)])
         p = rng.choice(primes)
-        brute = tuple(n for n in range(p) if poly(n) % p == 0)
+        brute = tuple(n for n in range(p) if binomial_eval(poly, n) % p == 0)
         assert polynomial_system(poly).residues(p) == brute
 
 
@@ -109,32 +110,8 @@ def test_scaled_standard_coeffs_consistent():
             acc = 0
             for c in reversed(coeffs):
                 acc = acc * n + c
-            assert acc == fact * poly(n)
-
-
-# ---------------------------------------------------------------------------
-# normalize_shift
-
-
-def test_normalize_shift_examples():
-    sys_ = SievingSystem("table", table={5: (2, 3), 7: (), 3: (0, 2)})
-    norm = normalize_shift(sys_)
-    assert norm.residues(5) == (0, 1)
-    assert norm.residues(7) == ()
-    assert norm.residues(3) == (0, 2)
-
-
-def test_normalize_shift_preserves_sizes_and_sigma():
-    rng = random.Random(99)
-    from conftest import random_table_system
-    for _ in range(10):
-        sys_ = random_table_system(rng)
-        norm = normalize_shift(sys_)
-        for x in (10, 30, 50):
-            assert [sys_.residue_count(p) for p in sys_.active_primes(x)] == \
-                [norm.residue_count(p) for p in norm.active_primes(x)]
-            assert sigma(sys_, 1, x, exact=True) == \
-                sigma(norm, 1, x, exact=True)
+            assert acc == fact * binomial_eval(poly, n)
+            assert poly(n) == binomial_eval(poly, n)
 
 
 # ---------------------------------------------------------------------------
