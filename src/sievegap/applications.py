@@ -12,7 +12,7 @@ from .errors import DomainError
 from .primes import primality, primes_in_range, primes_upto
 from .rng import substream
 from .systems import IntPolynomial, SievingSystem, polynomial_system
-from .window import ShiftVector, verify_empty
+from .window import ShiftVector, sift, verify_empty
 
 __all__ = [
     "RunResult", "composite_run_bruteforce", "ConstructedRun",
@@ -111,7 +111,6 @@ def _greedy_empty_shift(system: SievingSystem, primes: list[int], x: int,
     """Seeded random start, then coordinate ascent: re-choose each
     prime's residue to maximize the initial empty run of the shifted
     sifted set (primes in (z, x])."""
-    from .window import sift
     entries = {p: rng.randrange(p) for p in primes}
     target = max(x, 4) * 4
 

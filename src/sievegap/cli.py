@@ -29,6 +29,7 @@ from .cover import (CoverInstance, assign_indices, check_hypotheses,
 from .errors import SievegapError
 from .moments import (exact_first_moment, mc_first_moment, mc_lambda_moments,
                       mc_second_moment)
+from .primes import is_prime
 from .rng import DEFAULT_SEED, derive_seed, substream
 from .systems import mertens_fit, system_from_spec
 from .window import ShiftVector, largest_gap, sift
@@ -145,7 +146,8 @@ def _window_arg(text: str) -> tuple[int, int]:
 
 
 def _load_shift_file(path: str, x: int) -> ShiftVector:
-    """One "prime residue" pair a line; blank and # lines are skipped."""
+    """One "prime residue" pair a line, for primes <= x; blank and # lines
+    are skipped."""
     entries = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -158,6 +160,10 @@ def _load_shift_file(path: str, x: int) -> ShiftVector:
     except (OSError, ValueError) as exc:
         raise SievegapError(f"cannot read shift file {path!r} (one "
                             f"'prime residue' pair a line): {exc}") from exc
+    bad = [p for p in entries if not (p <= x and is_prime(p))]
+    if bad:
+        raise SievegapError(f"shift file {path!r}: modulus {bad[0]} is not "
+                            f"a prime <= --x {x}, so no sieve reads it")
     return ShiftVector(entries, x)
 
 

@@ -5,8 +5,10 @@ Stage 1 draws a uniform shift modulo the product of small primes.
 Stage 2 greedily re-chooses residues modulo mid-size primes q, sampling
 a class n_q with weight sigma2^{-|AP|} when the surviving portion of
 the progression {n_q + q h} also survives the mid-range sieve.  Stage 3
-matches each element still surviving in the target interval with a
-distinct large prime and sieves it away individually.
+matches each element still surviving in the target interval [1, y] with
+a distinct large prime and sieves it away individually.  The certified
+interval is [1, L] with L <= y: when stage 3 runs out of primes, L stops
+just below the first unmatched survivor.
 """
 
 from __future__ import annotations
@@ -122,16 +124,6 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# stage 1
-
-
-def stage1_uniform(system: SievingSystem, z: int,
-                   rng: random.Random) -> ShiftVector:
-    """Independent uniform residue mod p for each active prime p <= z."""
-    return ShiftVector.uniform(system, z, rng)
-
-
-# ---------------------------------------------------------------------------
 # stage 2: weights and selection
 
 
@@ -204,15 +196,15 @@ def stage2_select(system: SievingSystem, params: Params,
                   mode: str = "sample") -> Stage2Result:
     """Choose n_q for each admissible q, with probability lambda / total.
 
-    mode "sample" draws independently per q; mode "cover" additionally
-    runs the covering rounds over the stage-1 survivors in [1, y] using
-    the sampled progressions as edges, re-drawing n_q for indices whose
-    edge must land inside the still-alive set.  q's whose weight table
-    is identically zero are reported as rejected.
+    mode "sample" draws independently per q; mode "cover" instead runs
+    the covering rounds over the stage-1 survivors in [1, y] using the
+    sampled progressions as edges, re-drawing n_q for indices whose edge
+    must land inside the still-alive set (with no survivors left it draws
+    as "sample" does).  q's whose weight table is identically zero are
+    reported as rejected.
     """
     if mode not in ("sample", "cover"):
         raise DomainError(f"unknown stage-2 mode {mode!r}")
-    chosen: dict[int, int] = {}
     rejected: list[int] = []
     built = 0
     all_tables: dict[int, WeightTable] = {}
@@ -228,26 +220,22 @@ def stage2_select(system: SievingSystem, params: Params,
                 all_tables[q] = tab
     if not all_tables:
         return Stage2Result(chosen={}, rejected=rejected, tables_built=built)
-    if mode == "sample":
-        for q, tab in sorted(all_tables.items()):
-            chosen[q] = tab.sample_n(substream(seed, "stage2", q))
-        return Stage2Result(chosen=chosen, rejected=rejected,
-                            tables_built=built)
     # cover mode: survivors of the full stage-1 sieve inside [1, y] are the
     # vertices; each q's sampler draws n ~ lambda and emits the portion of
     # its progression that is still alive among the vertices.
-    surv = sift(system, params.z_eff, stage1_shift, 1, params.y).members()
+    surv = sift(system, params.z_eff, stage1_shift, 1, params.y).members() \
+        if mode == "cover" else ()
     if len(surv) == 0:
-        for q, tab in sorted(all_tables.items()):
-            chosen[q] = tab.sample_n(substream(seed, "stage2", q))
+        chosen = {q: tab.sample_n(substream(seed, "stage2", q))
+                  for q, tab in sorted(all_tables.items())}
         return Stage2Result(chosen=chosen, rejected=rejected,
                             tables_built=built)
     vset = set(int(v) for v in surv)
     order = sorted(all_tables)
 
     class _ProgressionEdge(cover_mod.EdgeSampler):
-        def __init__(self, q: int, tab: WeightTable, K: int, H: float):
-            self.q, self.tab, self.J = q, tab, int(K * H)
+        def __init__(self, tab: WeightTable):
+            self.q, self.tab, self.J = tab.q, tab, int(params.K * tab.H)
             self.last_n: int | None = None
 
         def sample(self, rng: random.Random) -> np.ndarray:
@@ -257,43 +245,21 @@ def stage2_select(system: SievingSystem, params: Params,
                     if (n + self.q * h) in vset]
             return np.array(hits, dtype=np.int64)
 
-        def max_size(self) -> int:
-            return self.J
-
-        def inclusion_probs(self, vertices: np.ndarray) -> np.ndarray:
-            probs = np.zeros(len(vertices))
-            idx = {int(v): k for k, v in enumerate(vertices)}
-            w = self.tab.values / self.tab.total
-            for k, wk in enumerate(w):
-                if wk == 0:
-                    continue
-                n = self.tab.n_lo + k
-                for h in range(1, self.J + 1):
-                    v = n + self.q * h
-                    if v in idx:
-                        probs[idx[v]] += wk
-            return probs
-
-        def codegree_bound(self) -> float:
-            return 1.0
-
-    samplers = [_ProgressionEdge(q, all_tables[q], params.K,
-                                 all_tables[q].H) for q in order]
+    samplers = [_ProgressionEdge(all_tables[q]) for q in order]
     inst = cover_mod.CoverInstance(vertices=surv, samplers=samplers,
                                    eta=0.05, C2=1.0)
     # simple even plan over at most three rounds (never more rounds than
     # samplers): the q family at desk scale is too small for the
-    # asymptotic interval lengths to apply
+    # asymptotic interval lengths to apply.  The intervals tile [0, 1), so
+    # every index lands in a round and draws at least once: its last draw
+    # is its n_q.
     m = min(3, len(samplers))
     plan = cover_mod.RoundPlan(beta=3.3, m=m, intervals=[
         (j / m, (j + 1) / m) for j in range(m)])
     part = cover_mod.assign_indices(len(samplers), plan,
                                     substream(seed, "stage2-assign"))
     cover_mod.run_cover(inst, plan, part, derive_seed(seed, "stage2-cover"))
-    for k, q in enumerate(order):
-        n_last = samplers[k].last_n
-        chosen[q] = n_last if n_last is not None else \
-            all_tables[q].sample_n(substream(seed, "stage2", q))
+    chosen = {q: sm.last_n for q, sm in zip(order, samplers)}
     return Stage2Result(chosen=chosen, rejected=rejected, tables_built=built)
 
 
@@ -320,8 +286,9 @@ def apply_stage2(system: SievingSystem, shift: ShiftVector,
 
 @dataclass
 class Stage3Result:
-    ok: bool
-    shift: ShiftVector | None
+    ok: bool                        # the full target [1, y] was met
+    shift: ShiftVector
+    length: int                     # L: [1, L] is certified empty
     survivors: int
     available: int
     matched: int
@@ -342,30 +309,35 @@ def _survivors_above(system: SievingSystem, shift: ShiftVector,
 def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
                    y: int, rng: random.Random,
                    z_mid: int | None = None) -> Stage3Result:
-    """Match survivors in [1, y] with distinct primes q in (x/2, x].
+    """Match survivors in [1, y] with distinct primes q in (z_mid, x], then
+    certify the empty interval [1, L].
 
     Each survivor m gets b = m - min(I_q) (mod q) for the smallest
     unused admissible q, so m is sieved by q; unmatched large primes
     receive uniform residues.  Primes already fixed by an earlier stage
-    keep their residues.  Fails (attempt rejected) when survivors
-    outnumber the available primes.
+    keep their residues.  When survivors outnumber the available primes
+    the target shrinks to L = (first unmatched survivor) - 1 and ok is
+    False; otherwise L = y.  z_mid defaults to x/2.
     """
     half = x // 2 if z_mid is None else z_mid
     survivors = _survivors_above(system, partial_shift, half, y)
     large = [p for p in system.active_primes(x, half)
              if p not in partial_shift.entries]
-    if len(survivors) > len(large):
-        return Stage3Result(ok=False, shift=None, survivors=len(survivors),
-                            available=len(large), matched=0)
+    ok = len(survivors) <= len(large)
+    length = y if ok else survivors[len(large)] - 1
     entries = dict(partial_shift.entries)
     for m, q in zip(survivors, large):
         res = system.residues(q)
         entries[q] = (m - res[0]) % q
-    for q in large[len(survivors):]:
+    matched = min(len(survivors), len(large))
+    for q in large[matched:]:
         entries[q] = rng.randrange(q)
-    return Stage3Result(ok=True, shift=ShiftVector(entries, x),
+    shift = ShiftVector(entries, x)
+    if not verify_empty(system, x, shift, 1, length):
+        raise DomainError("internal error: certification failed after cleanup")
+    return Stage3Result(ok=ok, shift=shift, length=length,
                         survivors=len(survivors), available=len(large),
-                        matched=len(survivors))
+                        matched=matched)
 
 
 # ---------------------------------------------------------------------------
@@ -392,42 +364,22 @@ class ConstructResult:
                 "mode": self.mode}
 
 
-def _finish(system: SievingSystem, x: int, partial: ShiftVector,
-            target_y: int, rng: random.Random, z_mid: int):
-    """Stage 3 with adaptive target shrinking, then certification."""
-    y = target_y
-    while True:
-        r3 = stage3_cleanup(system, x, partial, y, rng, z_mid=z_mid)
-        if r3.ok:
-            break
-        # keep as many survivors as there are primes: shrink the target
-        # to just below the first unmatchable survivor
-        surv = _survivors_above(system, partial, z_mid, y)
-        y = surv[r3.available] - 1
-    assert r3.shift is not None
-    if not verify_empty(system, x, r3.shift, 1, y):
-        raise DomainError("internal error: certification failed after cleanup")
-    return r3, y
-
-
 def construct(system: SievingSystem, params: Params, seed: int,
               mode: str = "sample") -> ConstructResult:
-    """Run stages 1-3 and certify the empty interval [1, L]."""
-    x = params.x
-    z_mid = min(params.z_eff, x // 2)
-    b1 = stage1_uniform(system, z_mid, substream(seed, "stage1"))
-    n1 = len(_survivors_above(system, b1, z_mid, params.y))
+    """Run stages 1-3 and certify the empty interval [1, L], L <= y."""
+    z = params.z_eff
+    b1 = ShiftVector.uniform(system, z, substream(seed, "stage1"))
+    n1 = sift(system, z, b1, 1, params.y).count()
     rejected: list[int] = []
     partial = b1
     if not params.degraded:
         r2 = stage2_select(system, params, b1, seed, mode=mode)
         rejected = r2.rejected
         partial = apply_stage2(system, b1, r2.chosen)
-    n2 = len(_survivors_above(system, partial, z_mid, params.y))
-    r3, L = _finish(system, x, partial, params.y,
-                    substream(seed, "stage3"), z_mid)
-    return ConstructResult(shift=r3.shift, length=L, params=params,
-                           survivors_stage1=n1, survivors_stage2=n2,
+    r3 = stage3_cleanup(system, params.x, partial, params.y,
+                        substream(seed, "stage3"), z_mid=z)
+    return ConstructResult(shift=r3.shift, length=r3.length, params=params,
+                           survivors_stage1=n1, survivors_stage2=r3.survivors,
                            matched=r3.matched, rejected_q=rejected, mode=mode)
 
 
@@ -443,17 +395,16 @@ def trivial_baseline(system: SievingSystem, x: int, seed: int) -> BaselineResult
     """Uniform shift mod P(x/2) plus clean-up over (x/2, x].
 
     The target interval is [1, rho x / (8 C1)] with rho and C1 estimated
-    empirically; the target shrinks adaptively when survivors outnumber
+    empirically; stage 3 stops L short of it when survivors outnumber
     the available clean-up primes.
     """
     if x < 100:
         raise DomainError("x must be >= 100")
-    half = x // 2
     rho_hat = estimate_rho(system, x)
     c1_hat = float(sigma(system, 1, x)) * math.log(x)
     target = max(1, math.floor(rho_hat * x / (8 * c1_hat))) if c1_hat > 0 \
         else x // 4
-    b1 = stage1_uniform(system, half, substream(seed, "stage1"))
-    r3, L = _finish(system, x, b1, target, substream(seed, "stage3"), half)
-    return BaselineResult(shift=r3.shift, length=L, target=target,
+    b1 = ShiftVector.uniform(system, x // 2, substream(seed, "stage1"))
+    r3 = stage3_cleanup(system, x, b1, target, substream(seed, "stage3"))
+    return BaselineResult(shift=r3.shift, length=r3.length, target=target,
                           matched=r3.matched)

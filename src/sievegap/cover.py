@@ -31,14 +31,12 @@ class EdgeSampler:
     def sample(self, rng: random.Random) -> np.ndarray:
         raise NotImplementedError
 
-    def inclusion_prob(self, v: int) -> float:
-        raise NotImplementedError
-
     def max_size(self) -> int:
         raise NotImplementedError
 
     def inclusion_probs(self, vertices: np.ndarray) -> np.ndarray:
-        return np.array([self.inclusion_prob(int(v)) for v in vertices])
+        """Pr(v in e) for each v in vertices."""
+        raise NotImplementedError
 
     def codegree_bound(self) -> float:
         """An upper bound on max_{v != w} Pr(v in e and w in e)."""
@@ -68,9 +66,6 @@ class ProgressionSampler(EdgeSampler):
         members = [a + self.step * h for h in range(1, self.length + 1)
                    if 0 <= a + self.step * h < self.n]
         return np.array(members, dtype=np.int64)
-
-    def inclusion_prob(self, v: int) -> float:
-        return 1.0 / self.n
 
     def inclusion_probs(self, vertices: np.ndarray) -> np.ndarray:
         return np.full(len(vertices), 1.0 / self.n)

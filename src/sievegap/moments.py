@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import Params, build_weight_tables, stage1_uniform
+from .construction import Params, build_weight_tables
 from .errors import DomainError, EnumerationLimitError
 from .primes import primes_in_range
 from .rng import substream
@@ -188,13 +188,6 @@ def mc_second_moment(system: SievingSystem, z: int, y: int, trials: int,
 # lambda moments (identities ii and iii)
 
 
-def _lambda_trial(system: SievingSystem, params: Params, H: float,
-                  seed: int, t: int):
-    """One fresh stage-1 draw; returns (tables, shift)."""
-    b = stage1_uniform(system, params.z_eff, substream(seed, "lam", t))
-    return build_weight_tables(system, params, b, H), b
-
-
 def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
                       j: int, trials: int, seed: int,
                       identity: str = "ii") -> MomentReport:
@@ -216,7 +209,9 @@ def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
     J = int(K * H)
     vals = []
     for t in range(trials):
-        tables, b = _lambda_trial(system, params, H, seed, t)
+        b = ShiftVector.uniform(system, params.z_eff,
+                                substream(seed, "lam", t))
+        tables = build_weight_tables(system, params, b, H)
         if identity == "ii":
             v = sum(tab.total ** j for tab in tables.values())
         else:

@@ -63,10 +63,6 @@ def primes_in_range(lo: float, hi: float) -> np.ndarray:
     return ps[np.searchsorted(ps, lo, side="right"):]
 
 
-def prime_count(x: float) -> int:
-    return len(primes_upto(int(x)))
-
-
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     """True if a proves n composite."""
     a %= n

@@ -463,12 +463,12 @@ def twin_system(limit: int = 1_000_000) -> SievingSystem:
     return SievingSystem("table", table=table, name="twin")
 
 
-def system_from_spec(spec: str, *, table_limit: int = 1_000_000) -> SievingSystem:
+def system_from_spec(spec: str) -> SievingSystem:
     """Resolve a CLI system string: builtin name, poly:<expr>, or a file path."""
     if spec == "eratosthenes":
         return eratosthenes()
     if spec == "twin":
-        return twin_system(table_limit)
+        return twin_system()
     if spec.startswith("poly:"):
         return polynomial_system(spec[5:])
     return load_system_file(spec)

@@ -156,6 +156,8 @@ _GAPS = ["gaps", "--system", "eratosthenes", "--x", "5", "--window", "1..30"]
 # to _GAPS, where a later --system wins)
 BAD_FILES = {
     "shift-file-line": ("2 1\n3\n", ["--shift-file", "f"]),
+    "shift-file-composite-modulus": ("4 1\n", ["--shift-file", "f"]),
+    "shift-file-modulus-above-x": ("97 3\n", ["--shift-file", "f"]),
     "system-missing": (None, ["--system", "f"]),
     "system-not-json": ("{", ["--system", "f"]),
     "system-not-object": ("[1, 2]", ["--system", "f"]),

@@ -9,9 +9,8 @@ from conftest import brute_members, random_table_system
 
 from sievegap.construction import (DEFAULT_M, Params, _survivors_above,
                                    apply_stage2, build_weight_tables,
-                                   construct, derive_params, stage1_uniform,
-                                   stage2_select, stage3_cleanup,
-                                   trivial_baseline)
+                                   construct, derive_params, stage2_select,
+                                   stage3_cleanup, trivial_baseline)
 from sievegap.errors import DomainError
 from sievegap.primes import primes_in_range
 from sievegap.rng import substream
@@ -117,15 +116,15 @@ def test_derive_params_warns_on_large_delta():
 
 
 def test_stage1_deterministic():
-    a = stage1_uniform(ERA, 50, substream(123, "stage1"))
-    b = stage1_uniform(ERA, 50, substream(123, "stage1"))
+    a = ShiftVector.uniform(ERA, 50, substream(123, "stage1"))
+    b = ShiftVector.uniform(ERA, 50, substream(123, "stage1"))
     assert a.entries == b.entries
     assert set(a.entries) == set(ERA.active_primes(50))
     assert all(0 <= r < p for p, r in a.entries.items())
 
 
 def test_stage1_mod2_split():
-    ones = sum(stage1_uniform(ERA, 10, substream(7, "s", t)).residue(2)
+    ones = sum(ShiftVector.uniform(ERA, 10, substream(7, "s", t)).residue(2)
                for t in range(10_000))
     assert abs(ones / 10_000 - 0.5) < 0.03
 
@@ -174,7 +173,7 @@ def test_weight_lambda_definition():
 
 def test_build_weight_tables_matches_pointwise():
     p = small_params()
-    b = stage1_uniform(ERA, p.z_eff, substream(1, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(1, "stage1"))
     tables = build_weight_tables(ERA, p, b, 2.0)
     tab = tables[29]
     for k in range(0, len(tab.values), 17):
@@ -191,7 +190,7 @@ def test_build_weight_tables_matches_pointwise():
 
 def test_stage2_deterministic_and_supported():
     p = small_params()
-    b = stage1_uniform(ERA, p.z_eff, substream(2, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(2, "stage1"))
     r1 = stage2_select(ERA, p, b, seed=99)
     r2 = stage2_select(ERA, p, b, seed=99)
     assert r1.chosen == r2.chosen
@@ -202,7 +201,7 @@ def test_stage2_deterministic_and_supported():
 
 def test_stage2_point_mass():
     p = small_params()
-    b = stage1_uniform(ERA, p.z_eff, substream(3, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(3, "stage1"))
     tables = build_weight_tables(ERA, p, b, 2.0)
     tab = tables[29]
     k_star = int(np.argmax(tab.values))
@@ -216,7 +215,7 @@ def test_stage2_point_mass():
 
 def test_stage2_sampling_frequencies():
     p = small_params()
-    b = stage1_uniform(ERA, p.z_eff, substream(4, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(4, "stage1"))
     tab = build_weight_tables(ERA, p, b, 2.0)[29]
     probs = tab.values / tab.total
     counts = np.zeros_like(probs)
@@ -230,7 +229,7 @@ def test_stage2_sampling_frequencies():
 
 def test_stage2_cover_mode_supported():
     p = small_params()
-    b = stage1_uniform(ERA, p.z_eff, substream(8, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(8, "stage1"))
     r = stage2_select(ERA, p, b, seed=11, mode="cover")
     tables = build_weight_tables(ERA, p, b, 2.0)
     for q, n in r.chosen.items():
@@ -239,7 +238,7 @@ def test_stage2_cover_mode_supported():
 
 def test_apply_stage2_sieves_chosen_class():
     p = small_params()
-    b = stage1_uniform(ERA, p.z_eff, substream(9, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(9, "stage1"))
     r = stage2_select(ERA, p, b, seed=13)
     shifted = apply_stage2(ERA, b, r.chosen)
     for q, n_q in r.chosen.items():
@@ -282,23 +281,31 @@ def test_stage3_empty_survivors_succeeds():
 def test_stage3_matches_and_removes_survivors():
     rng = substream(1, "s3")
     x = 100
-    b1 = stage1_uniform(ERA, x // 2, substream(21, "stage1"))
+    b1 = ShiftVector.uniform(ERA, x // 2, substream(21, "stage1"))
     surv = [int(m) for m in sift(ERA, x // 2, b1, 1, 30).members()]
     r = stage3_cleanup(ERA, x, b1, 30, rng)
     if r.ok:
         assert r.matched == len(surv)
-        assert verify_empty(ERA, x, r.shift, 1, 30)
+        assert r.length == 30
     else:
         assert r.survivors > r.available
+        assert r.length == surv[r.available] - 1
+    assert verify_empty(ERA, x, r.shift, 1, r.length)
 
 
 def test_stage3_pigeonhole_failure():
     # x=100: large primes in (50, 100] number 10; a wide target overflows
     rng = substream(2, "s3")
-    b1 = stage1_uniform(ERA, 50, substream(22, "stage1"))
+    b1 = ShiftVector.uniform(ERA, 50, substream(22, "stage1"))
     r = stage3_cleanup(ERA, 100, b1, 100, rng)
     assert not r.ok
     assert r.survivors > r.available
+    # the target shrinks to just below the first unmatched survivor
+    surv = [int(m) for m in sift(ERA, 50, b1, 1, 100).members()]
+    assert r.matched == r.available
+    assert r.length == surv[r.available] - 1
+    assert verify_empty(ERA, 100, r.shift, 1, r.length)
+    assert not verify_empty(ERA, 100, r.shift, 1, r.length + 1)
 
 
 # ---------------------------------------------------------------------------

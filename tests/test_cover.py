@@ -23,9 +23,6 @@ class FullEdge(EdgeSampler):
     def sample(self, rng):
         return np.arange(self.n, dtype=np.int64)
 
-    def inclusion_prob(self, v):
-        return 1.0
-
     def inclusion_probs(self, vertices):
         return np.ones(len(vertices))
 
