@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .primes import primality, primes_in_range, primes_upto
+from .primes import primality, primes_upto
 from .rng import substream
 from .systems import IntPolynomial, SievingSystem, polynomial_system
 from .window import ShiftVector, sift, verify_empty
@@ -143,7 +143,7 @@ def _pick_cutoff(system: SievingSystem, X: int) -> int:
     so the CRT-mapped run fits inside [X/2, X]."""
     prod, x = 1, 2
     for p in (int(p) for p in primes_upto(max(100, int(math.log(X) ** 2)))):
-        if system.residue_count(p) >= 1:
+        if system.residues(p):
             if prod * p > X // 4:
                 break
             prod *= p
@@ -279,8 +279,7 @@ def coprimality_constructed(f, x: int, seed: int = 0) -> ConstructedCoprimality:
     poly = _as_poly(f)
     d = poly.degree
     system = polynomial_system(poly, small_prime_mode="empty")
-    primes = [p for p in (int(p) for p in primes_in_range(d, x))
-              if system.residue_count(p) >= 1]
+    primes = system.active_primes(x, d)
     if not primes:
         raise DomainError(f"no usable primes in ({d}, {x}]")
     rng = substream(seed, "coprime")

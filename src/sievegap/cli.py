@@ -167,6 +167,12 @@ def _load_shift_file(path: str, x: int) -> ShiftVector:
     return ShiftVector(entries, x)
 
 
+def _at_least_1(cfg: dict, *keys: str) -> None:
+    for key in keys:
+        if cfg[key] is not None and cfg[key] < 1:
+            raise SievegapError(f"--{key} must be >= 1, got {cfg[key]}")
+
+
 def _stats(values: list[float]) -> dict:
     vs = sorted(values)
     n = len(vs)
@@ -207,6 +213,7 @@ def _cmd_gaps(cfg: dict) -> dict:
 
 
 def _cmd_construct(cfg: dict) -> dict:
+    _at_least_1(cfg, "trials")
     system = system_from_spec(cfg["system"])
     params = derive_params(system, cfg["x"], delta=cfg.get("delta"),
                            force_z=cfg.get("force_z"),
@@ -228,8 +235,9 @@ def _cmd_construct(cfg: dict) -> dict:
 
 
 def _cmd_cover_demo(cfg: dict) -> dict:
+    _at_least_1(cfg, "trials", "edges")
     instance = progression_instance(cfg["vertices"], cfg["c2"], cfg["eta"])
-    if cfg.get("edges"):
+    if cfg["edges"] is not None:
         instance = CoverInstance(vertices=instance.vertices,
                                  samplers=instance.samplers[:1] * cfg["edges"],
                                  eta=cfg["eta"], C2=cfg["c2"])

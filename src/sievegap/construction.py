@@ -22,7 +22,6 @@ import numpy as np
 from . import cover as cover_mod
 from .constants import c_rho
 from .errors import DomainError
-from .primes import primes_in_range
 from .rng import derive_seed, substream
 from .systems import SievingSystem, estimate_rho, sigma
 from .window import ShiftVector, _strike, sift, verify_empty
@@ -30,6 +29,7 @@ from .window import ShiftVector, _strike, sift, verify_empty
 DEFAULT_M = 4.6
 DEFAULT_K = 3
 DEFAULT_XI = 1.1
+CUM_BLOCK = 256      # weight-table cells per stored running sum
 
 
 @dataclass
@@ -95,6 +95,8 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
     if z_eff != z:
         warnings.append(f"z={z} exceeds x/2; stages use z_eff={z_eff}")
     if force_scales is not None:
+        if any(H <= 0 for H in force_scales):
+            raise DomainError(f"forced scales must be > 0, got {force_scales}")
         scales = sorted(force_scales)
     else:
         lo, hi = 2 * y / x, y / (xi * z)
@@ -108,9 +110,7 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
     degraded = not scales
     Q: dict[float, list[int]] = {}
     for H in scales:
-        lo_q, hi_q = y / (xi * H), y / H
-        cands = [int(q) for q in primes_in_range(lo_q, hi_q)
-                 if system.residue_count(int(q)) >= 1]
+        cands = system.active_primes(y / H, y / (xi * H))
         target = max(1, round(rho_hat * (1 - 1 / xi) * y / (H * lx)))
         Q[H] = cands[: min(len(cands), target)]
     Q = {H: qs for H, qs in Q.items() if qs}
@@ -134,13 +134,23 @@ class WeightTable:
     n_lo: int                    # values[k] is lambda at n = n_lo + k
     values: np.ndarray
     total: float
+    starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # running sums before each block of CUM_BLOCK cells: a draw sums
+        # only its own block, in the order np.cumsum adds the whole table,
+        # without keeping a second table-sized array
+        cum = np.cumsum(self.values)
+        self.starts = np.r_[0.0, cum[CUM_BLOCK - 1::CUM_BLOCK]]
 
     def sample_n(self, rng: random.Random) -> int:
         if self.total <= 0:
             raise DomainError("cannot sample from an all-zero weight table")
         r = rng.random() * self.total
-        c = np.cumsum(self.values)
-        k = int(np.searchsorted(c, r, side="right"))
+        b = int(np.searchsorted(self.starts, r, side="right")) - 1
+        lo = b * CUM_BLOCK
+        c = np.cumsum(np.r_[self.starts[b], self.values[lo:lo + CUM_BLOCK]])
+        k = lo + int(np.searchsorted(c[1:], r, side="right"))
         k = min(k, len(self.values) - 1)
         return self.n_lo + k
 

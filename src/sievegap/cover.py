@@ -93,6 +93,9 @@ def progression_instance(n_vertices: int, C2: float, eta: float,
                          length: int = 3) -> CoverInstance:
     """The calibrated synthetic family: C2 * N singleton-progression edges."""
     s = int(round(C2 * n_vertices))
+    if n_vertices < 1 or s < 1:
+        raise DomainError(f"need at least one vertex and one edge, got "
+                          f"N={n_vertices} and round(C2 N)={s}")
     sampler = ProgressionSampler(n_vertices, step=n_vertices + 7, length=length)
     return CoverInstance(
         vertices=np.arange(n_vertices, dtype=np.int64),

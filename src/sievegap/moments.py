@@ -24,7 +24,7 @@ from .errors import DomainError, EnumerationLimitError
 from .primes import primes_in_range
 from .rng import substream
 from .systems import SievingSystem, period, sigma
-from .window import ShiftVector, sift
+from .window import ShiftVector, _strike, sift
 
 EXACT_PERIOD_CAP = 100_000
 ENUM_CAP = 1_000_000
@@ -113,10 +113,8 @@ def correlation_exact(system: SievingSystem, U, H: float, M: float, z: int,
     """
     U = sorted(set(int(u) for u in U))
     out = Fraction(1) if exact else 1.0
-    for p in (int(p) for p in primes_in_range(H ** M, z)):
+    for p in system.active_primes(z, H ** M):
         res = system.residues(p)
-        if not res:
-            continue
         forbidden = {(u - r) % p for u in U for r in res}
         if exact:
             out *= Fraction(p - len(forbidden), p)
@@ -138,9 +136,7 @@ def exact_first_moment(system: SievingSystem, z: int, y: int) -> MomentReport:
     if y < 0:
         raise DomainError("y must be >= 0")
     bit = np.ones(P, dtype=bool)
-    for p in system.active_primes(z):
-        for r in system.residues(p):
-            bit[r::p] = False
+    _strike(bit, 0, system, system.active_primes(z), ShiftVector())
     total = 0
     bs = np.arange(P, dtype=np.int64)
     for n in range(1, y + 1):

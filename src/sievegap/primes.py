@@ -79,7 +79,13 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n below the proven witness bound."""
+    """Deterministic primality for n below the proven witness bound.
+
+    n inside the range already sieved by primes_upto is looked up there.
+    """
+    flags = _cached_flags
+    if flags is not None and 0 <= n < len(flags):
+        return bool(flags[n])
     ok, _ = primality(n)
     return ok
 

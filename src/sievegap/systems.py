@@ -187,15 +187,10 @@ def _roots_brute(poly: IntPolynomial, p: int) -> tuple[int, ...]:
     return tuple(int(n) for n in np.flatnonzero(vals == 0))
 
 
-def _quadratic_mod(poly: IntPolynomial, p: int) -> tuple[int, int, int]:
-    """(A, B, C) mod p where 2 f(y) = A y^2 + B y + C."""
-    c0, c1, c2 = poly.scaled_standard_coeffs()[0]
-    return c2 % p, c1 % p, c0 % p
-
-
 def _roots_quadratic(poly: IntPolynomial, p: int) -> tuple[int, ...]:
     """Fast path for degree-2 polynomials, p odd and p > 2 = degree."""
-    a, b, c = _quadratic_mod(poly, p)
+    c0, c1, c2 = poly.scaled_standard_coeffs()[0]   # 2 f = c2 n^2 + c1 n + c0
+    a, b, c = c2 % p, c1 % p, c0 % p
     if a == 0:
         if b == 0:
             return tuple(range(p)) if c == 0 else ()
@@ -208,19 +203,6 @@ def _roots_quadratic(poly: IntPolynomial, p: int) -> tuple[int, ...]:
         return ()
     inv = pow(2 * a, -1, p)
     return tuple(sorted({(-b + r) * inv % p, (-b - r) * inv % p}))
-
-
-def _quadratic_root_count(poly: IntPolynomial, p: int) -> int:
-    """|I_p| for a degree-2 polynomial without materializing the roots."""
-    a, b, c = _quadratic_mod(poly, p)
-    if a == 0:
-        if b == 0:
-            return p if c == 0 else 0
-        return 1
-    disc = (b * b - 4 * a * c) % p
-    if disc == 0:
-        return 1
-    return 2 if _legendre(disc, p) == 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +236,16 @@ class DensityReport:
 class SievingSystem:
     """Residue classes I_p per prime, with metadata.
 
-    Residue tables are computed lazily and cached per prime; the cache is
-    guarded by a lock so distinct primes may be materialized concurrently.
+    ``residues`` is the one source of I_p: it serves each prime from a
+    single cache and, on a miss only, checks primality and computes the
+    table.  Every count, activity test and degeneracy test reads it.  The
+    cache is guarded by a lock so distinct primes may be materialized
+    concurrently.
     """
 
     def __init__(self, kind: str, *, poly: IntPolynomial | None = None,
                  table: dict[int, tuple[int, ...]] | None = None,
-                 small_prime_mode: str = "roots",
-                 name: str | None = None):
+                 small_prime_mode: str = "roots"):
         if kind not in ("eratosthenes", "polynomial", "table"):
             raise DomainError(f"unknown system kind {kind!r}")
         self.kind = kind
@@ -272,11 +256,9 @@ class SievingSystem:
         if small_prime_mode not in ("roots", "empty"):
             raise DomainError("small_prime_mode must be 'roots' or 'empty'")
         self.small_prime_mode = small_prime_mode
-        self.name = name or kind
         self.degree_d = poly.degree if (kind == "polynomial" and poly) else 0
         self.degenerate_primes: set[int] = set()
         self._cache: dict[int, tuple[int, ...]] = {}
-        self._count_cache: dict[int, int] = {}
         self._lock = threading.Lock()
 
     # -- residue tables ----------------------------------------------------
@@ -295,49 +277,25 @@ class SievingSystem:
 
     def residues(self, p: int) -> tuple[int, ...]:
         """Sorted forbidden residue set I_p (cached)."""
+        with self._lock:
+            res = self._cache.get(p)
+        if res is not None:
+            return res
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        with self._lock:
-            if p in self._cache:
-                return self._cache[p]
         res = self._raw_residues(p)
         if len(res) == p:
             self.degenerate_primes.add(p)
         with self._lock:
             self._cache[p] = res
-            self._count_cache[p] = len(res)
         return res
 
-    def residue_count(self, p: int) -> int:
-        """|I_p|, via a count-only fast path where one exists."""
-        with self._lock:
-            if p in self._count_cache:
-                return self._count_cache[p]
-        if self.kind == "eratosthenes":
-            n = 1
-        elif self.kind == "table":
-            n = len(self.table.get(p, ()))
-        else:
-            assert self.poly is not None
-            if p <= self.degree_d and self.small_prime_mode == "empty":
-                n = 0
-            elif self.degree_d == 2 and p > 2:
-                n = _quadratic_root_count(self.poly, p)
-            else:
-                n = len(self.residues(p))
-        if n == p:
-            self.degenerate_primes.add(p)
-        with self._lock:
-            self._count_cache[p] = n
-        return n
-
     def is_degenerate_at(self, p: int) -> bool:
-        return self.residue_count(p) >= p
+        return len(self.residues(p)) >= p
 
     def active_primes(self, x: float, z: float = 1) -> list[int]:
         """Primes p in (z, x] with I_p nonempty."""
-        return [int(p) for p in primes_in_range(z, x)
-                if self.residue_count(int(p)) >= 1]
+        return [p for p in map(int, primes_in_range(z, x)) if self.residues(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +312,7 @@ def sigma(system: SievingSystem, z: float, x: float, exact: bool = False):
         raise DomainError(f"need 1 <= z <= x, got z={z}, x={x}")
     counts = []
     for p in system.active_primes(x, z):
-        k = system.residue_count(p)
+        k = len(system.residues(p))
         if k >= p:
             raise DegenerateSystemError(p)
         counts.append((p, k))
@@ -404,20 +362,10 @@ def mertens_fit(system: SievingSystem, checkpoints: Sequence[int],
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 100 for c in cps) or sorted(cps) != cps:
         raise DomainError("checkpoints must be increasing and >= 100")
-    track: list[tuple[int, float]] = []
     with mp.workprec(SIGMA_PRECISION_BITS):
-        acc = mpf(1)
-        prev = 0
-        for cp in cps:
-            for p in primes_in_range(prev, cp):
-                k = system.residue_count(int(p))
-                if k >= p:
-                    raise DegenerateSystemError(int(p))
-                if k:
-                    acc *= mpf(int(p) - k) / int(p)
-            prev = cp
-            track.append((cp, float(acc * mp.log(cp))))
-        final_sigma = float(acc)
+        sigmas = [sigma(system, 1, cp) for cp in cps]
+        track = [(cp, float(s * mp.log(cp))) for cp, s in zip(cps, sigmas)]
+    final_sigma = float(sigmas[-1])
     drift = 0.0
     flagged = False
     if len(track) >= 2 and track[-2][1] > 0:
@@ -442,7 +390,7 @@ def mertens_fit(system: SievingSystem, checkpoints: Sequence[int],
 
 
 def eratosthenes() -> SievingSystem:
-    return SievingSystem("eratosthenes", name="eratosthenes")
+    return SievingSystem("eratosthenes")
 
 
 def polynomial_system(poly: IntPolynomial | str, *,
@@ -450,8 +398,7 @@ def polynomial_system(poly: IntPolynomial | str, *,
     if isinstance(poly, str):
         poly = IntPolynomial.parse(poly)
     return SievingSystem("polynomial", poly=poly,
-                         small_prime_mode=small_prime_mode,
-                         name=f"poly(deg={poly.degree})")
+                         small_prime_mode=small_prime_mode)
 
 
 def twin_system(limit: int = 1_000_000) -> SievingSystem:
@@ -460,7 +407,7 @@ def twin_system(limit: int = 1_000_000) -> SievingSystem:
     for p in primes_upto(limit):
         p = int(p)
         table[p] = tuple(sorted({0, (p - 2) % p}))
-    return SievingSystem("table", table=table, name="twin")
+    return SievingSystem("table", table=table)
 
 
 def system_from_spec(spec: str) -> SievingSystem:

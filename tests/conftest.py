@@ -16,7 +16,7 @@ def random_table_system(rng: random.Random, prime_cap: int = 50,
     for p in (int(p) for p in primes_upto(prime_cap)):
         k = rng.randint(0, min(max_classes, p - 1))
         table[p] = tuple(sorted(rng.sample(range(p), k)))
-    return SievingSystem("table", table=table, name="random")
+    return SievingSystem("table", table=table)
 
 
 def brute_members(system: SievingSystem, x: int, shift, lo: int, hi: int,

@@ -183,6 +183,30 @@ def test_unreadable_user_file_exits_1(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_CONSTRUCT = ["construct", "--system", "eratosthenes", "--x", "150"]
+_COVER = ["cover-demo", "--vertices", "50"]
+_MOMENTS_II = ["moments", "--system", "eratosthenes", "--identity", "ii-j1",
+               "--x", "1000", "--trials", "2"]
+
+# case -> argv with a numeric flag out of its range
+BAD_FLAGS = {
+    "construct-trials-0": _CONSTRUCT + ["--trials", "0"],
+    "construct-force-scales-0": _CONSTRUCT + ["--force-scales", "0"],
+    "moments-force-scales-0": _MOMENTS_II + ["--force-scales", "0"],
+    "cover-demo-trials-0": _COVER + ["--trials", "0"],
+    "cover-demo-vertices-0": ["cover-demo", "--vertices", "0"],
+    "cover-demo-c2-0": _COVER + ["--c2", "0"],
+    "cover-demo-edges-0": _COVER + ["--edges", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_numeric_flag_exits_1(case, capsys):
+    code, out = run_cli(BAD_FLAGS[case])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # system-info and warnings
 

@@ -1,5 +1,6 @@
 """Three-stage randomized gap construction and the trivial baseline."""
 
+import dataclasses
 import math
 import random
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from conftest import brute_members, random_table_system
 
-from sievegap.construction import (DEFAULT_M, Params, _survivors_above,
+from sievegap.construction import (CUM_BLOCK, DEFAULT_M, Params,
+                                   WeightTable, _survivors_above,
                                    apply_stage2, build_weight_tables,
                                    construct, derive_params, stage2_select,
                                    stage3_cleanup, trivial_baseline)
@@ -207,10 +209,35 @@ def test_stage2_point_mass():
     k_star = int(np.argmax(tab.values))
     point = np.zeros_like(tab.values)
     point[k_star] = 1.0
-    tab.values = point
-    tab.total = 1.0
+    tab = dataclasses.replace(tab, values=point, total=1.0)
     for t in range(20):
         assert tab.sample_n(substream(5, "s", t)) == tab.n_lo + k_star
+
+
+def test_sample_n_matches_whole_table_search():
+    """A draw picks the cell that a search of the whole table's cumulative
+    sum picks, also when it lands exactly on a running sum."""
+    rng = random.Random(8)
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    for size in (1, 5, CUM_BLOCK - 1, CUM_BLOCK, CUM_BLOCK + 1,
+                 3 * CUM_BLOCK, 1000):
+        vals = np.array([rng.random() * (rng.random() < 0.6)
+                         for _ in range(size)])
+        vals[0] += 0.5
+        tab = WeightTable(H=2.0, q=29, n_lo=-7, values=vals,
+                          total=float(vals.sum()))
+        cum = np.cumsum(vals)
+        for u in [rng.random() for _ in range(100)] + [0.0] + \
+                [c / tab.total for c in cum]:
+            k = int(np.searchsorted(cum, u * tab.total, side="right"))
+            assert tab.sample_n(Fixed(u)) == tab.n_lo + min(k, size - 1)
 
 
 def test_stage2_sampling_frequencies():
@@ -261,7 +288,7 @@ def test_survivors_above_matches_oracle():
         cutoff, y = rng.choice([(7, 300), (13, 500), (23, 800)])
         b = ShiftVector.uniform(sys_, cutoff, rng)
         above = [p for p in (int(p) for p in primes_in_range(cutoff, 60))
-                 if sys_.residue_count(p) and rng.random() < 0.5]
+                 if sys_.residues(p) and rng.random() < 0.5]
         b.entries.update({p: rng.randrange(p) for p in above})
         expect = [m for m in brute_members(sys_, cutoff, b, 1, y)
                   if all(m in brute_members(sys_, p, b, m, m, z=p - 1)

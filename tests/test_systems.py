@@ -8,7 +8,7 @@ import pytest
 from conftest import binomial_eval
 
 from sievegap.errors import DomainError
-from sievegap.primes import primes_upto
+from sievegap.primes import is_prime, primes_upto
 from sievegap.systems import (IntPolynomial, SievingSystem, eratosthenes,
                               estimate_rho, mertens_fit, period,
                               polynomial_system, sigma, system_from_spec,
@@ -25,7 +25,7 @@ def test_eratosthenes_residues():
     era = eratosthenes()
     for p in (2, 3, 5, 7, 97):
         assert era.residues(p) == (0,)
-        assert era.residue_count(p) == 1
+        assert len(era.residues(p)) == 1
 
 
 def test_n2p1_residue_examples():
@@ -39,6 +39,21 @@ def test_residues_require_prime():
         eratosthenes().residues(6)
 
 
+def test_residue_cache_hit_skips_primality(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr("sievegap.systems.is_prime", counting_is_prime)
+    era = eratosthenes()
+    assert era.residues(97) == (0,) and calls == [97]
+    assert era.residues(97) == (0,) and calls == [97]
+    with pytest.raises(DomainError):
+        era.residues(6)
+
+
 def test_polynomial_root_count_bounded_by_degree():
     polys = ["n^2+1", "n^3-2n+7", "(n^7-n+7)/7", "n^4+n+1"]
     for text in polys:
@@ -46,7 +61,7 @@ def test_polynomial_root_count_bounded_by_degree():
         d = sys_.degree_d
         for p in (int(q) for q in primes_upto(200)):
             if p > d:
-                assert sys_.residue_count(p) <= d
+                assert len(sys_.residues(p)) <= d
 
 
 def test_residues_match_bruteforce_random_pairs():
