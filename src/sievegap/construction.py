@@ -162,7 +162,12 @@ def build_weight_tables(system: SievingSystem, params: Params,
 
     lambda(H; q, n) = sigma2^{-|AP|} with AP = {n + q h : 1 <= h <= KH}
     intersected with S_{H^M} + b1, when every element of AP also survives
-    the primes in (H^M, z]; otherwise 0.
+    the primes in (H^M, z]; otherwise 0.  The stage-1 shift has no residue
+    above z, so S_{H^M} is sieved by the primes <= min(H^M, z) only.
+
+    For each h, the members n + q h for all n form one contiguous slice of
+    the window bitmaps, so |AP| is a sum of J shifted slices and the
+    (H^M, z] test an OR of J shifted slices.
     """
     K, y, M, z = params.K, params.y, params.M, params.z_eff
     HM = H ** M
@@ -171,22 +176,25 @@ def build_weight_tables(system: SievingSystem, params: Params,
     n_lo, n_hi = -K * y + 1, y
     lo_all = n_lo + min(qs)
     hi_all = n_hi + max(qs) * J
-    s1 = sift(system, HM, stage1_shift, lo_all, hi_all) if \
-        system.active_primes(HM) else None
-    s2 = sift(system, z, stage1_shift, lo_all, hi_all, z=HM) if \
-        system.active_primes(z, HM) else None
+    width, cells = hi_all - lo_all + 1, n_hi - n_lo + 1
+    x1 = min(HM, z)
+    in_s1 = np.ones(width, dtype=bool)
+    if system.active_primes(x1):
+        in_s1 = sift(system, x1, stage1_shift, lo_all, hi_all).bits
+    # members of S_{H^M} + b1 that some prime in (H^M, z] removes
+    fails_s2 = np.zeros(width, dtype=bool)
+    if system.active_primes(z, HM):
+        s2 = sift(system, z, stage1_shift, lo_all, hi_all, z=HM)
+        fails_s2 = in_s1 & ~s2.bits
     sigma2 = float(sigma(system, HM, z)) if HM < z else 1.0
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    hs = np.arange(1, J + 1, dtype=np.int64)
     out = {}
     for q in qs:
-        pos = ns[:, None] + q * hs[None, :]
-        in_s1 = s1.bits[pos - lo_all] if s1 is not None else \
-            np.ones(pos.shape, dtype=bool)
-        in_s2 = s2.bits[pos - lo_all] if s2 is not None else \
-            np.ones(pos.shape, dtype=bool)
-        ap_sizes = in_s1.sum(axis=1)
-        bad = (in_s1 & ~in_s2).any(axis=1)
+        ap_sizes = np.zeros(cells, dtype=np.int32)
+        bad = np.zeros(cells, dtype=bool)
+        for h in range(1, J + 1):
+            off = n_lo + q * h - lo_all
+            ap_sizes += in_s1[off:off + cells]
+            bad |= fails_s2[off:off + cells]
         vals = sigma2 ** (-ap_sizes.astype(float))
         vals[bad] = 0.0
         out[q] = WeightTable(H=H, q=q, n_lo=n_lo, values=vals,

@@ -215,16 +215,19 @@ def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
             if j == 0:
                 v = float(len(members))
             else:
+                # inner[i] = sum_q sum_{h <= KH} lambda(H; q, members[i] - qh),
+                # added per member in the order of the q tables and of h
+                inner = np.zeros(len(members))
+                for q, tab in tables.items():
+                    for h in range(1, J + 1):
+                        k = members - q * h - tab.n_lo
+                        valid = (k >= 0) & (k < len(tab.values))
+                        lam = tab.values.take(k, mode="clip")
+                        inner += np.where(valid, lam, 0.0)
+                # a sequential sum: np.sum adds pairwise, in another order
                 v = 0.0
-                for n in members:
-                    inner = 0.0
-                    for q, tab in tables.items():
-                        # lambda(H; q, n - qh) for 1 <= h <= KH
-                        for h in range(1, J + 1):
-                            k = int(n) - q * h - tab.n_lo
-                            if 0 <= k < len(tab.values):
-                                inner += float(tab.values[k])
-                    v += inner ** j
+                for s in inner.tolist():
+                    v += s ** j
         vals.append(float(v))
     if identity == "ii":
         predicted = ((K + 1) * y) ** j * len(qs)

@@ -17,6 +17,7 @@ from .errors import DegenerateSystemError, DomainError
 from .systems import SievingSystem
 
 MAX_WINDOW = 1 << 27     # one flag byte per integer: at most 128 MiB
+CERTIFY_CHUNK = 1 << 16  # integers verify_empty holds at once
 
 
 @dataclass
@@ -131,21 +132,27 @@ def verify_empty(system: SievingSystem, x: int, shift: ShiftVector,
                  lo: int, hi: int, z: int = 1) -> bool:
     """True iff (S_{z,x} + b) has no member in [lo, hi].
 
-    Independent of sift(): checks each integer individually against
-    every active prime, so it can certify a constructed gap without
-    sharing code with the strided marker.
+    Independent of sift(): keeps the integers not yet sieved in an array
+    and, prime by prime, drops each n whose (n - b_p) mod p lies in I_p,
+    looked up in a length-p table, so it can certify a constructed gap
+    without sharing code with the strided marker.  The window is
+    certified CERTIFY_CHUNK integers at a time, so memory stays bounded
+    for any width.
     """
     if lo > hi:
         return True
-    primes = system.active_primes(x, z)
-    tables = {p: set(system.residues(p)) for p in primes}
-    offsets = {p: shift.residue(p) for p in primes}
-    for n in range(lo, hi + 1):
-        sieved = False
-        for p in primes:
-            if (n - offsets[p]) % p in tables[p]:
-                sieved = True
+    spared = []         # (p, b_p, table) with table[r] iff r is not in I_p
+    for p in system.active_primes(x, z):
+        table = np.ones(p, dtype=bool)
+        table[list(system.residues(p))] = False
+        spared.append((p, shift.residue(p), table))
+    for start in range(lo, hi + 1, CERTIFY_CHUNK):
+        alive = np.arange(start, min(start + CERTIFY_CHUNK - 1, hi) + 1,
+                          dtype=np.int64)
+        for p, b, table in spared:
+            alive = alive[table[(alive - b) % p]]
+            if not alive.size:
                 break
-        if not sieved:
+        if alive.size:
             return False
     return True

@@ -39,6 +39,26 @@ def brute_members(system: SievingSystem, x: int, shift, lo: int, hi: int,
     return out
 
 
+def brute_verify_empty(system: SievingSystem, x: int, shift, lo: int,
+                       hi: int, z: int = 1) -> bool:
+    """Per-integer oracle for verify_empty: each n in [lo, hi] is tested
+    against every active prime until one sieves it."""
+    if lo > hi:
+        return True
+    primes = system.active_primes(x, z)
+    tables = {p: set(system.residues(p)) for p in primes}
+    offsets = {p: shift.residue(p) for p in primes}
+    for n in range(lo, hi + 1):
+        sieved = False
+        for p in primes:
+            if (n - offsets[p]) % p in tables[p]:
+                sieved = True
+                break
+        if not sieved:
+            return False
+    return True
+
+
 def binomial_eval(poly, n: int) -> int:
     """f(n) = sum_j a_j C(n, j) in the binomial basis: the reference for
     IntPolynomial evaluation, sharing no code with its Horner rule."""

@@ -11,8 +11,12 @@ try:
 except ImportError:                                    # pragma: no cover
     jsonschema = None
 
+from conftest import brute_verify_empty
+
 from sievegap.cli import build_parser, dispatch
-from sievegap.rng import DEFAULT_SEED
+from sievegap.construction import construct, derive_params
+from sievegap.rng import DEFAULT_SEED, derive_seed
+from sievegap.systems import eratosthenes
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "sievegap" / "schemas"
@@ -115,6 +119,22 @@ def test_reports_validate_against_schema():
     for rep in reports:
         validate(rep)
         assert rep["subcommand"] in SCHEMA["properties"]["subcommand"]["enum"]
+
+
+def test_construct_force_z_1_certifies():
+    """z_eff = 2 opens the scale window up to H ~ 446, where H^M is near
+    10^12: the weight tables must not sieve S_{H^M} above z_eff."""
+    rep = run_json(["construct", "--system", "eratosthenes", "--x", "1000",
+                    "--force-z", "1"])
+    validate(rep)
+    res = rep["result"]
+    assert res["params"]["z_eff"] == 2 and not res["params"]["degraded"]
+    era = eratosthenes()
+    params = derive_params(era, 1000, force_z=1)
+    built = construct(era, params,
+                      derive_seed(rep["config"]["seed"], "construct", 0))
+    assert built.length == res["L"] >= 1
+    assert brute_verify_empty(era, 1000, built.shift, 1, built.length)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,39 @@ def weight_lambda(system, stage1_shift, H, q, n, *, M, K, z):
     return sigma2 ** -len(ap)
 
 
+def gather_weight_tables(system, params, stage1_shift, H):
+    """The (K+1)y x J fancy-index gather that build_weight_tables replaced:
+    every AP member is looked up in the window bitmaps, one q at a time."""
+    K, y, M, z = params.K, params.y, params.M, params.z_eff
+    HM = H ** M
+    J = int(K * H)
+    qs = params.Q[H]
+    n_lo, n_hi = -K * y + 1, y
+    lo_all = n_lo + min(qs)
+    hi_all = n_hi + max(qs) * J
+    s1 = sift(system, HM, stage1_shift, lo_all, hi_all) if \
+        system.active_primes(HM) else None
+    s2 = sift(system, z, stage1_shift, lo_all, hi_all, z=HM) if \
+        system.active_primes(z, HM) else None
+    sigma2 = float(sigma(system, HM, z)) if HM < z else 1.0
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    hs = np.arange(1, J + 1, dtype=np.int64)
+    out = {}
+    for q in qs:
+        pos = ns[:, None] + q * hs[None, :]
+        in_s1 = s1.bits[pos - lo_all] if s1 is not None else \
+            np.ones(pos.shape, dtype=bool)
+        in_s2 = s2.bits[pos - lo_all] if s2 is not None else \
+            np.ones(pos.shape, dtype=bool)
+        ap_sizes = in_s1.sum(axis=1)
+        bad = (in_s1 & ~in_s2).any(axis=1)
+        vals = sigma2 ** (-ap_sizes.astype(float))
+        vals[bad] = 0.0
+        out[q] = WeightTable(H=H, q=q, n_lo=n_lo, values=vals,
+                             total=float(vals.sum()))
+    return out
+
+
 def small_params(**overrides) -> Params:
     """A hand-built desk instance: H=2, H^M ~ 24.3, q=29."""
     kw = dict(x=100, delta=0.1, M=4.6, K=3, xi=1.1, y=60, z=30, z_eff=30,
@@ -184,6 +217,57 @@ def test_build_weight_tables_matches_pointwise():
             weight_lambda(ERA, b, 2.0, 29, n, M=p.M, K=p.K, z=p.z_eff),
             rel=1e-12)
     assert tab.total == pytest.approx(float(tab.values.sum()))
+
+
+def test_build_weight_tables_matches_gather_oracle():
+    """Bit for bit: the same values, block sums and totals as the gather,
+    on derived Eratosthenes instances and random table systems."""
+    cases = [(ERA, derive_params(ERA, 2_950, force_scales=[2.0, 3.0]),
+              seed) for seed in (1, 2)]
+    rng = random.Random(61)
+    while len(cases) < 8:
+        sys_ = random_table_system(rng, prime_cap=400, max_classes=2)
+        qs = sys_.active_primes(29, 24)
+        if not qs:
+            continue
+        z = rng.choice([20, 30, 200])               # H^M ~ 24.3 for H = 2
+        cases.append((sys_, small_params(z=z, z_eff=z, Q={2.0: qs}),
+                      len(cases)))
+    for sys_, params, seed in cases:
+        b = ShiftVector.uniform(sys_, params.z_eff, substream(seed, "stage1"))
+        for H in params.Q:
+            got = build_weight_tables(sys_, params, b, H)
+            want = gather_weight_tables(sys_, params, b, H)
+            assert list(got) == list(want)
+            for q, tab in want.items():
+                assert np.array_equal(got[q].values, tab.values)
+                assert np.array_equal(got[q].starts, tab.starts)
+                assert got[q].total == tab.total
+
+
+def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
+    """With H^M > z_eff the stage-1 shift has no residue above z_eff, so
+    |AP| counts the AP members of sift(system, z_eff, b1, ...) and no
+    prime above z_eff is sieved; sigma2 = 1 makes every weight 1."""
+    from sievegap import construction
+    calls = []
+
+    def spy(*args, **kwargs):
+        win = sift(*args, **kwargs)
+        calls.append(win)
+        return win
+
+    monkeypatch.setattr(construction, "sift", spy)
+    H = 8.0                                          # H^M ~ 14,300
+    p = small_params(z=40, z_eff=40, scales=[H], Q={H: [7]})
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(2, "stage1"))
+    tab = build_weight_tables(ERA, p, b, H)[7]
+    [win] = calls
+    assert (win.x, win.z) == (p.z_eff, 1)
+    assert list(win.members()) == brute_members(ERA, p.z_eff, b, win.lo,
+                                                win.hi)
+    assert np.array_equal(tab.values, np.ones((p.K + 1) * p.y))
+    assert tab.total == (p.K + 1) * p.y
 
 
 # ---------------------------------------------------------------------------

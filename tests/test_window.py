@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import brute_gap, brute_members, random_table_system
+from conftest import (brute_gap, brute_members, brute_verify_empty,
+                      random_table_system)
 
+from sievegap import window
 from sievegap.errors import DomainError
 from sievegap.systems import SievingSystem, eratosthenes, period, sigma
-from sievegap.window import (MAX_WINDOW, ShiftVector, largest_gap, sift,
-                             verify_empty)
+from sievegap.window import (CERTIFY_CHUNK, MAX_WINDOW, ShiftVector,
+                             largest_gap, sift, verify_empty)
 
 ERA = eratosthenes()
 
@@ -179,3 +181,48 @@ def test_verify_empty_edge_cases():
     members = set(sift(ERA, 5, b1, 1, 10).members())
     lo = min(m for m in range(1, 8) if m not in members)
     assert verify_empty(ERA, 5, b1, lo, lo)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, CERTIFY_CHUNK])
+def test_verify_empty_matches_brute_oracle(chunk, monkeypatch):
+    """Random table systems, some with a degenerate prime, at z = 1 and
+    z > 1: random windows (negative lo, lo > hi), the inside of the
+    largest gap, and that gap with its right-hand member, with chunk
+    sizes that split each window several times."""
+    monkeypatch.setattr(window, "CERTIFY_CHUNK", chunk)
+    rng = random.Random(505)
+    outcomes = set()
+    for trial in range(40):
+        sys_ = random_table_system(rng, prime_cap=rng.choice([13, 50]),
+                                   max_classes=rng.choice([1, 3, 10]))
+        if trial % 5 == 0:
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            sys_.table[p] = tuple(range(p))
+        x, z = 50, rng.choice([1, 1, 3, 7])
+        b = ShiftVector.uniform(sys_, x, rng)
+        lo = rng.randint(-300, 300)
+        windows = [(lo, lo + rng.randint(0, 200)), (lo, lo - 1)]
+        members = brute_members(sys_, x, b, -400, 2000, z)
+        if len(members) >= 2:
+            gap, left, _ = brute_gap(members, -400, 2000)
+            windows += [(left + 1, left + gap - 1), (left + 1, left + gap)]
+        for lo, hi in windows:
+            expect = brute_verify_empty(sys_, x, b, lo, hi, z)
+            assert verify_empty(sys_, x, b, lo, hi, z) == expect
+            outcomes.add(expect)
+    assert outcomes == {True, False}
+
+
+def test_verify_empty_windows_wider_than_one_chunk():
+    # a degenerate prime sieves every integer of every chunk
+    full = SievingSystem("table", table={3: (0, 1, 2)})
+    wide = 3 * CERTIFY_CHUNK + 5
+    assert verify_empty(full, 3, ShiftVector({}, 3), -7, wide)
+    # one prime spares one class: the lone member in [1, p] lies in the
+    # second chunk, and the first chunk alone is empty
+    p = 2 * CERTIFY_CHUNK + 29                      # 131101 is prime
+    lone = SievingSystem("table", table={p: tuple(range(1, p))})
+    b = ShiftVector({p: CERTIFY_CHUNK + 100}, p)
+    assert not verify_empty(lone, p, b, 1, p)
+    assert verify_empty(lone, p, b, 1, CERTIFY_CHUNK + 99)
+    assert not verify_empty(lone, p, b, CERTIFY_CHUNK + 100, p)
