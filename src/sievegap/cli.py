@@ -247,9 +247,8 @@ def _cmd_cover_demo(cfg: dict) -> dict:
     for t in range(cfg["trials"]):
         part = assign_indices(instance.s, plan,
                               substream(cfg["seed"], "assign", t))
-        res = run_cover(instance, plan, part,
-                        derive_seed(cfg["seed"], "trial", t))
-        fractions.append(res.uncovered_fraction)
+        fractions.append(run_cover(instance, plan, part, derive_seed(
+            cfg["seed"], "trial", t)).uncovered_fraction)
     target = 10 * cfg["eta"]
     return {"hypotheses": hyp.to_dict(), "plan": plan.to_dict(),
             "uncovered": _stats(fractions),

@@ -144,12 +144,18 @@ class WeightTable:
         self.starts = np.r_[0.0, cum[CUM_BLOCK - 1::CUM_BLOCK]]
 
     def sample_n(self, rng: random.Random) -> int:
+        return self.n_at(rng.random())
+
+    def n_at(self, u: float) -> int:
+        """The n drawn by the uniform u in [0, 1): the first cell whose
+        running sum exceeds u total."""
         if self.total <= 0:
             raise DomainError("cannot sample from an all-zero weight table")
-        r = rng.random() * self.total
+        r = u * self.total
         b = int(np.searchsorted(self.starts, r, side="right")) - 1
         lo = b * CUM_BLOCK
-        c = np.cumsum(np.r_[self.starts[b], self.values[lo:lo + CUM_BLOCK]])
+        c = np.cumsum(np.concatenate(
+            ([self.starts[b]], self.values[lo:lo + CUM_BLOCK])))
         k = lo + int(np.searchsorted(c[1:], r, side="right"))
         k = min(k, len(self.values) - 1)
         return self.n_lo + k
@@ -248,20 +254,19 @@ def stage2_select(system: SievingSystem, params: Params,
                   for q, tab in sorted(all_tables.items())}
         return Stage2Result(chosen=chosen, rejected=rejected,
                             tables_built=built)
-    vset = set(int(v) for v in surv)
     order = sorted(all_tables)
 
     class _ProgressionEdge(cover_mod.EdgeSampler):
         def __init__(self, tab: WeightTable):
-            self.q, self.tab, self.J = tab.q, tab, int(params.K * tab.H)
-            self.last_n: int | None = None
+            self.tab = tab
+            self.steps = tab.q * np.arange(1, int(params.K * tab.H) + 1)
 
-        def sample(self, rng: random.Random) -> np.ndarray:
-            n = self.tab.sample_n(rng)
-            self.last_n = n
-            hits = [n + self.q * h for h in range(1, self.J + 1)
-                    if (n + self.q * h) in vset]
-            return np.array(hits, dtype=np.int64)
+        def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            ns = np.array([self.tab.n_at(x) for x in u.tolist()])
+            ap = ns[:, None] + self.steps[None, :]
+            pos = np.minimum(np.searchsorted(surv, ap), len(surv) - 1)
+            hit = surv[pos] == ap
+            return ap[hit], hit.sum(axis=1)
 
     samplers = [_ProgressionEdge(all_tables[q]) for q in order]
     inst = cover_mod.CoverInstance(vertices=surv, samplers=samplers,
@@ -276,8 +281,10 @@ def stage2_select(system: SievingSystem, params: Params,
         (j / m, (j + 1) / m) for j in range(m)])
     part = cover_mod.assign_indices(len(samplers), plan,
                                     substream(seed, "stage2-assign"))
-    cover_mod.run_cover(inst, plan, part, derive_seed(seed, "stage2-cover"))
-    chosen = {q: sm.last_n for q, sm in zip(order, samplers)}
+    res = cover_mod.run_cover(inst, plan, part,
+                              derive_seed(seed, "stage2-cover"))
+    chosen = {q: all_tables[q].n_at(res.last_u[i])
+              for i, q in enumerate(order)}
     return Stage2Result(chosen=chosen, rejected=rejected, tables_built=built)
 
 

@@ -14,21 +14,29 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError
-from .rng import substream
+from .rng import derive_seed, uniforms
 
 ASSIGN_RETRY_CAP = 100
 RESAMPLE_FACTOR = 5.0       # attempts per index ~ factor / alive fraction
-RESAMPLE_HARD_CAP = 20_000
+RESAMPLE_HARD_CAP = 20_000  # < 2^rng.ATTEMPT_BITS, so attempts never collide
 
 
 class EdgeSampler:
-    """A random edge: subsets of V with known inclusion probabilities."""
+    """A random edge: subsets of V with known inclusion probabilities.
 
-    def sample(self, rng: random.Random) -> np.ndarray:
+    An edge is a function of one uniform in [0, 1), so a batch of draws
+    is one array of uniforms.
+    """
+
+    def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edges drawn by the uniforms u, as (members, sizes): edge k
+        is the sizes[k] vertex labels that follow the first k edges in
+        members."""
         raise NotImplementedError
 
     def max_size(self) -> int:
@@ -47,25 +55,21 @@ class ProgressionSampler(EdgeSampler):
     """Edge = {a + q h : 1 <= h <= L} intersected with V = [0, N).
 
     The anchor a is chosen by picking a uniform vertex v and a uniform
-    offset h* in [1, L], setting a = v - q h*.  When the step q >= N at
-    most one progression element lands in V, so every edge is the
-    singleton {v} and Pr(v in e) = 1/N exactly, with zero codegree.
+    offset h* in [1, L], setting a = v - q h*.  The step q is >= N, so
+    only h = h* lands in V: every edge is the singleton {v}, whatever h*
+    and L are, with Pr(v in e) = 1/N exactly and zero codegree.  A draw
+    therefore needs one uniform u, for v = floor(u N).
     """
 
-    def __init__(self, n_vertices: int, step: int, length: int = 3):
+    def __init__(self, n_vertices: int, step: int):
         if step < n_vertices:
             raise DomainError("step must be >= |V| for singleton progressions")
         self.n = n_vertices
         self.step = step
-        self.length = length
 
-    def sample(self, rng: random.Random) -> np.ndarray:
-        h_star = rng.randrange(1, self.length + 1)
-        v = rng.randrange(self.n)
-        a = v - self.step * h_star
-        members = [a + self.step * h for h in range(1, self.length + 1)
-                   if 0 <= a + self.step * h < self.n]
-        return np.array(members, dtype=np.int64)
+    def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = np.minimum((u * self.n).astype(np.int64), self.n - 1)
+        return v, np.ones(len(v), dtype=np.int64)
 
     def inclusion_probs(self, vertices: np.ndarray) -> np.ndarray:
         return np.full(len(vertices), 1.0 / self.n)
@@ -89,14 +93,14 @@ class CoverInstance:
         return len(self.samplers)
 
 
-def progression_instance(n_vertices: int, C2: float, eta: float,
-                         length: int = 3) -> CoverInstance:
+def progression_instance(n_vertices: int, C2: float,
+                         eta: float) -> CoverInstance:
     """The calibrated synthetic family: C2 * N singleton-progression edges."""
     s = int(round(C2 * n_vertices))
     if n_vertices < 1 or s < 1:
         raise DomainError(f"need at least one vertex and one edge, got "
                           f"N={n_vertices} and round(C2 N)={s}")
-    sampler = ProgressionSampler(n_vertices, step=n_vertices + 7, length=length)
+    sampler = ProgressionSampler(n_vertices, step=n_vertices + 7)
     return CoverInstance(
         vertices=np.arange(n_vertices, dtype=np.int64),
         samplers=[sampler] * s,
@@ -137,6 +141,18 @@ class HypothesisReport:
                 "conditions": [c.to_dict() for c in self.conditions]}
 
 
+def _distinct_probs(instance: CoverInstance):
+    """For each distinct sampler object, keyed by id in index order: the
+    first index holding it, and its inclusion probabilities.  Families
+    repeat one object many times, so these are computed once per object."""
+    first: dict[int, int] = {}
+    for i, sm in enumerate(instance.samplers):
+        first.setdefault(id(sm), i)
+    probs = {k: instance.samplers[i].inclusion_probs(instance.vertices)
+             for k, i in first.items()}
+    return first, probs
+
+
 def check_hypotheses(instance: CoverInstance, delta: float,
                      y: float | None = None) -> HypothesisReport:
     """Verify the covering hypotheses at scale y (default max(|V|, s)).
@@ -151,28 +167,35 @@ def check_hypotheses(instance: CoverInstance, delta: float,
         raise DomainError("scale y too small for the size cap to make sense")
     conds: list[ConditionReport] = []
 
+    first, probs = _distinct_probs(instance)
+
     size_cap = math.sqrt(math.log(y)) / math.log(math.log(y))
-    worst_size = max(sm.max_size() for sm in instance.samplers)
+    worst_size = max(instance.samplers[i].max_size() for i in first.values())
     conds.append(ConditionReport("edge_size", worst_size <= size_cap,
                                  float(worst_size), size_cap))
 
+    # a repeated sampler never beats its own first index, so scanning the
+    # first indices in order finds the first index with the largest prob
     sparsity_cap = y ** (-0.5 - 0.01)
     worst_p, worst_v = 0.0, None
-    degree = np.zeros(len(instance.vertices))
-    for i, sm in enumerate(instance.samplers):
-        probs = sm.inclusion_probs(instance.vertices)
-        degree += probs
-        j = int(np.argmax(probs))
-        if probs[j] > worst_p:
-            worst_p, worst_v = float(probs[j]), (i, int(instance.vertices[j]))
+    for k, i in first.items():
+        j = int(np.argmax(probs[k]))
+        if probs[k][j] > worst_p:
+            worst_p = float(probs[k][j])
+            worst_v = (i, int(instance.vertices[j]))
     conds.append(ConditionReport("sparsity", worst_p <= sparsity_cap,
                                  worst_p, sparsity_cap, worst_v))
 
     codeg_cap = y ** -0.5
-    codeg = sum(sm.codegree_bound() for sm in instance.samplers)
+    bounds = {k: instance.samplers[i].codegree_bound()
+              for k, i in first.items()}
+    codeg = sum(bounds[id(sm)] for sm in instance.samplers)
     conds.append(ConditionReport("codegree", codeg <= codeg_cap,
                                  float(codeg), codeg_cap))
 
+    degree = np.zeros(len(instance.vertices))
+    for sm in instance.samplers:
+        degree += probs[id(sm)]
     dev = np.abs(degree - instance.C2)
     j = int(np.argmax(dev))
     conds.append(ConditionReport("degree_uniform", float(dev[j]) <= instance.eta,
@@ -248,18 +271,23 @@ def assign_indices(s: int, plan: RoundPlan,
     """Uniform marks t_i; round j receives {i : t_i in interval j}.
 
     Indices falling outside every interval stay unused.  If some round
-    would be empty, the whole marking is redrawn (bounded retries).
+    would be empty, the whole marking is redrawn (bounded retries).  The
+    intervals must be disjoint and in increasing order, as plan_rounds
+    makes them.
     """
+    bounds = np.array([e for ab in plan.intervals for e in ab], dtype=float)
+    if np.any(np.diff(bounds) < 0):
+        raise DomainError("marking intervals must be disjoint and increasing")
     for _ in range(ASSIGN_RETRY_CAP):
-        marks = [rng.random() for _ in range(s)]
-        part: dict[int, list[int]] = {j: [] for j in range(1, plan.m + 1)}
-        for i, t in enumerate(marks):
-            for j, (a, b) in enumerate(plan.intervals, start=1):
-                if a <= t < b:
-                    part[j].append(i)
-                    break
-        if all(part[j] for j in part):
-            return part
+        marks = np.fromiter((rng.random() for _ in range(s)), dtype=float,
+                            count=s)
+        # a mark in [a_j, b_j) has exactly 2j - 1 bounds at or below it
+        pos = np.searchsorted(bounds, marks, side="right")
+        used = np.flatnonzero(pos % 2 == 1)
+        rounds = (pos[used] + 1) // 2
+        if np.all(np.bincount(rounds, minlength=plan.m + 1)[1:]):
+            return {j: used[rounds == j].tolist()
+                    for j in range(1, plan.m + 1)}
     raise DomainError("could not draw a marking with all rounds nonempty")
 
 
@@ -285,10 +313,10 @@ def degree_profile(instance: CoverInstance,
     n = len(instance.vertices)
     m = max(partition) if partition else 0
     degrees = np.zeros((m, n))
+    _, probs = _distinct_probs(instance)
     for j, idxs in partition.items():
         for i in idxs:
-            degrees[j - 1] += instance.samplers[i].inclusion_probs(
-                instance.vertices)
+            degrees[j - 1] += probs[id(instance.samplers[i])]
     P = np.ones((m + 1, n))
     for j in range(m):
         P[j + 1] = P[j] * np.exp(-degrees[j] / P[j])
@@ -305,11 +333,56 @@ class CoverResult:
     uncovered: np.ndarray
     uncovered_fraction: float
     rounds_trace: list[dict] = field(default_factory=list)
+    # last_u[i]: the uniform of index i's last draw, the accepted one or
+    # its attempt_cap-th when none landed inside the alive set (NaN when
+    # i is in no round)
+    last_u: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_dict(self) -> dict:
         return {"uncovered_count": int(len(self.uncovered)),
                 "uncovered_fraction": self.uncovered_fraction,
                 "rounds": self.rounds_trace}
+
+
+def _draw_round(samplers: list[EdgeSampler], idxs: list[int], key: int,
+                cap: int, rank_of, alive: np.ndarray):
+    """Attempts t = 0..cap-1 of the round's indices idxs, in waves: wave
+    t draws attempt t of every index still pending, with one sample call
+    per distinct sampler object among them.
+
+    Returns, per position of idxs, the first drawn edge that is nonempty
+    and lies inside alive (() if no attempt gave one), and the uniform of
+    the last attempt drawn.
+    """
+    ids = np.fromiter((id(samplers[i]) for i in idxs), dtype=np.uint64,
+                      count=len(idxs))
+    _, first, group = np.unique(ids, return_index=True, return_inverse=True)
+    by_group = [samplers[idxs[k]] for k in first.tolist()]
+    # pending holds positions of idxs, kept sorted by group so that each
+    # sampler's draws of a wave form one contiguous slice
+    pending = np.argsort(group, kind="stable")
+    idx = np.array(idxs, dtype=np.int64)
+    edges: list[tuple[int, ...]] = [()] * len(idxs)
+    last_u = np.empty(len(idxs))
+    for t in range(cap):
+        if not len(pending):
+            break
+        u = uniforms(key, idx[pending], t)
+        last_u[pending] = u
+        g = group[pending]
+        cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
+        drawn = [by_group[gs[0]].sample(us)
+                 for gs, us in zip(np.split(g, cuts), np.split(u, cuts))]
+        members = np.concatenate([m for m, _ in drawn])
+        sizes = np.concatenate([n for _, n in drawn])
+        owner = np.repeat(np.arange(len(u)), sizes)
+        ok = (sizes > 0) & (np.bincount(owner[alive[rank_of(members)]],
+                                        minlength=len(u)) == sizes)
+        kept = iter(members[ok[owner]].tolist())
+        for k, n in zip(pending[ok], sizes[ok]):
+            edges[k] = tuple(islice(kept, n))
+        pending = pending[~ok]
+    return edges, last_u
 
 
 def run_cover(instance: CoverInstance, plan: RoundPlan,
@@ -322,37 +395,45 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
     the alive set, so per-vertex hit rates scale like d_{I_j}(v) divided
     by the alive fraction, tracking the P_j recursion.  Attempts are
     capped; an index that never lands inside the alive set contributes
-    the empty edge.  Every accepted edge is literally a sampler output,
-    replayable from substream(seed, "cover", j, i).
+    the empty edge.  Every accepted edge is literally a sampler output:
+    attempt t of index i in round j is the edge of the uniform
+    rng.uniforms(derive_seed(seed, "cover", j), i, t), and the accepted
+    edge is the first of attempts 0, 1, ... inside the alive set.
+    Because of the freeze, a round draws attempt t of all its pending
+    indices at once.
     """
-    n = len(instance.vertices)
-    rank = {int(v): k for k, v in enumerate(instance.vertices)}
-    alive = np.ones(n, dtype=bool)
+    labels = instance.vertices
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+
+    def rank_of(members: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(sorted_labels, members)
+        if np.any(pos == len(labels)) or \
+                np.any(sorted_labels[pos] != members):
+            raise DomainError("a sampler drew a vertex outside the instance")
+        return order[pos]
+
+    alive = np.ones(len(labels), dtype=bool)
     chosen: dict[int, tuple[int, ...]] = {}
+    last_u = np.full(instance.s, np.nan)
     trace = []
     for j in range(1, plan.m + 1):
         alive_start = alive.copy()
         frac = alive_start.mean()
         cap = min(RESAMPLE_HARD_CAP,
                   max(1, int(math.ceil(RESAMPLE_FACTOR / max(frac, 1e-9)))))
-        accepted = 0
-        for i in partition.get(j, ()):
-            rng_i = substream(seed, "cover", j, i)
-            edge: tuple[int, ...] = ()
-            for _ in range(cap):
-                e = instance.samplers[i].sample(rng_i)
-                if len(e) and all(alive_start[rank[int(v)]] for v in e):
-                    edge = tuple(int(v) for v in e)
-                    break
-            chosen[i] = edge
-            if edge:
-                accepted += 1
-                for v in edge:
-                    alive[rank[v]] = False
+        idxs = partition.get(j, [])
+        edges, last_u[idxs] = _draw_round(
+            instance.samplers, idxs, derive_seed(seed, "cover", j), cap,
+            rank_of, alive_start)
+        chosen.update(zip(idxs, edges))
+        alive[rank_of(np.array([v for e in edges for v in e],
+                               dtype=np.int64))] = False
         trace.append({"round": j, "alive_fraction_start": float(frac),
-                      "indices": len(partition.get(j, ())),
-                      "accepted": accepted, "attempt_cap": cap})
+                      "indices": len(idxs),
+                      "accepted": sum(map(bool, edges)),
+                      "attempt_cap": cap})
     return CoverResult(chosen=chosen,
                        uncovered=instance.vertices[alive],
                        uncovered_fraction=float(alive.mean()),
-                       rounds_trace=trace)
+                       rounds_trace=trace, last_u=last_u)

@@ -267,7 +267,7 @@ class SievingSystem:
         if self.kind == "eratosthenes":
             return (0,)
         if self.kind == "table":
-            return tuple(sorted(self.table.get(p, ())))
+            return tuple(sorted(set(self.table.get(p, ()))))
         assert self.poly is not None
         if p <= self.degree_d and self.small_prime_mode == "empty":
             return ()

@@ -203,6 +203,21 @@ def test_unreadable_user_file_exits_1(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_table_file_duplicate_residues_count_once(tmp_path, monkeypatch):
+    """I_p is a set: a residue listed twice in a table file is one class,
+    so both reports equal those of the file that lists it once."""
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for entries in ([[2, [0, 0]], [3, [1, 1, 1]]], [[2, [0]], [3, [1]]]):
+        (tmp_path / "f").write_text(
+            json.dumps({"kind": "table", "entries": entries}))
+        runs.append((run_cli(["gaps", "--system", "f", "--x", "5",
+                              "--window", "1..20"]),
+                     run_cli(["system-info", "--file", "f", "--x", "100"])))
+    assert runs[0] == runs[1]
+    assert [code for code, _ in runs[0]] == [0, 0]
+
+
 _CONSTRUCT = ["construct", "--system", "eratosthenes", "--x", "150"]
 _COVER = ["cover-demo", "--vertices", "50"]
 _MOMENTS_II = ["moments", "--system", "eratosthenes", "--identity", "ii-j1",

@@ -7,11 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from sievegap.cover import (CoverInstance, EdgeSampler, ProgressionSampler,
-                            assign_indices, check_hypotheses, degree_profile,
-                            plan_rounds, progression_instance, run_cover)
+from sievegap.cover import (RESAMPLE_HARD_CAP, CoverInstance, EdgeSampler,
+                            RoundPlan, assign_indices, check_hypotheses,
+                            degree_profile, plan_rounds,
+                            progression_instance, run_cover)
 from sievegap.errors import DomainError
-from sievegap.rng import derive_seed, substream
+from sievegap.rng import ATTEMPT_BITS, derive_seed, substream, uniforms
 
 
 class FullEdge(EdgeSampler):
@@ -20,8 +21,9 @@ class FullEdge(EdgeSampler):
     def __init__(self, n):
         self.n = n
 
-    def sample(self, rng):
-        return np.arange(self.n, dtype=np.int64)
+    def sample(self, u):
+        return (np.tile(np.arange(self.n, dtype=np.int64), len(u)),
+                np.full(len(u), self.n))
 
     def inclusion_probs(self, vertices):
         return np.ones(len(vertices))
@@ -31,6 +33,25 @@ class FullEdge(EdgeSampler):
 
     def codegree_bound(self):
         return float(self.n * self.n)
+
+
+class SparseEdge(EdgeSampler):
+    """Empty for u < 1/2, else a uniform singleton among vertices 0, 1, 2:
+    indices holding it run out of attempts once those three are dead."""
+
+    def sample(self, u):
+        hit = u >= 0.5
+        return (((u[hit] - 0.5) * 6).astype(np.int64),
+                hit.astype(np.int64))
+
+    def inclusion_probs(self, vertices):
+        return np.where(vertices < 3, 1 / 6, 0.0)
+
+    def max_size(self):
+        return 1
+
+    def codegree_bound(self):
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +80,36 @@ def test_small_c2_fails_degree_range():
     by_name = {c.name: c for c in rep.conditions}
     assert not by_name["C2_range"].ok
     assert by_name["C2_range"].threshold == pytest.approx(10 ** 0.5)
+
+
+def test_hypotheses_and_profile_equal_the_per_index_loop():
+    """Probabilities are computed once per distinct sampler object; every
+    reported float equals the one-call-per-index loop bit for bit."""
+    n = 40
+    inst = progression_instance(n, 4.0, 0.05)
+    a, b = inst.samplers[0], SparseEdge()
+    inst.samplers = [a] * 50 + [b] * 7 + [a] * 30 + [FullEdge(n)] + [b] * 3
+    rep = check_hypotheses(inst, 0.25, y=1e5)
+    degree, worst_p, worst_v = np.zeros(n), 0.0, None
+    for i, sm in enumerate(inst.samplers):
+        probs = sm.inclusion_probs(inst.vertices)
+        degree += probs
+        j = int(np.argmax(probs))
+        if probs[j] > worst_p:
+            worst_p, worst_v = float(probs[j]), (i, int(inst.vertices[j]))
+    by_name = {c.name: c for c in rep.conditions}
+    assert (by_name["sparsity"].worst, by_name["sparsity"].offender) == \
+        (worst_p, worst_v)
+    assert by_name["codegree"].worst == \
+        sum(sm.codegree_bound() for sm in inst.samplers)
+    assert by_name["degree_uniform"].worst == float(np.abs(degree - 4).max())
+    assert by_name["edge_size"].worst == n
+    part = {1: list(range(0, 91, 2)), 2: list(range(1, 91, 2))}
+    expect = np.zeros((2, n))
+    for j, idxs in part.items():
+        for i in idxs:
+            expect[j - 1] += inst.samplers[i].inclusion_probs(inst.vertices)
+    assert np.array_equal(degree_profile(inst, part).degrees, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +171,48 @@ def test_assign_indices_concentration_and_determinism():
     assert len(used) == len(set(used))
 
 
+def _assign_oracle(s, plan, rng):
+    """The nested loop: each mark goes to the first interval [a, b)
+    holding it."""
+    while True:
+        marks = [rng.random() for _ in range(s)]
+        part = {j: [] for j in range(1, plan.m + 1)}
+        for i, t in enumerate(marks):
+            for j, (a, b) in enumerate(plan.intervals, start=1):
+                if a <= t < b:
+                    part[j].append(i)
+                    break
+        if all(part.values()):
+            return part
+
+
+class _Marks:
+    """A stand-in rng whose random() replays a fixed list of marks."""
+
+    def __init__(self, marks):
+        self.marks = iter(marks)
+
+    def random(self):
+        return next(self.marks)
+
+
+def test_assign_indices_matches_nested_loop_oracle():
+    plans = [plan_rounds(0.05, 0.25, 4.0), plan_rounds(0.01, 0.25, 4.0,
+                                                       beta=4.0),
+             RoundPlan(beta=3.3, m=3, intervals=[(j / 3, (j + 1) / 3)
+                                                 for j in range(3)])]
+    for plan in plans:
+        for seed in range(5):
+            assert assign_indices(2000, plan, substream(seed, "m")) == \
+                _assign_oracle(2000, plan, substream(seed, "m"))
+        # marks exactly on every bound, just below it, and past the last
+        bounds = [e for ab in plan.intervals for e in ab]
+        marks = bounds + [math.nextafter(e, 0.0) for e in bounds] + \
+            [0.0, 0.999, math.nextafter(1.0, 0.0)]
+        assert assign_indices(len(marks), plan, _Marks(marks)) == \
+            _assign_oracle(len(marks), plan, _Marks(marks))
+
+
 def test_assign_indices_single_index():
     plan = plan_rounds(0.3, 0.25, 4.0, beta=4.0)
     assert plan.m == 1
@@ -173,6 +266,52 @@ def test_degree_profile_single_round_log_beta():
 
 
 # ---------------------------------------------------------------------------
+# counter streams
+
+
+def _uniform_reference(key, i, t):
+    """SplitMix64 finalizer of key + gamma (i 2^24 + t), in Python ints."""
+    mask = (1 << 64) - 1
+    z = (key + 0x9E3779B97F4A7C15 * ((i << ATTEMPT_BITS) + t)) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return ((z ^ (z >> 31)) >> 11) / 2 ** 53
+
+
+def test_uniforms_equal_scalar_reference():
+    last = (1 << ATTEMPT_BITS) - 1
+    assert RESAMPLE_HARD_CAP <= last
+    ii = np.array([0, 1, 2, 7919, 40_000, (1 << 40) - 1])
+    tt = np.array([0, 1, 2, RESAMPLE_HARD_CAP - 1, last - 1, last])
+    for key in (0, derive_seed(7, "cover", 1), (1 << 64) - 1):
+        got = uniforms(key, ii[:, None], tt[None, :])
+        for a, i in enumerate(ii.tolist()):
+            for b, t in enumerate(tt.tolist()):
+                assert got[a, b] == _uniform_reference(key, i, t)
+        assert float(uniforms(key, 3, 4)) == _uniform_reference(key, 3, 4)
+    # the last attempt of index i and the first of index i + 1 are
+    # neighbouring counters, not the same one
+    key = derive_seed(1, "cover", 2)
+    assert uniforms(key, 5, last) != uniforms(key, 6, 0)
+
+
+def test_uniforms_chi_square():
+    """Equal-width bins of 10^5 draws, and of 5 10^4 pairs of successive
+    attempts of one index: the statistics sit far inside chi-square's
+    10^-6 tail (99 degrees of freedom: 171)."""
+    u = uniforms(derive_seed(3, "cover", 1), np.arange(1000)[:, None],
+                 np.arange(100)[None, :])
+    assert u.min() >= 0.0 and u.max() < 1.0
+    expect = u.size / 100
+    counts = np.bincount((u.ravel() * 100).astype(int), minlength=100)
+    assert ((counts - expect) ** 2 / expect).sum() < 171
+    pairs = (u[:, 0::2] * 10).astype(int) * 10 + (u[:, 1::2] * 10).astype(int)
+    counts = np.bincount(pairs.ravel(), minlength=100)
+    expect = pairs.size / 100
+    assert ((counts - expect) ** 2 / expect).sum() < 171
+
+
+# ---------------------------------------------------------------------------
 # run_cover
 
 
@@ -201,21 +340,44 @@ def test_run_cover_zero_probability_vertex_stays_uncovered():
     assert n in set(int(v) for v in res.uncovered)
 
 
+def _edges(sampler, u):
+    members, sizes = sampler.sample(u)
+    return [tuple(int(v) for v in e)
+            for e in np.split(members, np.cumsum(sizes)[:-1])]
+
+
 def test_run_cover_support_containment_replayable():
+    """Every index's outcome replays from its own counter stream: the
+    accepted edge is its first draw inside the alive set at the start of
+    the round, and an index left empty had no such draw in its cap."""
     inst = progression_instance(300, 4.0, 0.05)
+    inst.samplers += [SparseEdge()] * 60
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
     part = assign_indices(inst.s, plan, substream(6, "a"))
     seed = 7
     res = run_cover(inst, plan, part, seed)
-    for j, idxs in part.items():
-        for i in idxs[:40]:
-            edge = res.chosen.get(i, ())
-            if not edge:
-                continue
-            rng = substream(seed, "cover", j, i)
-            draws = [tuple(int(v) for v in inst.samplers[i].sample(rng))
-                     for _ in range(25_000)]
-            assert edge in draws
+    alive = set(int(v) for v in inst.vertices)
+    empty = 0
+    for j, idxs in sorted(part.items()):
+        key = derive_seed(seed, "cover", j)
+        cap = res.rounds_trace[j - 1]["attempt_cap"]
+        alive_start = frozenset(alive)
+        for i in idxs:
+            u = uniforms(key, i, np.arange(cap))
+            inside = [bool(e) and alive_start.issuperset(e)
+                      for e in _edges(inst.samplers[i], u)]
+            edge = res.chosen[i]
+            if edge:
+                t = inside.index(True)
+                assert edge == _edges(inst.samplers[i], u[t:t + 1])[0]
+                alive -= set(edge)
+            else:
+                assert not any(inside)
+                t = cap - 1
+                empty += 1
+            assert res.last_u[i] == u[t]
+    assert 0 < empty < inst.s
+    assert alive == set(int(v) for v in res.uncovered)
 
 
 def test_run_cover_tracks_recursion_kappa():
