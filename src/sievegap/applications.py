@@ -161,6 +161,8 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
     and verifies every element composite with the primality test.
     """
     poly = _as_poly(f)
+    if X < 1:
+        raise DomainError("X must be >= 1")
     system = polynomial_system(poly)
     x = _pick_cutoff(system, X)
     active = system.active_primes(x)

@@ -28,6 +28,8 @@ def c_rho(rho: float, tol: float = 1e-9) -> float:
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
+    if not 0 < tol < 0.25:
+        raise DomainError(f"tol must lie in (0, 1/4), got {tol}")
     lo, hi = tol, 0.5 - tol
     if _boundary(lo) >= rho:
         # even the smallest bracketed delta fails; the true sup is below tol

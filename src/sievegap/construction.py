@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,7 @@ class Params:
     z_eff: int                       # z clamped to x/2 so stage 3 has primes
     scales: list[float]
     Q: dict[float, list[int]]
+    sigma2: dict[float, float]       # H -> density over (H^M, z_eff]
     degraded: bool
     rho_hat: float
     warnings: list[str] = field(default_factory=list)
@@ -69,7 +71,8 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
     y = ceil(x (log x)^delta); z = round(y loglog x / sqrt(log x));
     scales are the powers of xi inside [2y/x, y/(xi z)]; Q_H holds the
     smallest primes q in (y/(xi H), y/H] with a nonempty residue set,
-    capped near rho_hat (1 - 1/xi) y / (H log x).
+    capped near rho_hat (1 - 1/xi) y / (H log x); sigma2[H] is the stage-2
+    density product over the primes in (H^M, z_eff] (1 when H^M >= z_eff).
     """
     if x < 100:
         raise DomainError("x must be >= 100")
@@ -95,8 +98,8 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
     if z_eff != z:
         warnings.append(f"z={z} exceeds x/2; stages use z_eff={z_eff}")
     if force_scales is not None:
-        if any(H <= 0 for H in force_scales):
-            raise DomainError(f"forced scales must be > 0, got {force_scales}")
+        if not all(H >= 1 for H in force_scales):
+            raise DomainError(f"forced scales must be >= 1: {force_scales}")
         scales = sorted(force_scales)
     else:
         lo, hi = 2 * y / x, y / (xi * z)
@@ -118,9 +121,11 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
         degraded = True
         warnings.append("no scale has admissible primes; running degraded")
         scales = []
+    sigma2 = {H: float(sigma(system, H ** M, z_eff)) if H ** M < z_eff
+              else 1.0 for H in Q}
     return Params(x=x, delta=delta, M=M, K=K, xi=xi, y=y, z=z, z_eff=z_eff,
-                  scales=scales, Q=Q, degraded=degraded, rho_hat=rho_hat,
-                  warnings=warnings)
+                  scales=scales, Q=Q, sigma2=sigma2, degraded=degraded,
+                  rho_hat=rho_hat, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +139,14 @@ class WeightTable:
     n_lo: int                    # values[k] is lambda at n = n_lo + k
     values: np.ndarray
     total: float
-    starts: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        # running sums before each block of CUM_BLOCK cells: a draw sums
-        # only its own block, in the order np.cumsum adds the whole table,
-        # without keeping a second table-sized array
+    @cached_property
+    def starts(self) -> np.ndarray:
+        # running sums before each block of CUM_BLOCK cells, built on the
+        # first draw: a draw sums only its own block, in the order np.cumsum
+        # adds the whole table, without a second table-sized array
         cum = np.cumsum(self.values)
-        self.starts = np.r_[0.0, cum[CUM_BLOCK - 1::CUM_BLOCK]]
-
-    def sample_n(self, rng: random.Random) -> int:
-        return self.n_at(rng.random())
+        return np.r_[0.0, cum[CUM_BLOCK - 1::CUM_BLOCK]]
 
     def n_at(self, u: float) -> int:
         """The n drawn by the uniform u in [0, 1): the first cell whose
@@ -192,7 +194,6 @@ def build_weight_tables(system: SievingSystem, params: Params,
     if system.active_primes(z, HM):
         s2 = sift(system, z, stage1_shift, lo_all, hi_all, z=HM)
         fails_s2 = in_s1 & ~s2.bits
-    sigma2 = float(sigma(system, HM, z)) if HM < z else 1.0
     out = {}
     for q in qs:
         ap_sizes = np.zeros(cells, dtype=np.int32)
@@ -201,7 +202,7 @@ def build_weight_tables(system: SievingSystem, params: Params,
             off = n_lo + q * h - lo_all
             ap_sizes += in_s1[off:off + cells]
             bad |= fails_s2[off:off + cells]
-        vals = sigma2 ** (-ap_sizes.astype(float))
+        vals = params.sigma2[H] ** (-ap_sizes.astype(float))
         vals[bad] = 0.0
         out[q] = WeightTable(H=H, q=q, n_lo=n_lo, values=vals,
                              total=float(vals.sum()))
@@ -250,7 +251,7 @@ def stage2_select(system: SievingSystem, params: Params,
     surv = sift(system, params.z_eff, stage1_shift, 1, params.y).members() \
         if mode == "cover" else ()
     if len(surv) == 0:
-        chosen = {q: tab.sample_n(substream(seed, "stage2", q))
+        chosen = {q: tab.n_at(substream(seed, "stage2", q).random())
                   for q, tab in sorted(all_tables.items())}
         return Stage2Result(chosen=chosen, rejected=rejected,
                             tables_built=built)

@@ -199,9 +199,7 @@ def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
     table_cells = len(qs) * (K + 1) * y
     if table_cells > 100_000_000:
         raise EnumerationLimitError("weight tables too large; reduce y")
-    HM = H ** params.M
-    sigma2 = float(sigma(system, HM, params.z_eff)) if HM < params.z_eff \
-        else 1.0
+    sigma2 = params.sigma2[H]
     J = int(K * H)
     vals = []
     for t in range(trials):

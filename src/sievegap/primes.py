@@ -8,7 +8,6 @@ result is flagged accordingly.
 from __future__ import annotations
 
 import random
-import threading
 
 import numpy as np
 
@@ -20,7 +19,6 @@ _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
-_lock = threading.Lock()
 _cached_limit = 0
 _cached_flags: np.ndarray | None = None
 _cached_primes: np.ndarray | None = None
@@ -38,13 +36,12 @@ def sieve_flags(limit: int) -> np.ndarray:
 
 def _ensure(limit: int) -> None:
     global _cached_limit, _cached_flags, _cached_primes
-    with _lock:
-        if limit <= _cached_limit:
-            return
-        limit = max(limit, 2 * _cached_limit, 1 << 16)
-        _cached_flags = sieve_flags(limit)
-        _cached_primes = np.flatnonzero(_cached_flags).astype(np.int64)
-        _cached_limit = limit
+    if limit <= _cached_limit:
+        return
+    limit = max(limit, 2 * _cached_limit, 1 << 16)
+    _cached_flags = sieve_flags(limit)
+    _cached_primes = np.flatnonzero(_cached_flags).astype(np.int64)
+    _cached_limit = limit
 
 
 def primes_upto(limit: int) -> np.ndarray:

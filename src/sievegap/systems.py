@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -238,9 +237,7 @@ class SievingSystem:
 
     ``residues`` is the one source of I_p: it serves each prime from a
     single cache and, on a miss only, checks primality and computes the
-    table.  Every count, activity test and degeneracy test reads it.  The
-    cache is guarded by a lock so distinct primes may be materialized
-    concurrently.
+    table.  Every count, activity test and degeneracy test reads it.
     """
 
     def __init__(self, kind: str, *, poly: IntPolynomial | None = None,
@@ -259,7 +256,6 @@ class SievingSystem:
         self.degree_d = poly.degree if (kind == "polynomial" and poly) else 0
         self.degenerate_primes: set[int] = set()
         self._cache: dict[int, tuple[int, ...]] = {}
-        self._lock = threading.Lock()
 
     # -- residue tables ----------------------------------------------------
 
@@ -277,8 +273,7 @@ class SievingSystem:
 
     def residues(self, p: int) -> tuple[int, ...]:
         """Sorted forbidden residue set I_p (cached)."""
-        with self._lock:
-            res = self._cache.get(p)
+        res = self._cache.get(p)
         if res is not None:
             return res
         if not is_prime(p):
@@ -286,12 +281,8 @@ class SievingSystem:
         res = self._raw_residues(p)
         if len(res) == p:
             self.degenerate_primes.add(p)
-        with self._lock:
-            self._cache[p] = res
+        self._cache[p] = res
         return res
-
-    def is_degenerate_at(self, p: int) -> bool:
-        return len(self.residues(p)) >= p
 
     def active_primes(self, x: float, z: float = 1) -> list[int]:
         """Primes p in (z, x] with I_p nonempty."""
@@ -310,22 +301,28 @@ def sigma(system: SievingSystem, z: float, x: float, exact: bool = False):
     """
     if not (1 <= z <= x):
         raise DomainError(f"need 1 <= z <= x, got z={z}, x={x}")
-    counts = []
-    for p in system.active_primes(x, z):
-        k = len(system.residues(p))
-        if k >= p:
-            raise DegenerateSystemError(p)
-        counts.append((p, k))
-    if exact:
-        out = Fraction(1)
-        for p, k in counts:
-            out *= Fraction(p - k, p)
-        return out
+    return _sigma_prefixes(system, system.active_primes(x, z), [x], exact)[0]
+
+
+def _sigma_prefixes(system: SievingSystem, primes: list[int],
+                    cuts: Sequence[float], exact: bool) -> list:
+    """Products of (1 - |I_p|/p) over the p <= c of the increasing
+    ``primes``, one for each c of the increasing ``cuts``, from one running
+    product: each equals the product over its prefix alone, bit for bit."""
+    out = []
+    i = 0
     with mp.workprec(SIGMA_PRECISION_BITS):
-        out = mpf(1)
-        for p, k in counts:
-            out *= mpf(p - k) / p
-        return +out
+        prod = Fraction(1) if exact else mpf(1)
+        for c in cuts:
+            while i < len(primes) and primes[i] <= c:
+                p = primes[i]
+                k = len(system.residues(p))
+                if k >= p:
+                    raise DegenerateSystemError(p)
+                prod *= Fraction(p - k, p) if exact else mpf(p - k) / p
+                i += 1
+            out.append(prod)
+    return out
 
 
 def _balanced_prod(vals: list[int]) -> int:
@@ -344,26 +341,32 @@ def period(system: SievingSystem, x: float) -> int:
     return _balanced_prod(system.active_primes(x))
 
 
+def _rho(active: list[int], x: int) -> float:
+    return len(active) / (x / math.log(x))
+
+
 def estimate_rho(system: SievingSystem, x: int) -> float:
     """Empirical support density: #{p <= x : |I_p| >= 1} / (x / log x)."""
     if x < 10:
         raise DomainError("x must be >= 10")
-    return len(system.active_primes(x)) / (x / math.log(x))
+    return _rho(system.active_primes(x), x)
 
 
 def mertens_fit(system: SievingSystem, checkpoints: Sequence[int],
                 drift_tol: float = 0.1) -> DensityReport:
     """Track sigma(x_i) * log(x_i) along increasing checkpoints.
 
-    Flags non-one-dimensional behavior when the track still drifts
-    monotonically by more than ``drift_tol`` (relative) between the final
-    two checkpoints.
+    One walk over the active primes <= x_max gives the track, the period
+    and rho_hat.  Flags non-one-dimensional behavior when the track drifts
+    monotonically and its last step exceeds ``drift_tol`` (relative).
     """
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 100 for c in cps) or sorted(cps) != cps:
         raise DomainError("checkpoints must be increasing and >= 100")
+    x = cps[-1]
+    active = system.active_primes(x)
+    sigmas = _sigma_prefixes(system, active, cps, exact=False)
     with mp.workprec(SIGMA_PRECISION_BITS):
-        sigmas = [sigma(system, 1, cp) for cp in cps]
         track = [(cp, float(s * mp.log(cp))) for cp, s in zip(cps, sigmas)]
     final_sigma = float(sigmas[-1])
     drift = 0.0
@@ -373,12 +376,11 @@ def mertens_fit(system: SievingSystem, checkpoints: Sequence[int],
         deltas = [b2 - b1 for (_, b1), (_, b2) in zip(track, track[1:])]
         monotone = all(d > 0 for d in deltas) or all(d < 0 for d in deltas)
         flagged = monotone and drift > drift_tol
-    x = cps[-1]
     return DensityReport(
         x=x,
         sigma=final_sigma,
-        period_bitlength=period(system, x).bit_length(),
-        rho_hat=estimate_rho(system, x),
+        period_bitlength=_balanced_prod(active).bit_length(),
+        rho_hat=_rho(active, x),
         mertens_track=track,
         flagged_not_one_dimensional=flagged,
         drift_ratio=drift,

@@ -63,9 +63,6 @@ class SiftedWindow:
     z: int
     shift: ShiftVector
 
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n <= self.hi and bool(self.bits[n - self.lo])
-
     def members(self) -> np.ndarray:
         return np.flatnonzero(self.bits) + self.lo
 

@@ -227,6 +227,14 @@ _MOMENTS_II = ["moments", "--system", "eratosthenes", "--identity", "ii-j1",
 BAD_FLAGS = {
     "construct-trials-0": _CONSTRUCT + ["--trials", "0"],
     "construct-force-scales-0": _CONSTRUCT + ["--force-scales", "0"],
+    "construct-force-scales-0.1": _CONSTRUCT + ["--force-scales", "0.1"],
+    "constants-tol-0": ["constants", "--rho", "1", "--tol", "0"],
+    "constants-tol-neg": ["constants", "--rho", "1", "--tol", "-1"],
+    "constants-tol-1": ["constants", "--rho", "1", "--tol", "1"],
+    "composite-runs-constructed-X-0": ["composite-runs", "--poly", "n^2+1",
+                                       "--X", "0", "--constructed"],
+    "composite-runs-constructed-X-neg": ["composite-runs", "--poly", "n^2+1",
+                                         "--X", "-5", "--constructed"],
     "moments-force-scales-0": _MOMENTS_II + ["--force-scales", "0"],
     "cover-demo-trials-0": _COVER + ["--trials", "0"],
     "cover-demo-vertices-0": ["cover-demo", "--vertices", "0"],

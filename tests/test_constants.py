@@ -49,6 +49,14 @@ def test_c_rho_rejects_nonpositive():
         c_rho_lower_bound(-1)
 
 
+def test_c_rho_rejects_tol_outside_open_quarter():
+    """The bracket [tol, 1/2 - tol] needs 0 < tol < 1/4."""
+    for tol in (0.0, -1.0, 0.25, 1.0, float("nan")):
+        with pytest.raises(DomainError, match="tol"):
+            c_rho(1.0, tol)
+    assert c_rho(1.0, 0.2) == 0.2             # the sup lies below the bracket
+
+
 def test_rho_derangement_values():
     assert rho_derangement(1) == 1
     assert rho_derangement(2) == Fraction(1, 2)

@@ -34,10 +34,16 @@ def compute_AP(system, stage1_shift, H, q, n, J, M=DEFAULT_M):
     return [n + q * h for h in range(1, J + 1) if n + q * h in s1]
 
 
+def oracle_sigma2(system, H, M, z):
+    """The density product over the primes in (H^M, z], 1 if none."""
+    HM = H ** M
+    return float(sigma(system, HM, z)) if HM < z else 1.0
+
+
 def weight_lambda(system, stage1_shift, H, q, n, *, M, K, z):
     """sigma2^{-|AP(KH; q, n)|} if the AP survives the (H^M, z] sieve, else 0."""
     HM = H ** M
-    sigma2 = float(sigma(system, HM, z)) if HM < z else 1.0
+    sigma2 = oracle_sigma2(system, H, M, z)
     ap = compute_AP(system, stage1_shift, H, q, n, int(K * H), M=M)
     if ap:
         mid = set(brute_members(system, z, stage1_shift, ap[0], ap[-1], z=HM))
@@ -60,7 +66,7 @@ def gather_weight_tables(system, params, stage1_shift, H):
         system.active_primes(HM) else None
     s2 = sift(system, z, stage1_shift, lo_all, hi_all, z=HM) if \
         system.active_primes(z, HM) else None
-    sigma2 = float(sigma(system, HM, z)) if HM < z else 1.0
+    sigma2 = oracle_sigma2(system, H, M, z)
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     hs = np.arange(1, J + 1, dtype=np.int64)
     out = {}
@@ -79,11 +85,14 @@ def gather_weight_tables(system, params, stage1_shift, H):
     return out
 
 
-def small_params(**overrides) -> Params:
-    """A hand-built desk instance: H=2, H^M ~ 24.3, q=29."""
+def small_params(system=ERA, **overrides) -> Params:
+    """A hand-built desk instance: H=2, H^M ~ 24.3, q=29; sigma2 is the
+    oracle's for ``system`` unless given."""
     kw = dict(x=100, delta=0.1, M=4.6, K=3, xi=1.1, y=60, z=30, z_eff=30,
               scales=[2.0], Q={2.0: [29]}, degraded=False, rho_hat=1.0)
     kw.update(overrides)
+    kw.setdefault("sigma2", {H: oracle_sigma2(system, H, kw["M"], kw["z_eff"])
+                             for H in kw["Q"]})
     return Params(**kw)
 
 
@@ -139,6 +148,26 @@ def test_derive_params_validation():
         derive_params(ERA, 1000, K=1)
     with pytest.raises(DomainError):
         derive_params(ERA, 1000, xi=1.0)
+
+
+def test_derive_params_rejects_forced_scale_below_one():
+    """H < 1 puts H^M below 1, where no stage-2 density is defined; the
+    error names the scale rather than the density's bounds."""
+    for H in (0.5, 0.1):
+        with pytest.raises(DomainError, match=str(H)):
+            derive_params(ERA, 150, force_scales=[2.0, H])
+
+
+def test_derive_params_sigma2_per_scale():
+    """sigma2[H] is the density over (H^M, z_eff] for each scale in Q,
+    and 1 when H^M >= z_eff; it stays out of the report."""
+    p = derive_params(ERA, 2_950, delta=0.001, force_z=200,
+                      force_scales=[2.0, 3.0, 4.0])
+    assert set(p.sigma2) == set(p.Q)
+    for H in p.Q:
+        assert p.sigma2[H] == oracle_sigma2(ERA, H, p.M, p.z_eff)
+    assert p.sigma2[4.0] == 1.0 < 4.0 ** p.M / p.z_eff
+    assert "sigma2" not in p.to_dict()
 
 
 def test_derive_params_warns_on_large_delta():
@@ -231,7 +260,7 @@ def test_build_weight_tables_matches_gather_oracle():
         if not qs:
             continue
         z = rng.choice([20, 30, 200])               # H^M ~ 24.3 for H = 2
-        cases.append((sys_, small_params(z=z, z_eff=z, Q={2.0: qs}),
+        cases.append((sys_, small_params(sys_, z=z, z_eff=z, Q={2.0: qs}),
                       len(cases)))
     for sys_, params, seed in cases:
         b = ShiftVector.uniform(sys_, params.z_eff, substream(seed, "stage1"))
@@ -295,21 +324,13 @@ def test_stage2_point_mass():
     point[k_star] = 1.0
     tab = dataclasses.replace(tab, values=point, total=1.0)
     for t in range(20):
-        assert tab.sample_n(substream(5, "s", t)) == tab.n_lo + k_star
+        assert tab.n_at(substream(5, "s", t).random()) == tab.n_lo + k_star
 
 
-def test_sample_n_matches_whole_table_search():
+def test_n_at_matches_whole_table_search():
     """A draw picks the cell that a search of the whole table's cumulative
     sum picks, also when it lands exactly on a running sum."""
     rng = random.Random(8)
-
-    class Fixed:
-        def __init__(self, u):
-            self.u = u
-
-        def random(self):
-            return self.u
-
     for size in (1, 5, CUM_BLOCK - 1, CUM_BLOCK, CUM_BLOCK + 1,
                  3 * CUM_BLOCK, 1000):
         vals = np.array([rng.random() * (rng.random() < 0.6)
@@ -321,7 +342,7 @@ def test_sample_n_matches_whole_table_search():
         for u in [rng.random() for _ in range(100)] + [0.0] + \
                 [c / tab.total for c in cum]:
             k = int(np.searchsorted(cum, u * tab.total, side="right"))
-            assert tab.sample_n(Fixed(u)) == tab.n_lo + min(k, size - 1)
+            assert tab.n_at(u) == tab.n_lo + min(k, size - 1)
 
 
 def test_stage2_sampling_frequencies():
@@ -332,7 +353,7 @@ def test_stage2_sampling_frequencies():
     counts = np.zeros_like(probs)
     trials = 10_000
     for t in range(trials):
-        counts[tab.sample_n(substream(6, "t", t)) - tab.n_lo] += 1
+        counts[tab.n_at(substream(6, "t", t).random()) - tab.n_lo] += 1
     for k in np.flatnonzero(probs > 0.01):
         se = math.sqrt(probs[k] * (1 - probs[k]) / trials)
         assert abs(counts[k] / trials - probs[k]) <= 3 * se + 1e-12
@@ -367,7 +388,7 @@ def test_survivors_above_matches_oracle():
     rng = random.Random(31)
     for trial in range(20):
         sys_ = ERA if trial % 2 else random_table_system(rng, prime_cap=60)
-        if any(sys_.is_degenerate_at(p) for p in sys_.active_primes(60)):
+        if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(60)):
             continue
         cutoff, y = rng.choice([(7, 300), (13, 500), (23, 800)])
         b = ShiftVector.uniform(sys_, cutoff, rng)

@@ -136,7 +136,7 @@ def test_exact_first_moment_random_systems():
     done = 0
     while done < 5:
         sys_ = random_table_system(rng, prime_cap=13)
-        if any(sys_.is_degenerate_at(p) for p in sys_.active_primes(13)):
+        if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(13)):
             continue
         if period(sys_, 13) > 100_000:
             continue
@@ -189,7 +189,8 @@ def test_mc_second_moment_shrinks_with_y():
 def toy_params() -> Params:
     # z_eff < H^M so sigma2 = 1 and lambda is identically 1
     return Params(x=100, delta=0.1, M=4.6, K=3, xi=1.1, y=60, z=20, z_eff=20,
-                  scales=[2.0], Q={2.0: [29]}, degraded=False, rho_hat=1.0)
+                  scales=[2.0], Q={2.0: [29]}, sigma2={2.0: 1.0},
+                  degraded=False, rho_hat=1.0)
 
 
 def test_lambda_moment_ii_j0_exact():
@@ -216,6 +217,31 @@ def test_lambda_moments_desk_instance_zscores():
     rep3 = mc_lambda_moments(ERA, p, 3.0, 1, trials=60, seed=6,
                              identity="iii")
     assert abs(rep3.z_score) <= 3.5
+
+
+@pytest.mark.parametrize("identity", ["ii", "iii"])
+def test_lambda_moments_sigma_calls_do_not_grow_with_trials(identity,
+                                                            monkeypatch):
+    """sigma2 comes from params, so the number of density products is
+    the same for 2 trials as for 5."""
+    from sievegap import construction, moments
+    p = derive_params(ERA, 2_950, delta=0.001, force_z=200,
+                      force_scales=[3.0])
+    assert 3.0 ** p.M < p.z_eff                   # sigma2 is a real product
+    counts = []
+    for trials in (2, 5):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return sigma(*args, **kwargs)
+
+        monkeypatch.setattr(construction, "sigma", spy)
+        monkeypatch.setattr(moments, "sigma", spy)
+        mc_lambda_moments(ERA, p, 3.0, 1, trials=trials, seed=7,
+                          identity=identity)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_lambda_moments_validation():

@@ -5,14 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import binomial_eval
+from conftest import binomial_eval, random_table_system
+from mpmath import mp
 
 from sievegap.errors import DomainError
 from sievegap.primes import is_prime, primes_upto
-from sievegap.systems import (IntPolynomial, SievingSystem, eratosthenes,
-                              estimate_rho, mertens_fit, period,
-                              polynomial_system, sigma, system_from_spec,
-                              twin_system)
+from sievegap.systems import (SIGMA_PRECISION_BITS, IntPolynomial,
+                              SievingSystem, eratosthenes, estimate_rho,
+                              mertens_fit, period, polynomial_system, sigma,
+                              system_from_spec, twin_system)
 
 N2P1 = polynomial_system("n^2+1")
 
@@ -93,7 +94,6 @@ def test_quadratic_fast_path_matches_bruteforce():
 def test_degenerate_prime_flagged_not_error():
     sys_ = SievingSystem("table", table={2: (0, 1), 3: (0,)})
     assert sys_.residues(2) == (0, 1)
-    assert sys_.is_degenerate_at(2)
     assert 2 in sys_.degenerate_primes
 
 
@@ -196,6 +196,35 @@ def test_mertens_fit_flags_single_prime_divergence():
 def test_mertens_fit_flags_twin_system():
     rep = mertens_fit(twin_system(100_000), [1_000, 10_000, 100_000])
     assert rep.flagged_not_one_dimensional
+
+
+@pytest.mark.parametrize("make", [
+    eratosthenes, twin_system, lambda: polynomial_system("n^2+1"),
+    lambda: random_table_system(random.Random(17), prime_cap=10_000)],
+    ids=["eratosthenes", "twin", "n2p1", "random-table"])
+def test_mertens_fit_one_walk_equals_per_checkpoint_sigma(make):
+    """One walk over the primes: at most 2 residue lookups per prime
+    <= x, and every figure equal bit for bit to sigma(1, cp), period
+    and estimate_rho computed separately."""
+    cps = [100, 1_000, 3_000, 10_000]
+    sys_ = make()
+    calls = []
+    lookup = sys_.residues
+
+    def counted(p):
+        calls.append(p)
+        return lookup(p)
+
+    sys_.residues = counted
+    rep = mertens_fit(sys_, cps)
+    assert len(calls) <= 2 * len(primes_upto(cps[-1]))
+    del sys_.residues
+    with mp.workprec(SIGMA_PRECISION_BITS):
+        track = [(cp, float(sigma(sys_, 1, cp) * mp.log(cp))) for cp in cps]
+    assert rep.mertens_track == track
+    assert rep.sigma == float(sigma(sys_, 1, cps[-1]))
+    assert rep.period_bitlength == period(sys_, cps[-1]).bit_length()
+    assert rep.rho_hat == estimate_rho(sys_, cps[-1])
 
 
 def test_mertens_fit_rejects_bad_checkpoints():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import (brute_gap, brute_members, brute_verify_empty,
                       random_table_system)
@@ -60,8 +61,7 @@ def test_sift_periodicity():
         P = period(sys_, x)
         b = ShiftVector.uniform(sys_, x, rng)
         win = sift(sys_, x, b, 1, 2 * P)
-        for n in range(1, P + 1):
-            assert (n in win) == ((n + P) in win)
+        assert np.array_equal(win.bits[:P], win.bits[P:])
 
 
 def test_sift_monotone_in_cutoff():
@@ -88,7 +88,7 @@ def test_sift_matches_bruteforce_random_systems():
     rng = random.Random(2024)
     for _ in range(20):
         sys_ = random_table_system(rng)
-        if any(sys_.is_degenerate_at(p) for p in sys_.active_primes(50)):
+        if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(50)):
             continue
         b = ShiftVector.uniform(sys_, 50, rng)
         z = rng.choice([1, 1, 7])
@@ -146,7 +146,7 @@ def test_largest_gap_matches_scan_oracle():
     rng = random.Random(9)
     for _ in range(20):
         sys_ = random_table_system(rng)
-        if any(sys_.is_degenerate_at(p) for p in sys_.active_primes(50)):
+        if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(50)):
             continue
         b = ShiftVector.uniform(sys_, 50, rng)
         win = sift(sys_, 50, b, 1, 2000)
@@ -163,7 +163,7 @@ def test_verify_empty_agrees_with_sift():
     rng = random.Random(77)
     for _ in range(20):
         sys_ = random_table_system(rng)
-        if any(sys_.is_degenerate_at(p) for p in sys_.active_primes(50)):
+        if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(50)):
             continue
         b = ShiftVector.uniform(sys_, 50, rng)
         lo = rng.randint(-50, 50)
