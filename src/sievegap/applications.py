@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .primes import primality, primes_upto
+from .primes import is_prime, primality, primes_upto
 from .rng import substream
 from .systems import IntPolynomial, SievingSystem, polynomial_system
 from .window import ShiftVector, sift, verify_empty
@@ -96,7 +96,6 @@ class ConstructedRun:
     length: int
     x: int
     period: int
-    shift_crt: int
     verified: bool
     probabilistic_checks: int = 0
 
@@ -181,6 +180,14 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
     start = n0 + P * ((X // 2 - n0 + P - 1) // P)
     if start + L - 1 > X:
         raise DomainError("period too large to map the run into [X/2, X]")
+    # a sieving prime p <= x divides each f(n) of the run, which makes f(n)
+    # composite unless |f(n)| = p; at tiny X the run can land there
+    tiny = next((n for n in range(start, start + L)
+                 if abs(poly(n)) <= x and is_prime(abs(poly(n)))), None)
+    if tiny is not None:
+        raise DomainError(f"X = {X} is too small for a constructed run: "
+                          f"|f({tiny})| = {abs(poly(tiny))} is itself a "
+                          f"sieving prime")
     prob = 0
     for n in range(start, start + L):
         v = abs(poly(n))
@@ -191,8 +198,7 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
             raise DomainError(
                 f"verification failed: f({n}) = {v} is prime (bug)")
     return ConstructedRun(start=start, length=L, x=x, period=P,
-                          shift_crt=b, verified=True,
-                          probabilistic_checks=prob)
+                          verified=True, probabilistic_checks=prob)
 
 
 # ---------------------------------------------------------------------------

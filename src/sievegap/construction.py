@@ -62,12 +62,11 @@ class Params:
 
 
 def derive_params(system: SievingSystem, x: int, delta: float | None = None,
-                  M: float = DEFAULT_M, K: int = DEFAULT_K,
-                  xi: float = DEFAULT_XI,
                   force_z: int | None = None,
                   force_scales: list[float] | None = None) -> Params:
     """Populate y, z, the scale set and the prime families Q_H.
 
+    M, K and xi are DEFAULT_M, DEFAULT_K and DEFAULT_XI.
     y = ceil(x (log x)^delta); z = round(y loglog x / sqrt(log x));
     scales are the powers of xi inside [2y/x, y/(xi z)]; Q_H holds the
     smallest primes q in (y/(xi H), y/H] with a nonempty residue set,
@@ -84,12 +83,9 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
         warnings.append(
             f"delta={delta} is at or above the admissible threshold "
             f"c_rho({rho_hat:.3f})")
-    if not 4 + delta < M <= 5:
-        raise DomainError(f"need 4 + delta < M <= 5, got M={M}")
-    if K < 2:
-        raise DomainError("K must be >= 2")
-    if xi <= 1:
-        raise DomainError("xi must be > 1")
+    M, K, xi = DEFAULT_M, DEFAULT_K, DEFAULT_XI
+    if not 4 + delta < M:
+        raise DomainError(f"need 4 + delta < M = {M}, got delta={delta}")
     lx = math.log(x)
     y = math.ceil(x * lx ** delta)
     z = force_z if force_z is not None else round(y * math.log(lx) / math.sqrt(lx))
@@ -413,8 +409,6 @@ def construct(system: SievingSystem, params: Params, seed: int,
 class BaselineResult:
     shift: ShiftVector
     length: int
-    target: int
-    matched: int
 
 
 def trivial_baseline(system: SievingSystem, x: int, seed: int) -> BaselineResult:
@@ -432,5 +426,4 @@ def trivial_baseline(system: SievingSystem, x: int, seed: int) -> BaselineResult
         else x // 4
     b1 = ShiftVector.uniform(system, x // 2, substream(seed, "stage1"))
     r3 = stage3_cleanup(system, x, b1, target, substream(seed, "stage3"))
-    return BaselineResult(shift=r3.shift, length=r3.length, target=target,
-                          matched=r3.matched)
+    return BaselineResult(shift=r3.shift, length=r3.length)

@@ -56,16 +56,13 @@ class ProgressionSampler(EdgeSampler):
 
     The anchor a is chosen by picking a uniform vertex v and a uniform
     offset h* in [1, L], setting a = v - q h*.  The step q is >= N, so
-    only h = h* lands in V: every edge is the singleton {v}, whatever h*
-    and L are, with Pr(v in e) = 1/N exactly and zero codegree.  A draw
-    therefore needs one uniform u, for v = floor(u N).
+    only h = h* lands in V: every edge is the singleton {v}, whatever q,
+    h* and L are, with Pr(v in e) = 1/N exactly and zero codegree.  A
+    draw therefore needs one uniform u, for v = floor(u N).
     """
 
-    def __init__(self, n_vertices: int, step: int):
-        if step < n_vertices:
-            raise DomainError("step must be >= |V| for singleton progressions")
+    def __init__(self, n_vertices: int):
         self.n = n_vertices
-        self.step = step
 
     def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = np.minimum((u * self.n).astype(np.int64), self.n - 1)
@@ -100,10 +97,9 @@ def progression_instance(n_vertices: int, C2: float,
     if n_vertices < 1 or s < 1:
         raise DomainError(f"need at least one vertex and one edge, got "
                           f"N={n_vertices} and round(C2 N)={s}")
-    sampler = ProgressionSampler(n_vertices, step=n_vertices + 7)
     return CoverInstance(
         vertices=np.arange(n_vertices, dtype=np.int64),
-        samplers=[sampler] * s,
+        samplers=[ProgressionSampler(n_vertices)] * s,
         eta=eta,
         C2=C2,
     )
@@ -301,10 +297,6 @@ class DegreeProfile:
     P: np.ndarray            # shape (m + 1, N): P_0 = 1, recursion below
     kappa: float             # min_v P_m(v)
 
-    def to_dict(self) -> dict:
-        return {"kappa": self.kappa,
-                "min_P_by_round": [float(r.min()) for r in self.P]}
-
 
 def degree_profile(instance: CoverInstance,
                    partition: dict[int, list[int]]) -> DegreeProfile:
@@ -337,11 +329,6 @@ class CoverResult:
     # its attempt_cap-th when none landed inside the alive set (NaN when
     # i is in no round)
     last_u: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def to_dict(self) -> dict:
-        return {"uncovered_count": int(len(self.uncovered)),
-                "uncovered_fraction": self.uncovered_fraction,
-                "rounds": self.rounds_trace}
 
 
 def _draw_round(samplers: list[EdgeSampler], idxs: list[int], key: int,

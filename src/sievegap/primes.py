@@ -87,8 +87,7 @@ def is_prime(n: int) -> bool:
     return ok
 
 
-def primality(n: int, rounds: int = 64,
-              rng: random.Random | None = None) -> tuple[bool, str]:
+def primality(n: int) -> tuple[bool, str]:
     """Primality test with a certainty tag.
 
     Returns (is_prime, "deterministic" | "probabilistic").  The
@@ -111,8 +110,8 @@ def primality(n: int, rounds: int = 64,
             if _mr_witness(n, a, d, s):
                 return False, "deterministic"
         return True, "deterministic"
-    rng = rng or random.Random(0xD1CE)
-    for _ in range(rounds):
+    rng = random.Random(0xD1CE)     # fixed bases: reproducible answers
+    for _ in range(64):
         a = rng.randrange(2, n - 1)
         if _mr_witness(n, a, d, s):
             return False, "probabilistic"

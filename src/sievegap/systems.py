@@ -21,10 +21,11 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DegenerateSystemError, DomainError
-from .primes import is_prime, primes_in_range, primes_upto
+from .primes import is_prime, primes_in_range
 
 SIGMA_PRECISION_BITS = 120      # >= 80-bit significand requirement
 BRUTE_ROOT_LIMIT = 100_000      # brute-force root finding cap on p
+DRIFT_TOL = 0.1                 # relative last step that flags a drift
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +353,13 @@ def estimate_rho(system: SievingSystem, x: int) -> float:
     return _rho(system.active_primes(x), x)
 
 
-def mertens_fit(system: SievingSystem, checkpoints: Sequence[int],
-                drift_tol: float = 0.1) -> DensityReport:
+def mertens_fit(system: SievingSystem,
+                checkpoints: Sequence[int]) -> DensityReport:
     """Track sigma(x_i) * log(x_i) along increasing checkpoints.
 
     One walk over the active primes <= x_max gives the track, the period
     and rho_hat.  Flags non-one-dimensional behavior when the track drifts
-    monotonically and its last step exceeds ``drift_tol`` (relative).
+    monotonically and its last step exceeds ``DRIFT_TOL`` (relative).
     """
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 100 for c in cps) or sorted(cps) != cps:
@@ -375,7 +376,7 @@ def mertens_fit(system: SievingSystem, checkpoints: Sequence[int],
         drift = abs(track[-1][1] / track[-2][1] - 1)
         deltas = [b2 - b1 for (_, b1), (_, b2) in zip(track, track[1:])]
         monotone = all(d > 0 for d in deltas) or all(d < 0 for d in deltas)
-        flagged = monotone and drift > drift_tol
+        flagged = monotone and drift > DRIFT_TOL
     return DensityReport(
         x=x,
         sigma=final_sigma,
@@ -403,13 +404,10 @@ def polynomial_system(poly: IntPolynomial | str, *,
                          small_prime_mode=small_prime_mode)
 
 
-def twin_system(limit: int = 1_000_000) -> SievingSystem:
-    """I_p = {0, p-2 mod p}: a two-dimensional (non-one-dimensional) example."""
-    table = {}
-    for p in primes_upto(limit):
-        p = int(p)
-        table[p] = tuple(sorted({0, (p - 2) % p}))
-    return SievingSystem("table", table=table)
+def twin_system() -> SievingSystem:
+    """I_p = {0, p-2 mod p} at every prime p, the roots of n(n+2): a
+    two-dimensional (non-one-dimensional) example."""
+    return polynomial_system("n^2+2n")
 
 
 def system_from_spec(spec: str) -> SievingSystem:

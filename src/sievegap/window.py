@@ -59,9 +59,6 @@ class SiftedWindow:
     lo: int
     hi: int
     bits: np.ndarray
-    x: int
-    z: int
-    shift: ShiftVector
 
     def members(self) -> np.ndarray:
         return np.flatnonzero(self.bits) + self.lo
@@ -89,7 +86,7 @@ def sift(system: SievingSystem, x: int, shift: ShiftVector,
         raise DomainError(f"need z < x, got z={z}, x={x}")
     bits = np.ones(hi - lo + 1, dtype=bool)
     _strike(bits, lo, system, system.active_primes(x, z), shift)
-    return SiftedWindow(lo, hi, bits, x, z, shift)
+    return SiftedWindow(lo, hi, bits)
 
 
 def _strike(bits: np.ndarray, lo: int, system: SievingSystem,

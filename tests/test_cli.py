@@ -250,6 +250,49 @@ def test_bad_numeric_flag_exits_1(case, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("X", ["1", "2", "3"])
+def test_composite_runs_constructed_tiny_X_too_small(X, capsys):
+    """At X <= 3 the run lands on f(1) = 2, the sieving prime itself: a
+    domain limit named as such, not a verification bug."""
+    code, out = run_cli(["composite-runs", "--poly", "n^2+1", "--X", X,
+                         "--constructed"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert f"X = {X} is too small" in err and "bug" not in err
+
+
+def test_cover_demo_edges_flag_reports_degree_deviation():
+    """3000 singleton edges on 1000 vertices give every vertex degree 3,
+    one below C2 = 4."""
+    rep = run_json(["cover-demo", "--vertices", "1000", "--edges", "3000"])
+    validate(rep)
+    [cond] = [c for c in rep["result"]["hypotheses"]["conditions"]
+              if c["name"] == "degree_uniform"]
+    assert not cond["ok"] and cond["worst"] == 1.0
+
+
+@pytest.mark.parametrize("identity", ["i-first-mc", "i-second-mc"])
+def test_moments_monte_carlo_identities_run(identity):
+    rep = run_json(["moments", "--system", "eratosthenes",
+                    "--identity", identity])
+    validate(rep)
+    assert rep["result"]["identity"] == identity
+
+
+def test_system_file_small_prime_mode(tmp_path, monkeypatch, capsys):
+    """n^2+n vanishes on both classes mod 2: degenerate under "roots",
+    usable with "small_prime_mode": "empty"."""
+    monkeypatch.chdir(tmp_path)
+    spec = {"kind": "polynomial", "coeffs": [0, 1, 1]}
+    argv = ["system-info", "--file", "f", "--x", "1000"]
+    (tmp_path / "f").write_text(json.dumps(spec))
+    assert run_cli(argv) == (1, "")
+    assert "degenerate at p=2" in capsys.readouterr().err
+    (tmp_path / "f").write_text(
+        json.dumps({**spec, "small_prime_mode": "empty"}))
+    assert run_cli(argv)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # system-info and warnings
 

@@ -16,7 +16,8 @@ from sievegap.construction import (CUM_BLOCK, DEFAULT_M, Params,
 from sievegap.errors import DomainError
 from sievegap.primes import primes_in_range
 from sievegap.rng import substream
-from sievegap.systems import eratosthenes, polynomial_system, sigma
+from sievegap.systems import (SievingSystem, eratosthenes, polynomial_system,
+                              sigma)
 from sievegap.window import ShiftVector, sift, verify_empty
 
 ERA = eratosthenes()
@@ -143,11 +144,7 @@ def test_derive_params_validation():
     with pytest.raises(DomainError):
         derive_params(ERA, 50)
     with pytest.raises(DomainError):
-        derive_params(ERA, 1000, delta=0.2, M=4.1)   # M <= 4 + delta
-    with pytest.raises(DomainError):
-        derive_params(ERA, 1000, K=1)
-    with pytest.raises(DomainError):
-        derive_params(ERA, 1000, xi=1.0)
+        derive_params(ERA, 1000, delta=0.7)          # M <= 4 + delta
 
 
 def test_derive_params_rejects_forced_scale_below_one():
@@ -281,9 +278,9 @@ def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
     from sievegap import construction
     calls = []
 
-    def spy(*args, **kwargs):
-        win = sift(*args, **kwargs)
-        calls.append(win)
+    def spy(system, x, shift, lo, hi, z=1):
+        win = sift(system, x, shift, lo, hi, z)
+        calls.append(((x, z), win))
         return win
 
     monkeypatch.setattr(construction, "sift", spy)
@@ -291,8 +288,8 @@ def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
     p = small_params(z=40, z_eff=40, scales=[H], Q={H: [7]})
     b = ShiftVector.uniform(ERA, p.z_eff, substream(2, "stage1"))
     tab = build_weight_tables(ERA, p, b, H)[7]
-    [win] = calls
-    assert (win.x, win.z) == (p.z_eff, 1)
+    [(cutoffs, win)] = calls
+    assert cutoffs == (p.z_eff, 1)
     assert list(win.members()) == brute_members(ERA, p.z_eff, b, win.lo,
                                                 win.hi)
     assert np.array_equal(tab.values, np.ones((p.K + 1) * p.y))
@@ -366,6 +363,25 @@ def test_stage2_cover_mode_supported():
     tables = build_weight_tables(ERA, p, b, 2.0)
     for q, n in r.chosen.items():
         assert tables[q].values[n - tables[q].n_lo] > 0
+
+
+def test_stage2_rejects_every_all_zero_table():
+    """No active prime <= H^M ~ 24.3 and I_29 = all but one class, with
+    29 > J = 6 and 29 not dividing q = 31: every progression {n + 31 h}
+    meets the classes 29 removes, so each table is all zero and q is
+    rejected in both modes; stage 3 still certifies [1, L]."""
+    sys_ = SievingSystem("table", table={29: tuple(range(1, 29))})
+    p = small_params(sys_, Q={2.0: [31]})
+    b = ShiftVector.uniform(sys_, p.z_eff, substream(10, "stage1"))
+    assert build_weight_tables(sys_, p, b, 2.0)[31].total == 0.0
+    for mode in ("sample", "cover"):
+        r = stage2_select(sys_, p, b, seed=17, mode=mode)
+        assert r.rejected == p.Q[2.0]
+        assert r.tables_built == len(p.Q[2.0])
+        assert r.chosen == {}
+        built = construct(sys_, p, seed=17, mode=mode)
+        assert built.rejected_q == p.Q[2.0]
+        assert verify_empty(sys_, p.x, built.shift, 1, built.length)
 
 
 def test_apply_stage2_sieves_chosen_class():

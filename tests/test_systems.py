@@ -83,12 +83,18 @@ def test_residues_match_bruteforce_random_pairs():
 def test_quadratic_fast_path_matches_bruteforce():
     rng = random.Random(7)
     primes = [int(p) for p in primes_upto(500) if p > 2]
-    for _ in range(50):
-        poly = IntPolynomial.from_coefficients(
-            [rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)])
-        p = rng.choice(primes)
+    cases = [([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)],
+              rng.choice(primes)) for _ in range(50)]
+    # p = 3 divides the leading coefficient of 2f: 3n^2+n+1 has the one
+    # root 2, 3n^2+1 none, and 3n^2+3n+3 all three classes (degenerate)
+    cases += [([1, 1, 3], 3), ([1, 0, 3], 3), ([3, 3, 3], 3)]
+    for coeffs, p in cases:
+        poly = IntPolynomial.from_coefficients(coeffs)
         brute = tuple(n for n in range(p) if binomial_eval(poly, n) % p == 0)
-        assert polynomial_system(poly).residues(p) == brute
+        sys_ = polynomial_system(poly)
+        assert sys_.residues(p) == brute
+        assert (p in sys_.degenerate_primes) == (len(brute) == p)
+    assert brute == (0, 1, 2)          # so the last case flagged 3
 
 
 def test_degenerate_prime_flagged_not_error():
@@ -193,8 +199,16 @@ def test_mertens_fit_flags_single_prime_divergence():
                                                      rel=1e-9)
 
 
+def test_twin_residues_at_every_prime():
+    """I_p = {0, -2 mod p} from the roots of n(n+2), also above 10^6."""
+    twin = twin_system()
+    assert twin.residues(1_000_003) == (0, 1_000_001)
+    for p in (int(p) for p in primes_upto(100_000)):
+        assert twin.residues(p) == tuple(sorted({0, (p - 2) % p})), p
+
+
 def test_mertens_fit_flags_twin_system():
-    rep = mertens_fit(twin_system(100_000), [1_000, 10_000, 100_000])
+    rep = mertens_fit(twin_system(), [1_000, 10_000, 100_000])
     assert rep.flagged_not_one_dimensional
 
 
