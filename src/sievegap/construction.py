@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cover as cover_mod
 from .constants import c_rho
-from .errors import DomainError
+from .errors import DomainError, EnumerationLimitError
 from .rng import derive_seed, substream
 from .systems import SievingSystem, estimate_rho, sigma
 from .window import ShiftVector, _strike, sift, verify_empty
@@ -31,6 +31,7 @@ DEFAULT_M = 4.6
 DEFAULT_K = 3
 DEFAULT_XI = 1.1
 CUM_BLOCK = 256      # weight-table cells per stored running sum
+MAX_TABLE_CELLS = 2 ** 30   # weight-table cells stage 2 may hold at once
 
 
 @dataclass
@@ -132,31 +133,48 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
 class WeightTable:
     H: float
     q: int
-    n_lo: int                    # values[k] is lambda at n = n_lo + k
-    values: np.ndarray
+    n_lo: int                    # codes[k] is the cell of n = n_lo + k
+    codes: np.ndarray            # |AP| per cell, or J + 1 where lambda = 0
+    lut: np.ndarray              # lambda of each code, shared by a scale
     total: float
+
+    @property
+    def values(self) -> np.ndarray:
+        """lambda per cell, expanded from the codes."""
+        return self.lut[self.codes]
 
     @cached_property
     def starts(self) -> np.ndarray:
         # running sums before each block of CUM_BLOCK cells, built on the
         # first draw: a draw sums only its own block, in the order np.cumsum
-        # adds the whole table, without a second table-sized array
+        # adds the whole table
         cum = np.cumsum(self.values)
         return np.r_[0.0, cum[CUM_BLOCK - 1::CUM_BLOCK]]
 
-    def n_at(self, u: float) -> int:
-        """The n drawn by the uniform u in [0, 1): the first cell whose
-        running sum exceeds u total."""
+    def n_at(self, u):
+        """The n drawn by each uniform in u (an array, or one float in
+        [0, 1)): the first cell whose running sum exceeds u total."""
         if self.total <= 0:
             raise DomainError("cannot sample from an all-zero weight table")
-        r = u * self.total
-        b = int(np.searchsorted(self.starts, r, side="right")) - 1
-        lo = b * CUM_BLOCK
-        c = np.cumsum(np.concatenate(
-            ([self.starts[b]], self.values[lo:lo + CUM_BLOCK])))
-        k = lo + int(np.searchsorted(c[1:], r, side="right"))
-        k = min(k, len(self.values) - 1)
-        return self.n_lo + k
+        r = np.atleast_1d(np.asarray(u, dtype=float)) * self.total
+        b = np.searchsorted(self.starts, r, side="right") - 1
+        # each draw's own block, zero-padded past the end of the table,
+        # summed from its stored start as np.cumsum sums the whole table
+        cell = (b * CUM_BLOCK)[:, None] + np.arange(CUM_BLOCK)
+        size = len(self.codes)
+        block = np.where(cell < size,
+                         self.lut[self.codes.take(cell, mode="clip")], 0.0)
+        c = np.cumsum(np.concatenate((self.starts[b, None], block), axis=1),
+                      axis=1)
+        k = b * CUM_BLOCK + (c[:, 1:] <= r[:, None]).sum(axis=1)
+        n = self.n_lo + np.minimum(k, size - 1)
+        return n if np.ndim(u) else int(n[0])
+
+
+def weight_lut(sigma2: float, J: int) -> np.ndarray:
+    """lambda by code: sigma2^{-k} for |AP| = k in 0..J, then 0 for the
+    code J + 1 of a progression that fails the (H^M, z] sieve."""
+    return np.r_[sigma2 ** -np.arange(J + 1, dtype=float), 0.0]
 
 
 def build_weight_tables(system: SievingSystem, params: Params,
@@ -168,6 +186,10 @@ def build_weight_tables(system: SievingSystem, params: Params,
     intersected with S_{H^M} + b1, when every element of AP also survives
     the primes in (H^M, z]; otherwise 0.  The stage-1 shift has no residue
     above z, so S_{H^M} is sieved by the primes <= min(H^M, z) only.
+
+    A table stores one code per cell, |AP| or J + 1 for 0: uint8 while
+    J + 1 < 255, int16 above.  The scale's lookup table, sigma2^{-k} for
+    k = 0..J followed by 0, maps codes to lambda.
 
     For each h, the members n + q h for all n form one contiguous slice of
     the window bitmaps, so |AP| is a sum of J shifted slices and the
@@ -190,18 +212,19 @@ def build_weight_tables(system: SievingSystem, params: Params,
     if system.active_primes(z, HM):
         s2 = sift(system, z, stage1_shift, lo_all, hi_all, z=HM)
         fails_s2 = in_s1 & ~s2.bits
+    lut = weight_lut(params.sigma2[H], J)
+    code_type = np.uint8 if J + 1 < 255 else np.int16
     out = {}
     for q in qs:
-        ap_sizes = np.zeros(cells, dtype=np.int32)
+        codes = np.zeros(cells, dtype=code_type)
         bad = np.zeros(cells, dtype=bool)
         for h in range(1, J + 1):
             off = n_lo + q * h - lo_all
-            ap_sizes += in_s1[off:off + cells]
+            codes += in_s1[off:off + cells]
             bad |= fails_s2[off:off + cells]
-        vals = params.sigma2[H] ** (-ap_sizes.astype(float))
-        vals[bad] = 0.0
-        out[q] = WeightTable(H=H, q=q, n_lo=n_lo, values=vals,
-                             total=float(vals.sum()))
+        codes[bad] = J + 1
+        out[q] = WeightTable(H=H, q=q, n_lo=n_lo, codes=codes, lut=lut,
+                             total=float(lut[codes].sum()))
     return out
 
 
@@ -217,40 +240,51 @@ def stage2_select(system: SievingSystem, params: Params,
                   mode: str = "sample") -> Stage2Result:
     """Choose n_q for each admissible q, with probability lambda / total.
 
-    mode "sample" draws independently per q; mode "cover" instead runs
-    the covering rounds over the stage-1 survivors in [1, y] using the
-    sampled progressions as edges, re-drawing n_q for indices whose edge
-    must land inside the still-alive set (with no survivors left it draws
-    as "sample" does).  q's whose weight table is identically zero are
-    reported as rejected.
+    mode "sample" draws independently per q, from each scale's tables as
+    soon as they are built; mode "cover" instead runs the covering rounds
+    over the stage-1 survivors in [1, y] using the sampled progressions as
+    edges, re-drawing n_q for indices whose edge must land inside the
+    still-alive set (with no survivors left it draws as "sample" does).
+    q's whose weight table is identically zero are reported as rejected.
+    Raises EnumerationLimitError, before building any table, when the
+    tables held at once would exceed MAX_TABLE_CELLS cells: every table in
+    cover mode, one scale's in sample mode.
     """
     if mode not in ("sample", "cover"):
         raise DomainError(f"unknown stage-2 mode {mode!r}")
-    rejected: list[int] = []
-    built = 0
-    all_tables: dict[int, WeightTable] = {}
-    for H in params.scales:
-        if H not in params.Q:
-            continue
-        tables = build_weight_tables(system, params, stage1_shift, H)
-        built += len(tables)
-        for q, tab in tables.items():
-            if tab.total <= 0:
-                rejected.append(q)
-            else:
-                all_tables[q] = tab
-    if not all_tables:
-        return Stage2Result(chosen={}, rejected=rejected, tables_built=built)
+    cells = [len(params.Q[H]) * (params.K + 1) * params.y
+             for H in params.scales if H in params.Q]
+    held = sum(cells) if mode == "cover" else max(cells, default=0)
+    if held > MAX_TABLE_CELLS:
+        raise EnumerationLimitError(
+            f"stage 2 would hold {held} weight-table cells at once, above "
+            f"{MAX_TABLE_CELLS}; use a smaller --x or fewer --force-scales")
     # cover mode: survivors of the full stage-1 sieve inside [1, y] are the
     # vertices; each q's sampler draws n ~ lambda and emits the portion of
     # its progression that is still alive among the vertices.
     surv = sift(system, params.z_eff, stage1_shift, 1, params.y).members() \
         if mode == "cover" else ()
-    if len(surv) == 0:
-        chosen = {q: tab.n_at(substream(seed, "stage2", q).random())
-                  for q, tab in sorted(all_tables.items())}
-        return Stage2Result(chosen=chosen, rejected=rejected,
-                            tables_built=built)
+    rejected: list[int] = []
+    built = 0
+    all_tables: dict[int, WeightTable] = {}      # kept only for covering
+    chosen: dict[int, int] = {}
+    for H in params.scales:
+        if H not in params.Q:
+            continue
+        # iterating the returned dict holds no other reference to it, so a
+        # scale's tables that are drawn at once are freed before the next
+        for q, tab in build_weight_tables(system, params, stage1_shift,
+                                          H).items():
+            built += 1
+            if tab.total <= 0:
+                rejected.append(q)
+            elif len(surv):
+                all_tables[q] = tab
+            else:
+                chosen[q] = tab.n_at(substream(seed, "stage2", q).random())
+    if not all_tables:
+        return Stage2Result(chosen=dict(sorted(chosen.items())),
+                            rejected=rejected, tables_built=built)
     order = sorted(all_tables)
 
     class _ProgressionEdge(cover_mod.EdgeSampler):
@@ -259,8 +293,7 @@ def stage2_select(system: SievingSystem, params: Params,
             self.steps = tab.q * np.arange(1, int(params.K * tab.H) + 1)
 
         def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            ns = np.array([self.tab.n_at(x) for x in u.tolist()])
-            ap = ns[:, None] + self.steps[None, :]
+            ap = self.tab.n_at(u)[:, None] + self.steps[None, :]
             pos = np.minimum(np.searchsorted(surv, ap), len(surv) - 1)
             hit = surv[pos] == ap
             return ap[hit], hit.sum(axis=1)

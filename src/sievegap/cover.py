@@ -24,6 +24,7 @@ from .rng import derive_seed, uniforms
 ASSIGN_RETRY_CAP = 100
 RESAMPLE_FACTOR = 5.0       # attempts per index ~ factor / alive fraction
 RESAMPLE_HARD_CAP = 20_000  # < 2^rng.ATTEMPT_BITS, so attempts never collide
+DEGREE_CHUNK = 1 << 22      # partial sums the degree check holds at once
 
 
 class EdgeSampler:
@@ -149,6 +150,27 @@ def _distinct_probs(instance: CoverInstance):
     return first, probs
 
 
+def _degree_sums(instance: CoverInstance, probs: dict) -> np.ndarray:
+    """sum_i Pr(v in e_i) for each vertex v, added in index order as the
+    loop degree += probs[i] adds it.
+
+    Vertices whose probabilities agree under every distinct sampler see
+    the same sequence of terms, so the sequential sum (np.add.accumulate,
+    never pairwise) runs once per distinct column of the stacked
+    probabilities, DEGREE_CHUNK partial sums at a time.
+    """
+    row = {k: r for r, k in enumerate(probs)}
+    seq = np.array([row[id(sm)] for sm in instance.samplers])
+    cols, inv = np.unique(np.stack(list(probs.values())), axis=1,
+                          return_inverse=True)
+    sums = np.empty(cols.shape[1])
+    step = max(1, DEGREE_CHUNK // len(seq))
+    for c in range(0, len(sums), step):
+        sums[c:c + step] = np.add.accumulate(cols[seq, c:c + step],
+                                             axis=0)[-1]
+    return sums[inv.reshape(-1)]
+
+
 def check_hypotheses(instance: CoverInstance, delta: float,
                      y: float | None = None) -> HypothesisReport:
     """Verify the covering hypotheses at scale y (default max(|V|, s)).
@@ -189,9 +211,7 @@ def check_hypotheses(instance: CoverInstance, delta: float,
     conds.append(ConditionReport("codegree", codeg <= codeg_cap,
                                  float(codeg), codeg_cap))
 
-    degree = np.zeros(len(instance.vertices))
-    for sm in instance.samplers:
-        degree += probs[id(sm)]
+    degree = _degree_sums(instance, probs)
     dev = np.abs(degree - instance.C2)
     j = int(np.argmax(dev))
     conds.append(ConditionReport("degree_uniform", float(dev[j]) <= instance.eta,

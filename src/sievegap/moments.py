@@ -219,8 +219,8 @@ def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
                 for q, tab in tables.items():
                     for h in range(1, J + 1):
                         k = members - q * h - tab.n_lo
-                        valid = (k >= 0) & (k < len(tab.values))
-                        lam = tab.values.take(k, mode="clip")
+                        valid = (k >= 0) & (k < len(tab.codes))
+                        lam = tab.lut[tab.codes.take(k, mode="clip")]
                         inner += np.where(valid, lam, 0.0)
                 # a sequential sum: np.sum adds pairwise, in another order
                 v = 0.0

@@ -240,6 +240,10 @@ BAD_FLAGS = {
     "cover-demo-vertices-0": ["cover-demo", "--vertices", "0"],
     "cover-demo-c2-0": _COVER + ["--c2", "0"],
     "cover-demo-edges-0": _COVER + ["--edges", "0"],
+    # stage 2 would hold 2.4e9 weight-table cells, above MAX_TABLE_CELLS
+    "construct-table-cells-cap": ["construct", "--system", "eratosthenes",
+                                  "--x", "300000", "--force-scales", "2",
+                                  "3", "--mode", "cover"],
 }
 
 

@@ -12,8 +12,9 @@ from sievegap.construction import (CUM_BLOCK, DEFAULT_M, Params,
                                    WeightTable, _survivors_above,
                                    apply_stage2, build_weight_tables,
                                    construct, derive_params, stage2_select,
-                                   stage3_cleanup, trivial_baseline)
-from sievegap.errors import DomainError
+                                   stage3_cleanup, trivial_baseline,
+                                   weight_lut)
+from sievegap.errors import DomainError, EnumerationLimitError
 from sievegap.primes import primes_in_range
 from sievegap.rng import substream
 from sievegap.systems import (SievingSystem, eratosthenes, polynomial_system,
@@ -81,9 +82,15 @@ def gather_weight_tables(system, params, stage1_shift, H):
         bad = (in_s1 & ~in_s2).any(axis=1)
         vals = sigma2 ** (-ap_sizes.astype(float))
         vals[bad] = 0.0
-        out[q] = WeightTable(H=H, q=q, n_lo=n_lo, values=vals,
-                             total=float(vals.sum()))
+        out[q] = float_table(H, q, n_lo, vals)
     return out
+
+
+def float_table(H, q, n_lo, vals):
+    """A WeightTable holding an arbitrary float table: cell k has the code
+    k, and the lookup table is the floats themselves."""
+    return WeightTable(H=H, q=q, n_lo=n_lo, codes=np.arange(len(vals)),
+                       lut=vals, total=float(vals.sum()))
 
 
 def small_params(system=ERA, **overrides) -> Params:
@@ -266,9 +273,45 @@ def test_build_weight_tables_matches_gather_oracle():
             want = gather_weight_tables(sys_, params, b, H)
             assert list(got) == list(want)
             for q, tab in want.items():
+                assert got[q].codes.dtype == np.uint8
                 assert np.array_equal(got[q].values, tab.values)
                 assert np.array_equal(got[q].starts, tab.starts)
                 assert got[q].total == tab.total
+
+
+def test_build_weight_tables_int16_codes_past_uint8():
+    """At H = 90, J = 270 and the rejection code 271 do not fit a uint8:
+    the codes are int16 and expand to the float gather's values.  M is
+    lowered so that H^M < z_eff and the (H^M, z] sieve rejects some cells
+    but not all."""
+    H, M = 90.0, 1.84
+    p = derive_params(ERA, 10_000, force_scales=[H])
+    p = dataclasses.replace(
+        p, M=M, sigma2={H: oracle_sigma2(ERA, H, M, p.z_eff)})
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(3, "stage1"))
+    got = build_weight_tables(ERA, p, b, H)
+    want = gather_weight_tables(ERA, p, b, H)
+    assert list(got) == list(want) == p.Q[H]
+    for q, tab in want.items():
+        codes = got[q].codes
+        assert codes.dtype == np.int16
+        assert 0 < np.count_nonzero(codes == int(p.K * H) + 1) < len(codes)
+        assert np.array_equal(got[q].values, tab.values)
+        assert got[q].total == tab.total
+
+
+def test_weight_lut_equals_per_cell_power():
+    """lut[k] is the float that the per-cell power sigma2 ** -k gives, bit
+    for bit, over arrays as long as a table: a numpy whose vectorised
+    power rounds by position or by lane would fail here."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        sigma2 = float(rng.uniform(0.2, 1.0))
+        J = int(rng.integers(1, 300))
+        lut = weight_lut(sigma2, J)
+        codes = rng.integers(0, J + 1, size=4 * 1024 + int(rng.integers(64)))
+        assert np.array_equal(lut[codes], sigma2 ** (-codes.astype(float)))
+        assert lut[J + 1] == 0.0
 
 
 def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
@@ -319,7 +362,7 @@ def test_stage2_point_mass():
     k_star = int(np.argmax(tab.values))
     point = np.zeros_like(tab.values)
     point[k_star] = 1.0
-    tab = dataclasses.replace(tab, values=point, total=1.0)
+    tab = float_table(tab.H, tab.q, tab.n_lo, point)
     for t in range(20):
         assert tab.n_at(substream(5, "s", t).random()) == tab.n_lo + k_star
 
@@ -333,13 +376,16 @@ def test_n_at_matches_whole_table_search():
         vals = np.array([rng.random() * (rng.random() < 0.6)
                          for _ in range(size)])
         vals[0] += 0.5
-        tab = WeightTable(H=2.0, q=29, n_lo=-7, values=vals,
-                          total=float(vals.sum()))
+        tab = float_table(2.0, 29, -7, vals)
         cum = np.cumsum(vals)
-        for u in [rng.random() for _ in range(100)] + [0.0] + \
-                [c / tab.total for c in cum]:
+        us = [rng.random() for _ in range(100)] + [0.0] + \
+            [c / tab.total for c in cum]
+        want = []
+        for u in us:
             k = int(np.searchsorted(cum, u * tab.total, side="right"))
-            assert tab.n_at(u) == tab.n_lo + min(k, size - 1)
+            want.append(tab.n_lo + min(k, size - 1))
+            assert tab.n_at(u) == want[-1]
+        assert tab.n_at(np.array(us)).tolist() == want
 
 
 def test_stage2_sampling_frequencies():
@@ -363,6 +409,40 @@ def test_stage2_cover_mode_supported():
     tables = build_weight_tables(ERA, p, b, 2.0)
     for q, n in r.chosen.items():
         assert tables[q].values[n - tables[q].n_lo] > 0
+
+
+def test_stage2_caps_table_cells_before_building(monkeypatch):
+    """Stage 2 refuses to hold more than MAX_TABLE_CELLS cells at once,
+    before it builds any table: every scale's tables in cover mode, the
+    largest scale's in sample mode, which draws from each scale's tables
+    and drops them before building the next."""
+    from sievegap import construction
+    p = derive_params(ERA, 2_950, force_scales=[2.0, 3.0])
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(1, "stage1"))
+    cells = [len(p.Q[H]) * (p.K + 1) * p.y for H in p.scales]
+    want = {mode: stage2_select(ERA, p, b, seed=5, mode=mode)
+            for mode in ("sample", "cover")}
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_weight_tables(*args)
+
+    monkeypatch.setattr(construction, "build_weight_tables", spy)
+    for cap, refused in ((sum(cells) - 1, {"cover"}),
+                         (max(cells) - 1, {"sample", "cover"}),
+                         (sum(cells), set())):
+        monkeypatch.setattr(construction, "MAX_TABLE_CELLS", cap)
+        for mode in ("sample", "cover"):
+            calls.clear()
+            if mode in refused:
+                with pytest.raises(EnumerationLimitError):
+                    stage2_select(ERA, p, b, seed=5, mode=mode)
+                assert calls == []
+            else:
+                assert stage2_select(ERA, p, b, seed=5, mode=mode) == \
+                    want[mode]
+                assert len(calls) == len(p.scales)
 
 
 def test_stage2_rejects_every_all_zero_table():

@@ -112,6 +112,44 @@ def test_hypotheses_and_profile_equal_the_per_index_loop():
     assert np.array_equal(degree_profile(inst, part).degrees, expect)
 
 
+class TableEdge(SparseEdge):
+    """Inclusion probabilities read from a fixed per-vertex array."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def inclusion_probs(self, vertices):
+        return self.probs[vertices]
+
+
+# with 300 indices: one column per chunk, three, and all at once
+@pytest.mark.parametrize("chunk", [1, 3 * 300, 1 << 22])
+def test_degree_check_equals_the_sequential_loop(monkeypatch, chunk):
+    """The degree sum runs once per distinct column of probabilities, a
+    chunk of columns at a time, and still equals the loop degree +=
+    probs in index order bit for bit, offender included."""
+    from sievegap import cover
+    monkeypatch.setattr(cover, "DEGREE_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    n = 500
+    # a few distinct values per sampler, so that many vertices share a
+    # column and the columns still differ
+    samplers = [TableEdge(rng.choice(rng.random(3) / 40, size=n))
+                for _ in range(5)]
+    inst = CoverInstance(vertices=np.arange(n, dtype=np.int64),
+                         samplers=[samplers[k] for k in
+                                   rng.integers(0, 5, size=300)],
+                         eta=0.05, C2=4.0)
+    degree = np.zeros(n)
+    for sm in inst.samplers:
+        degree += sm.inclusion_probs(inst.vertices)
+    dev = np.abs(degree - 4.0)
+    [cond] = [c for c in check_hypotheses(inst, 0.25, y=1e5).conditions
+              if c.name == "degree_uniform"]
+    assert (cond.worst, cond.offender) == (float(dev.max()),
+                                           int(np.argmax(dev)))
+
+
 # ---------------------------------------------------------------------------
 # round planning
 
