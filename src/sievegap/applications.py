@@ -47,9 +47,10 @@ class RunResult:
 def composite_run_bruteforce(f, X: int) -> RunResult:
     """Longest run of consecutive n in [1, X] with f(n) not prime.
 
-    Values with |f(n)| <= 1 (and negatives) count as non-prime.  A
-    presieve marks n where a small prime divides f(n); only unmarked
-    values reach the primality test.  Ties break to the smallest start.
+    f(n) counts as prime when |f(n)| is prime, so a negative value -q
+    with q prime is prime, and |f(n)| <= 1 is not.  A presieve marks n
+    where a small prime divides f(n); only unmarked values reach the
+    primality test.  Ties break to the smallest start.
     """
     poly = _as_poly(f)
     if X < 1 or X > _BRUTE_X_CAP:
@@ -57,7 +58,7 @@ def composite_run_bruteforce(f, X: int) -> RunResult:
     system = polynomial_system(poly)
     # spf[n] = smallest presieve prime dividing f(n), or 0
     spf = np.zeros(X + 1, dtype=np.int32)
-    for p in reversed([int(p) for p in primes_upto(_PRESIEVE_LIMIT)]):
+    for p in reversed(system.active_primes(_PRESIEVE_LIMIT)):
         for r in system.residues(p):
             spf[r::p] = p
     best_start, best_len = 1, 0
@@ -140,9 +141,11 @@ def _greedy_empty_shift(system: SievingSystem, primes: list[int], x: int,
 def _pick_cutoff(system: SievingSystem, X: int) -> int:
     """Largest prime cutoff x whose active-prime product stays <= X/4,
     so the CRT-mapped run fits inside [X/2, X]."""
+    limit = max(100, int(math.log(X) ** 2))
+    active = set(system.active_primes(limit))
     prod, x = 1, 2
-    for p in (int(p) for p in primes_upto(max(100, int(math.log(X) ** 2)))):
-        if system.residues(p):
+    for p in primes_upto(limit).tolist():
+        if p in active:
             if prod * p > X // 4:
                 break
             prod *= p

@@ -1,20 +1,27 @@
 """Prime generation and primality testing.
 
-The deterministic Miller-Rabin witness set is valid for every 64-bit
-input; larger inputs fall back to a seeded probabilistic test and the
-result is flagged accordingly.
+Miller-Rabin is deterministic below psi_13 ~ 3.3e24 (OEIS A014233),
+using the fewest prime bases proven for the input's range; larger
+inputs fall back to a seeded probabilistic test and the result is
+flagged accordingly.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 import numpy as np
 
-# Witnesses proven sufficient for all n < 3_317_044_064_679_887_385_961_981
-# (covers the full 64-bit and most of the 128-bit range we ever scan).
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# OEIS A014233: psi_k is the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases, so those k bases decide
+# every n < psi_k (psi_12 and psi_13: Sorenson and Webster, Math. Comp. 2017)
+_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+        3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+        3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+        3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+        3_317_044_064_679_887_385_961_981)
+_DETERMINISTIC_BOUND = _PSI[-1]
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -106,7 +113,7 @@ def primality(n: int) -> tuple[bool, str]:
         d //= 2
         s += 1
     if n < _DETERMINISTIC_BOUND:
-        for a in _DETERMINISTIC_WITNESSES:
+        for a in _TRIAL_PRIMES[:bisect_right(_PSI, n) + 1]:
             if _mr_witness(n, a, d, s):
                 return False, "deterministic"
         return True, "deterministic"

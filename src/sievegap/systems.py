@@ -24,7 +24,7 @@ from .errors import DegenerateSystemError, DomainError
 from .primes import is_prime, primes_in_range
 
 SIGMA_PRECISION_BITS = 120      # >= 80-bit significand requirement
-BRUTE_ROOT_LIMIT = 100_000      # brute-force root finding cap on p
+MAX_ROOT_PRIME = 1 << 31        # residue products stay in int64 below
 DRIFT_TOL = 0.1                 # relative last step that flags a drift
 
 
@@ -169,22 +169,168 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     return r
 
 
-def _roots_brute(poly: IntPolynomial, p: int) -> tuple[int, ...]:
-    """All n in [0, p) with poly(n) == 0 mod p, by direct evaluation."""
-    d = poly.degree
-    if p <= d or p <= 3:
-        # tiny modulus: exact integer evaluation (d! may vanish mod p)
-        return tuple(n for n in range(p) if poly(n) % p == 0)
-    if p > BRUTE_ROOT_LIMIT:
-        raise DomainError(
-            f"brute-force root finding capped at p <= {BRUTE_ROOT_LIMIT} (got {p})")
-    coeffs, _ = poly.scaled_standard_coeffs()
-    cm = [c % p for c in coeffs]
-    ns = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(cm):
-        vals = (vals * ns + c) % p
-    return tuple(int(n) for n in np.flatnonzero(vals == 0))
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod_poly(a: list[int], b: list[int],
+                 p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b mod p (coefficient lists, lowest
+    first, b with a nonzero leading coefficient)."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        q[i - db] = c
+        if c:
+            for j in range(db):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    return q, _trim(r[:db])
+
+
+def _gcd_poly(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a (nonzero) and b mod p."""
+    while b:
+        a, b = b, _divmod_poly(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _inverse_mod(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c^(p-2) mod p elementwise: the inverse of c, nonzero mod prime p."""
+    e = p - 2
+    r = np.ones_like(c)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = r * r % p
+        r = np.where((e >> bit) & 1 == 1, r * c % p, r)
+    return r
+
+
+def _square_mod(r: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """r^2 mod (f, p), one column per prime.
+
+    r and f have shape (k, n): row j holds the coefficient of x^j, and f
+    holds the low coefficients of the monic modulus x^k + f.  Residues
+    stay below p < 2^31, so every product fits in int64."""
+    k = len(f)
+    prod = np.zeros((2 * k - 1, r.shape[1]), dtype=np.int64)
+    for i in range(k):
+        prod[i:i + k] += r[i] * r % p
+    prod %= p
+    for t in range(2 * k - 2, k - 1, -1):      # x^t = x^(t-k) (x^k - f)
+        prod[t - k:t] -= prod[t] * f % p
+        prod[t - k:t] %= p
+    return prod[:k]
+
+
+def _pow_x_plus_a(a: int, e: np.ndarray, f: np.ndarray,
+                  p: np.ndarray) -> np.ndarray:
+    """(x + a)^e mod (f, p) for every column, e[i] the i-th exponent:
+    square and multiply from the top bit, each column taking the
+    multiplication where its own exponent has the bit."""
+    k, n = f.shape
+    r = np.zeros((k, n), dtype=np.int64)
+    r[0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = _square_mod(r, f, p)
+        xr = np.zeros_like(r)                  # x r = shift - top * f
+        xr[1:] = r[:-1]
+        xr = (xr - r[-1] * f % p + a * r) % p
+        r = np.where((e >> bit) & 1 == 1, xr, r)
+    return r
+
+
+def _small_roots(g: list[int], p: int) -> list[int] | None:
+    """Roots of a monic g that is a product of distinct linear factors mod
+    p, when its degree is at most 2; None for higher degrees."""
+    if len(g) > 3:
+        return None
+    if len(g) < 3:
+        return [-g[0] % p] if len(g) == 2 else []
+    b, c = g[1], g[0]
+    r = sqrt_mod_p(b * b - 4 * c, p)
+    half = (p + 1) // 2
+    return [(-b + r) * half % p, (-b - r) * half % p]
+
+
+def _roots_mod_primes(coeffs: Sequence[int],
+                      primes: list[int]) -> list[tuple[int, ...]]:
+    """Sorted roots mod p of sum_j coeffs[j] x^j, for each of ``primes``.
+
+    Every prime must be odd and below 2^31.  For all primes at once:
+    f made monic mod p, then x^p mod (f, p) by vectorised square and
+    multiply.  Per prime, g = gcd(f, x^p - x) is the product of (x - r)
+    over the distinct roots r, and Cantor-Zassenhaus rounds split g: round
+    a computes (x + a)^((p-1)/2) mod (g, p) for every pending g of one
+    degree at once, and gcd(g, that - 1) separates the roots r with r + a
+    a nonzero square.  Some a below p splits any two roots, and the roots
+    do not depend on the a tried, so a simply counts up from 0.  A prime
+    dividing the leading coefficient is solved for the lower-degree
+    polynomial, and a prime dividing every coefficient forbids all p
+    classes.
+    """
+    if primes and max(primes) >= MAX_ROOT_PRIME:
+        raise DomainError(f"root finding mod p needs p < {MAX_ROOT_PRIME} "
+                          f"(got {max(primes)})")
+    coeffs = _trim(list(coeffs))
+    if len(coeffs) <= 1:
+        c = coeffs[0] if coeffs else 0
+        return [tuple(range(p)) if c % p == 0 else () for p in primes]
+    out: list = [None] * len(primes)
+    lead = coeffs[-1]
+    low = [i for i, p in enumerate(primes) if lead % p == 0]
+    if low:
+        sub = _roots_mod_primes(coeffs[:-1], [primes[i] for i in low])
+        for i, res in zip(low, sub):
+            out[i] = res
+    idx = [i for i, p in enumerate(primes) if lead % p]
+    qs = [primes[i] for i in idx]
+    if len(coeffs) == 2:
+        for i, p in zip(idx, qs):
+            out[i] = (-coeffs[0] * pow(coeffs[1], -1, p) % p,)
+        return out
+    if not qs:
+        return out
+    ps = np.array(qs, dtype=np.int64)
+    c = np.array([[coef % p for p in qs] for coef in coeffs], dtype=np.int64)
+    f = c[:-1] * _inverse_mod(c[-1], ps) % ps
+    h = _pow_x_plus_a(0, ps, f, ps)            # x^p mod (f, p)
+    h[1] = (h[1] - 1) % ps
+    # (position in qs, monic factor of f whose roots are distinct roots of f)
+    todo = [(j, _gcd_poly(fj + [1], _trim(hj), p)) for j, (fj, hj, p)
+            in enumerate(zip(f.T.tolist(), h.T.tolist(), qs))]
+    roots: list[list[int]] = [[] for _ in qs]
+    a = 0
+    while todo:
+        pending = []
+        for j, g in todo:
+            rs = _small_roots(g, qs[j])
+            if rs is None:
+                pending.append((j, g))
+            else:
+                roots[j] += rs
+        todo = []
+        for k in sorted({len(g) for _, g in pending}):
+            batch = [(j, g) for j, g in pending if len(g) == k]
+            ps = np.array([qs[j] for j, _ in batch], dtype=np.int64)
+            gl = np.array([g[:-1] for _, g in batch], dtype=np.int64).T
+            hs = _pow_x_plus_a(a, (ps - 1) // 2, gl, ps)
+            for (j, g), hj in zip(batch, hs.T.tolist()):
+                p = qs[j]
+                hj[0] = (hj[0] - 1) % p
+                g1 = _gcd_poly(g, _trim(hj), p)
+                if 1 < len(g1) < len(g):
+                    todo += [(j, g1), (j, _divmod_poly(g, g1, p)[0])]
+                else:
+                    todo.append((j, g))
+        a += 1
+    for i, rs in zip(idx, roots):
+        out[i] = tuple(sorted(rs))
+    return out
 
 
 def _roots_quadratic(poly: IntPolynomial, p: int) -> tuple[int, ...]:
@@ -236,9 +382,11 @@ class DensityReport:
 class SievingSystem:
     """Residue classes I_p per prime, with metadata.
 
-    ``residues`` is the one source of I_p: it serves each prime from a
-    single cache and, on a miss only, checks primality and computes the
-    table.  Every count, activity test and degeneracy test reads it.
+    One cache holds I_p.  ``residues`` serves one prime from it and, on
+    a miss only, checks primality and computes the table;
+    ``active_primes`` computes the tables of all its uncached primes in
+    one batch.  Every count, activity test and degeneracy test reads the
+    cache through these two.
     """
 
     def __init__(self, kind: str, *, poly: IntPolynomial | None = None,
@@ -260,17 +408,40 @@ class SievingSystem:
 
     # -- residue tables ----------------------------------------------------
 
-    def _raw_residues(self, p: int) -> tuple[int, ...]:
+    def _raw_residues(self, primes: list[int]) -> list[tuple[int, ...]]:
+        """I_p for each of ``primes``; polynomial roots for every prime
+        above max(d, 3) are found together."""
         if self.kind == "eratosthenes":
-            return (0,)
+            return [(0,)] * len(primes)
         if self.kind == "table":
-            return tuple(sorted(set(self.table.get(p, ()))))
+            return [tuple(sorted(set(self.table.get(p, ())))) for p in primes]
         assert self.poly is not None
-        if p <= self.degree_d and self.small_prime_mode == "empty":
-            return ()
-        if self.degree_d == 2 and p > 2:
-            return _roots_quadratic(self.poly, p)
-        return _roots_brute(self.poly, p)
+        poly, d = self.poly, self.degree_d
+        out: dict[int, tuple[int, ...]] = {}
+        batch = []
+        for p in primes:
+            if p <= d and self.small_prime_mode == "empty":
+                out[p] = ()
+            elif d == 2 and p > 2:
+                out[p] = _roots_quadratic(poly, p)
+            elif p <= max(d, 3):
+                # tiny modulus: exact evaluation (d! may vanish mod p)
+                out[p] = tuple(n for n in range(p) if poly(n) % p == 0)
+            else:
+                batch.append(p)
+        if batch:
+            coeffs = poly.scaled_standard_coeffs()[0]
+            out.update(zip(batch, _roots_mod_primes(coeffs, batch)))
+        return [out[p] for p in primes]
+
+    def _store(self, primes: list[int]) -> list[tuple[int, ...]]:
+        """Compute and cache I_p for ``primes``, all prime."""
+        tables = self._raw_residues(primes)
+        for p, res in zip(primes, tables):
+            if len(res) == p:
+                self.degenerate_primes.add(p)
+            self._cache[p] = res
+        return tables
 
     def residues(self, p: int) -> tuple[int, ...]:
         """Sorted forbidden residue set I_p (cached)."""
@@ -279,15 +450,17 @@ class SievingSystem:
             return res
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        res = self._raw_residues(p)
-        if len(res) == p:
-            self.degenerate_primes.add(p)
-        self._cache[p] = res
-        return res
+        return self._store([p])[0]
 
     def active_primes(self, x: float, z: float = 1) -> list[int]:
-        """Primes p in (z, x] with I_p nonempty."""
-        return [p for p in map(int, primes_in_range(z, x)) if self.residues(p)]
+        """Primes p in (z, x] with I_p nonempty; the tables of all those
+        not yet cached are computed in one batch."""
+        primes = primes_in_range(z, x).tolist()
+        cache = self._cache
+        missing = [p for p in primes if p not in cache]
+        if missing:
+            self._store(missing)
+        return [p for p in primes if cache[p]]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sievegap.systems import SievingSystem
@@ -66,6 +67,21 @@ def binomial_eval(poly, n: int) -> int:
         return math.comb(m, k) if m >= 0 else \
             (-1) ** k * math.comb(-m + k - 1, k)
     return sum(a * binom(n, j) for j, a in enumerate(poly.binomial_coeffs))
+
+
+def brute_roots(poly, p: int) -> tuple[int, ...]:
+    """Evaluation oracle for I_p of a polynomial system: every n in
+    [0, p) with poly(n) == 0 mod p.  Above max(d, 3) it evaluates d! f
+    by Horner's rule over the whole of [0, p) in numpy; d! is invertible
+    mod such p, so d! f and f have the same roots."""
+    if p <= max(poly.degree, 3):
+        return tuple(n for n in range(p) if poly(n) % p == 0)
+    coeffs, _ = poly.scaled_standard_coeffs()
+    ns = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals = (vals * ns + c % p) % p
+    return tuple(int(n) for n in np.flatnonzero(vals == 0))
 
 
 def brute_gap(members: list[int], lo: int, hi: int):

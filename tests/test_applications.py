@@ -51,6 +51,12 @@ def test_brute_run_matches_direct_scan():
     assert (r.start, r.length) == (best_start, best)
 
 
+def test_brute_run_negative_values_test_their_absolute_value():
+    # |n - 10| on [1, 12] is prime at n = 3, 5, 7, 8 and 12
+    r = composite_run_bruteforce("n-10", 12)
+    assert (r.start, r.length) == (9, 3)
+
+
 def test_brute_run_tie_breaks_smallest_start():
     # f(n) = n on [1, 10]: runs 1, 8..10 -> wait, scan directly instead
     r = composite_run_bruteforce("n", 10)

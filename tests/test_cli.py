@@ -309,6 +309,21 @@ def test_system_info_twin_warns(capsys):
     assert "one-dimensional" in capsys.readouterr().err
 
 
+def test_system_info_cubic_past_1e5():
+    """Roots of a cubic mod every prime <= 2e5: no cap on p."""
+    rep = run_json(["system-info", "--file", "poly:n^3+2", "--x", "200000"])
+    validate(rep)
+    assert rep["result"]["x"] == 200000
+
+
+def test_composite_runs_psi12_is_composite():
+    """f(1) = psi_12 = 399165290221 * 798330580441, a strong pseudoprime
+    to the twelve prime bases 2..37, and f(2) is even."""
+    rep = run_json(["composite-runs", "--poly", "n+318665857834031151167460",
+                    "--X", "2"])
+    assert (rep["result"]["start"], rep["result"]["length"]) == (1, 2)
+
+
 def test_system_info_eratosthenes_clean():
     rep = run_json(["system-info", "--file", "eratosthenes", "--x", "10000"])
     assert not rep["result"]["flagged_not_one_dimensional"]

@@ -22,6 +22,9 @@ _MOMENTS_06 = ("--x", "2950", "--delta", "0.001", "--force-z", "200",
 CASES = {
     "system-info-cubic": ("system-info", "--file", "poly:n^3+2",
                           "--x", "3000"),
+    # its figures were written by evaluating n^3+2 at every class mod p
+    "system-info-cubic-1e5": ("system-info", "--file", "poly:n^3+2",
+                              "--x", "100000"),
     "system-info-quadratic": ("system-info", "--file", "poly:n^2+1",
                               "--x", "5000"),
     "system-info-twin": ("system-info", "--file", "twin", "--x", "1000"),

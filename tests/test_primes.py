@@ -2,7 +2,9 @@
 
 import random
 
-from sievegap.primes import is_prime, primality, primes_upto
+import pytest
+
+from sievegap.primes import is_prime, primality, primes_upto, sieve_flags
 
 
 def test_is_prime_matches_miller_rabin_inside_and_beyond_sieve():
@@ -12,3 +14,50 @@ def test_is_prime_matches_miller_rabin_inside_and_beyond_sieve():
     ns += list(range(10 ** 12, 10 ** 12 + 2000))      # beyond any sieve
     for n in ns:
         assert is_prime(n) == primality(n)[0], n
+
+
+# OEIS A014233: psi_k, the least odd strong pseudoprime to each of the
+# first k prime bases
+A014233 = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+           3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+           3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+           3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+           3_317_044_064_679_887_385_961_981)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s))
+
+
+def test_a014233_strong_pseudoprimes_are_composite():
+    for k, psi in enumerate(A014233, start=1):
+        # the table's values: psi_k fools the first k bases
+        assert all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k])
+        assert primality(psi)[0] is False, psi
+    assert primality(399165290221 * 798330580441) == (False, "deterministic")
+    assert primality(A014233[-1])[1] == "probabilistic"
+
+
+def test_primality_matches_sieve_up_to_1e6():
+    flags = sieve_flags(10 ** 6)
+    assert [n for n in range(10 ** 6 + 1) if primality(n)[0] != flags[n]] == []
+
+
+def test_primality_matches_sympy_below_psi13():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2017)
+    ns = []
+    for _ in range(1500):
+        bits = rng.randint(8, A014233[-1].bit_length())
+        ns.append(rng.randrange(1 << (bits - 1), 1 << bits) | 1)
+        lo = 1 << (bits // 2)
+        ns.append(sympy.randprime(lo, 2 * lo) * sympy.randprime(lo, 2 * lo))
+        ns.append(sympy.randprime(1 << (bits - 1), 1 << bits))
+    ns += [psi + delta for psi in A014233 for delta in (-2, 2)]
+    for n in (n for n in ns if n < A014233[-1]):
+        assert primality(n) == (sympy.isprime(n), "deterministic"), n

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import binomial_eval, random_table_system
+from conftest import binomial_eval, brute_roots, random_table_system
 from mpmath import mp
 
+from sievegap import systems
 from sievegap.errors import DomainError
-from sievegap.primes import is_prime, primes_upto
+from sievegap.primes import is_prime, primes_in_range, primes_upto
 from sievegap.systems import (SIGMA_PRECISION_BITS, IntPolynomial,
                               SievingSystem, eratosthenes, estimate_rho,
                               mertens_fit, period, polynomial_system, sigma,
@@ -95,6 +96,70 @@ def test_quadratic_fast_path_matches_bruteforce():
         assert sys_.residues(p) == brute
         assert (p in sys_.degenerate_primes) == (len(brute) == p)
     assert brute == (0, 1, 2)          # so the last case flagged 3
+
+
+# n^3-n splits completely at every prime; 7n^3+n+1 loses its leading
+# coefficient at 7, where its root is that of n+1; 5n^3+5 vanishes at 5
+BATCH_POLYS = ["n^3+2", "n^3-n", "n^4+n+7", "n^5-3n+1", "7n^3+n+1",
+               "5n^3+5"]
+
+
+@pytest.mark.parametrize("text", BATCH_POLYS)
+def test_active_primes_batch_matches_evaluation_oracle(text):
+    sys_ = polynomial_system(text)
+    primes = [int(p) for p in primes_upto(20_000)]
+    active = sys_.active_primes(20_000)
+    want = {p: brute_roots(sys_.poly, p) for p in primes}
+    assert active == [p for p in primes if want[p]]
+    assert all(sys_.residues(p) == want[p] for p in primes)
+    assert sys_.degenerate_primes == {p for p in primes
+                                      if len(want[p]) == p}
+
+
+def test_batch_special_primes():
+    assert polynomial_system("n^3-n").residues(19_997) == (0, 1, 19_996)
+    assert polynomial_system("7n^3+n+1").residues(7) == (6,)
+    five = polynomial_system("5n^3+5")
+    assert five.residues(5) == (0, 1, 2, 3, 4)
+    assert five.degenerate_primes == {5}
+
+
+def test_active_primes_finds_all_misses_in_one_batch(monkeypatch):
+    calls = []
+    batch = systems._roots_mod_primes
+
+    def counted(coeffs, primes):
+        calls.append(len(primes))
+        return batch(coeffs, primes)
+
+    monkeypatch.setattr(systems, "_roots_mod_primes", counted)
+    sys_ = polynomial_system("n^3+2")
+    sys_.residues(101)
+    sys_.active_primes(1_000)
+    sys_.active_primes(1_000)
+    assert calls == [1, len(primes_in_range(3, 1_000)) - 1]
+
+
+@pytest.mark.parametrize("text,sympy_text", [
+    ("n^3+2", "n**3+2"), ("n^4+n+7", "n**4+n+7"),
+    ("n^5-3n+1", "n**5-3*n+1"), ("7n^3+n+1", "7*n**3+n+1")])
+def test_roots_near_1e6_and_1e7_match_sympy(text, sympy_text):
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import polynomial_congruence
+    expr = sympy.sympify(sympy_text)
+    primes = [int(p) for p in primes_in_range(10 ** 6 - 200, 10 ** 6)]
+    primes += [p for p in range(10 ** 7, 10 ** 7 + 200) if is_prime(p)]
+    sys_ = polynomial_system(text)
+    for p in primes:
+        want = tuple(sorted(polynomial_congruence(expr, p)))
+        assert sys_.residues(p) == want, (text, p)
+
+
+def test_root_finding_refuses_primes_from_2_31():
+    p = (1 << 31) + 11
+    assert is_prime(p)
+    with pytest.raises(DomainError, match="2147483648"):
+        polynomial_system("n^3+2").residues(p)
 
 
 def test_degenerate_prime_flagged_not_error():
