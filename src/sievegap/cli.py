@@ -133,7 +133,19 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 f"unknown config keys: {', '.join(sorted(unknown))}")
         cfg.update(file_cfg)
     cfg.update(provided)
+    for key, value in cfg.items():
+        if not _finite(value):
+            raise SievegapError(f"{key} must be finite, got {value}")
     return cfg
+
+
+def _finite(value) -> bool:
+    """False for a nan or infinite float, alone or inside a list."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return True
 
 
 def _window_arg(text: str) -> tuple[int, int]:

@@ -156,6 +156,8 @@ def mc_first_moment(system: SievingSystem, z: int, y: int, trials: int,
                     seed: int) -> MomentReport:
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if y < 0:
+        raise DomainError("y must be >= 0")
     vals = []
     for t in range(trials):
         b = ShiftVector.uniform(system, z, substream(seed, "first", t))
@@ -168,6 +170,8 @@ def mc_second_moment(system: SievingSystem, z: int, y: int, trials: int,
                      seed: int) -> MomentReport:
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if y < 0:
+        raise DomainError("y must be >= 0")
     vals = []
     for t in range(trials):
         b = ShiftVector.uniform(system, z, substream(seed, "second", t))

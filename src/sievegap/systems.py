@@ -403,7 +403,6 @@ class SievingSystem:
             raise DomainError("small_prime_mode must be 'roots' or 'empty'")
         self.small_prime_mode = small_prime_mode
         self.degree_d = poly.degree if (kind == "polynomial" and poly) else 0
-        self.degenerate_primes: set[int] = set()
         self._cache: dict[int, tuple[int, ...]] = {}
 
     # -- residue tables ----------------------------------------------------
@@ -437,10 +436,7 @@ class SievingSystem:
     def _store(self, primes: list[int]) -> list[tuple[int, ...]]:
         """Compute and cache I_p for ``primes``, all prime."""
         tables = self._raw_residues(primes)
-        for p, res in zip(primes, tables):
-            if len(res) == p:
-                self.degenerate_primes.add(p)
-            self._cache[p] = res
+        self._cache.update(zip(primes, tables))
         return tables
 
     def residues(self, p: int) -> tuple[int, ...]:

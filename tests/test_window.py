@@ -1,6 +1,7 @@
 """Shifted sifted-set windows, gaps, and gap certification."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ from conftest import (brute_gap, brute_members, brute_verify_empty,
                       random_table_system)
 
 from sievegap import window
+from sievegap.construction import construct, derive_params
 from sievegap.errors import DomainError
-from sievegap.systems import SievingSystem, eratosthenes, period, sigma
+from sievegap.systems import (SievingSystem, eratosthenes, period,
+                              polynomial_system, sigma)
 from sievegap.window import (CERTIFY_CHUNK, MAX_WINDOW, ShiftVector,
                              largest_gap, sift, verify_empty)
 
@@ -185,20 +188,15 @@ def test_verify_empty_edge_cases():
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, CERTIFY_CHUNK])
 def test_verify_empty_matches_brute_oracle(chunk, monkeypatch):
-    """Random table systems, some with a degenerate prime, at z = 1 and
-    z > 1: random windows (negative lo, lo > hi), the inside of the
-    largest gap, and that gap with its right-hand member, with chunk
-    sizes that split each window several times."""
+    """Random table systems, some with a degenerate prime, and n^3 - n,
+    at z = 1 and z > 1: random windows (negative lo, lo > hi), the
+    inside of the largest gap, and that gap with its right-hand member,
+    with chunk sizes that split each window several times."""
     monkeypatch.setattr(window, "CERTIFY_CHUNK", chunk)
     rng = random.Random(505)
     outcomes = set()
-    for trial in range(40):
-        sys_ = random_table_system(rng, prime_cap=rng.choice([13, 50]),
-                                   max_classes=rng.choice([1, 3, 10]))
-        if trial % 5 == 0:
-            p = rng.choice([2, 3, 5, 7, 11, 13])
-            sys_.table[p] = tuple(range(p))
-        x, z = 50, rng.choice([1, 1, 3, 7])
+
+    def check(sys_, x, z):
         b = ShiftVector.uniform(sys_, x, rng)
         lo = rng.randint(-300, 300)
         windows = [(lo, lo + rng.randint(0, 200)), (lo, lo - 1)]
@@ -210,6 +208,21 @@ def test_verify_empty_matches_brute_oracle(chunk, monkeypatch):
             expect = brute_verify_empty(sys_, x, b, lo, hi, z)
             assert verify_empty(sys_, x, b, lo, hi, z) == expect
             outcomes.add(expect)
+
+    for trial in range(40):
+        sys_ = random_table_system(rng, prime_cap=rng.choice([13, 50]),
+                                   max_classes=rng.choice([1, 3, 10]))
+        if trial % 5 == 0:
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            sys_.table[p] = tuple(range(p))
+        check(sys_, 50, rng.choice([1, 1, 3, 7]))
+    # n^3 - n: |I_p| = 3 from p = 5 on, and every class at 2 and 3, so
+    # z = 1 sieves every integer and z = 3 leaves the three-root primes
+    cubic = polynomial_system("n^3-n")
+    assert cubic.residues(5) == (0, 1, 4)
+    assert cubic.residues(3) == (0, 1, 2)
+    for z in (1, 3):
+        check(cubic, 50, z)
     assert outcomes == {True, False}
 
 
@@ -226,3 +239,19 @@ def test_verify_empty_windows_wider_than_one_chunk():
     assert not verify_empty(lone, p, b, 1, p)
     assert verify_empty(lone, p, b, 1, CERTIFY_CHUNK + 99)
     assert not verify_empty(lone, p, b, CERTIFY_CHUNK + 100, p)
+
+
+def test_verify_empty_holds_no_per_prime_table():
+    """Certifying a default construct's gap at x = 3*10^4 allocates a few
+    chunk-sized arrays, not a length-p table for each of its 3245 primes
+    (about 45 MB)."""
+    x = 30_000
+    built = construct(ERA, derive_params(ERA, x), seed=0)
+    tracemalloc.start()
+    try:
+        assert verify_empty(ERA, x, built.shift, 1, built.length)
+        assert not verify_empty(ERA, x, built.shift, 1, built.length + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MB"
