@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import math
 import os
@@ -198,8 +198,10 @@ def _stats(values: list[float]) -> dict:
 
 
 def _cmd_system_info(cfg: dict) -> dict:
-    system = system_from_spec(cfg["file"])
     x = cfg["x"]
+    if x < 100:
+        raise SievegapError(f"--x must be >= 100, got {x}")
+    system = system_from_spec(cfg["file"])
     cps = [c for c in (100, 1_000, 10_000, 100_000, 1_000_000)
            if c < x] + [x]
     report = mertens_fit(system, cps)
@@ -325,7 +327,10 @@ def _cmd_coprime(cfg: dict) -> dict:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and _resolve copies each subcommand's defaults."""
     parser = argparse.ArgumentParser(
         prog="sievegap",
         description="Sieving systems, long sifted gaps, and their"

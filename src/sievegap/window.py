@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from .errors import DegenerateSystemError, DomainError
 from .systems import SievingSystem
 
 MAX_WINDOW = 1 << 27     # one flag byte per integer: at most 128 MiB
-CERTIFY_CHUNK = 1 << 16  # integers verify_empty holds at once
+CERTIFY_CHUNK = 1 << 16  # integers verify_empty certifies at once
+CERTIFY_BATCH = 1 << 16  # candidate witnesses verify_empty holds at once
 
 
 @dataclass
@@ -126,26 +128,52 @@ def verify_empty(system: SievingSystem, x: int, shift: ShiftVector,
                  lo: int, hi: int, z: int = 1) -> bool:
     """True iff (S_{z,x} + b) has no member in [lo, hi].
 
-    Independent of sift(): keeps the integers not yet sieved in an array
-    and, prime by prime, drops each n whose m = (n - b_p) mod p lies in
-    I_p, found by binary search in the sorted tuple residues(p).  So it
-    certifies a constructed gap without sharing code with the strided
-    marker, and holds no table beyond the cached residue sets.  The
-    window is certified CERTIFY_CHUNK integers at a time, so memory
-    stays bounded for any width.
+    Certifies by witnesses.  Every class (p, r), r in I_p, of the active
+    primes is flattened once into arrays p, r and b_p.  For each chunk of
+    CERTIFY_CHUNK integers, the integers of the chunk in each class are
+    enumerated in one vectorised step, and a candidate n counts as
+    sieved only if it lies in the chunk and (n - b_p) mod p == r holds
+    on n itself.  The chunk is certified when the accepted witnesses
+    cover it.  A faulty enumeration can therefore only leave integers
+    uncovered, turning True into False but never the reverse, and the
+    certifier shares no code with the strided marker behind sift().
+    Classes are taken in slices of at most CERTIFY_BATCH candidates, so
+    memory stays bounded for any width and any table system.
     """
     if lo > hi:
         return True
     primes = system.active_primes(x, z)
+    tables = [system.residues(p) for p in primes]
+    sizes = np.fromiter(map(len, tables), dtype=np.int64, count=len(tables))
+    r = np.fromiter(chain.from_iterable(tables), dtype=np.int64,
+                    count=int(sizes.sum()))
+    p = np.repeat(np.array(primes, dtype=np.int64), sizes)
+    b = np.repeat(np.array([shift.residue(q) for q in primes],
+                           dtype=np.int64), sizes)
     for start in range(lo, hi + 1, CERTIFY_CHUNK):
-        alive = np.arange(start, min(start + CERTIFY_CHUNK - 1, hi) + 1,
-                          dtype=np.int64)
-        for p in primes:
-            res = np.array(system.residues(p))
-            m = (alive - shift.residue(p)) % p
-            alive = alive[res.take(np.searchsorted(res, m), mode="clip") != m]
-            if not alive.size:
-                break
-        if alive.size:
+        end = min(start + CERTIFY_CHUNK - 1, hi)
+        if not _witnesses_cover(p, r, b, start, end):
             return False
     return True
+
+
+def _witnesses_cover(p: np.ndarray, r: np.ndarray, b: np.ndarray,
+                     start: int, end: int) -> bool:
+    """Whether the checked members of the classes (p, r) shifted by b
+    cover every integer of [start, end]."""
+    first = start + (b + r - start) % p
+    counts = (end - first) // p + 1          # 0 when first > end
+    ends = np.cumsum(counts)
+    covered = np.zeros(end - start + 1, dtype=bool)
+    i = 0
+    while i < len(p):
+        j = max(int(np.searchsorted(ends, ends[i] - counts[i]
+                                    + CERTIFY_BATCH, "right")), i + 1)
+        c = counts[i:j]
+        cls = np.repeat(np.arange(i, j), c)
+        step = np.arange(len(cls)) - np.repeat(np.cumsum(c) - c, c)
+        n = first[cls] + step * p[cls]
+        ok = (n >= start) & (n <= end) & ((n - b[cls]) % p[cls] == r[cls])
+        covered[n[ok] - start] = True
+        i = j
+    return bool(covered.all())

@@ -153,6 +153,25 @@ def test_flag_seed_beats_env(monkeypatch):
     assert rep["config"]["seed"] == 42
 
 
+def test_dispatches_share_one_parser(monkeypatch):
+    """The parser is built once; a dispatch leaves no flag, default or
+    seed behind for the next one."""
+    assert build_parser() is build_parser()
+    argv = ["cover-demo", "--vertices", "200", "--trials", "2"]
+    monkeypatch.setenv("SIEVEGAP_SEED", "777")
+    _, first = run_cli(argv)
+    monkeypatch.delenv("SIEVEGAP_SEED")
+    other = run_json(["cover-demo", "--vertices", "300", "--eta", "0.1"])
+    assert other["config"]["seed"] == DEFAULT_SEED
+    assert other["config"]["trials"] == 10 and other["config"]["eta"] == 0.1
+    again = run_json(argv)
+    assert again["config"]["seed"] == DEFAULT_SEED
+    assert again["config"]["eta"] == 0.05
+    monkeypatch.setenv("SIEVEGAP_SEED", "777")
+    assert run_cli(argv)[1] == first
+    assert json.loads(first)["config"]["seed"] == 777
+
+
 def test_config_file_merges_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rho": 0.5, "tol": 1e-6, "seed": 5}))
@@ -250,6 +269,7 @@ BAD_FLAGS = {
                                  "--identity", "i-first-mc", "--y", "-3"],
     "moments-i-second-mc-y-neg": ["moments", "--system", "eratosthenes",
                                   "--identity", "i-second-mc", "--y", "-3"],
+    "system-info-x-5": ["system-info", "--file", "eratosthenes", "--x", "5"],
     # stage 2 would hold 2.4e9 weight-table cells, above MAX_TABLE_CELLS
     "construct-table-cells-cap": ["construct", "--system", "eratosthenes",
                                   "--x", "300000", "--force-scales", "2",
@@ -274,6 +294,15 @@ def test_config_file_non_finite_value_exits_1(text, tmp_path, capsys):
     code, out = run_cli(_COVER + ["--config", str(cfg)])
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("x", ["5", "99"])
+def test_system_info_small_x_names_the_flag(x, capsys):
+    """x < 100 is refused by the flag's name, not as a checkpoint list."""
+    code, out = run_cli(["system-info", "--file", "eratosthenes", "--x", x])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "x must be >= 100" in err and "checkpoints" not in err
 
 
 @pytest.mark.parametrize("X", ["1", "2", "3"])

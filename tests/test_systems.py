@@ -205,6 +205,31 @@ def test_sigma_examples_exact():
     assert sigma(N2P1, 1, 5, exact=True) == Fraction(3, 10)
 
 
+def _sigma_oracle(system, z, x) -> Fraction:
+    """prod (1 - |I_p|/p) over primes p in (z, x], one Fraction at a time,
+    with primes found by trial division."""
+    out = Fraction(1)
+    for p in range(int(z) + 1, int(x) + 1):
+        if p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1)):
+            out *= Fraction(p - len(system.residues(p)), p)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["eratosthenes", "twin", "poly:n^2+1",
+                                  "poly:n^3+2"])
+def test_sigma_matches_fraction_oracle(spec):
+    """float(sigma) is the correctly rounded exact product on random
+    (z, x), and exact mode is that product."""
+    sys_ = system_from_spec(spec)
+    rng = random.Random(spec)
+    for _ in range(30):
+        x = rng.randint(2, 5_000)
+        z = rng.randint(1, x)
+        expect = _sigma_oracle(sys_, z, x)
+        assert float(sigma(sys_, z, x)) == float(expect), (z, x)
+        assert sigma(sys_, z, x, exact=True) == expect
+
+
 def test_sigma_multiplicative_chain():
     rng = random.Random(5)
     from conftest import random_table_system

@@ -12,6 +12,7 @@ from conftest import (brute_gap, brute_members, brute_verify_empty,
 from sievegap import window
 from sievegap.construction import construct, derive_params
 from sievegap.errors import DomainError
+from sievegap.primes import primes_upto
 from sievegap.systems import (SievingSystem, eratosthenes, period,
                               polynomial_system, sigma)
 from sievegap.window import (CERTIFY_CHUNK, MAX_WINDOW, ShiftVector,
@@ -191,19 +192,23 @@ def test_verify_empty_matches_brute_oracle(chunk, monkeypatch):
     """Random table systems, some with a degenerate prime, and n^3 - n,
     at z = 1 and z > 1: random windows (negative lo, lo > hi), the
     inside of the largest gap, and that gap with its right-hand member,
-    with chunk sizes that split each window several times."""
+    near 0 and near -10^9 and 10^9, with chunk sizes that split each
+    window several times."""
     monkeypatch.setattr(window, "CERTIFY_CHUNK", chunk)
     rng = random.Random(505)
     outcomes = set()
 
     def check(sys_, x, z):
         b = ShiftVector.uniform(sys_, x, rng)
-        lo = rng.randint(-300, 300)
-        windows = [(lo, lo + rng.randint(0, 200)), (lo, lo - 1)]
-        members = brute_members(sys_, x, b, -400, 2000, z)
-        if len(members) >= 2:
-            gap, left, _ = brute_gap(members, -400, 2000)
-            windows += [(left + 1, left + gap - 1), (left + 1, left + gap)]
+        windows = []
+        for base in (0, -10 ** 9, 10 ** 9):
+            lo = base + rng.randint(-300, 300)
+            windows += [(lo, lo + rng.randint(0, 200)), (lo, lo - 1)]
+            members = brute_members(sys_, x, b, base - 400, base + 2000, z)
+            if len(members) >= 2:
+                gap, left, _ = brute_gap(members, base - 400, base + 2000)
+                windows += [(left + 1, left + gap - 1),
+                            (left + 1, left + gap)]
         for lo, hi in windows:
             expect = brute_verify_empty(sys_, x, b, lo, hi, z)
             assert verify_empty(sys_, x, b, lo, hi, z) == expect
@@ -255,3 +260,23 @@ def test_verify_empty_holds_no_per_prime_table():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_verify_empty_batches_candidates():
+    """|I_p| = (p - 1)/2 at every prime <= 2000 puts about 10^7 candidate
+    witnesses in each 2^16-integer chunk (over 400 MB if held at once);
+    slices of CERTIFY_BATCH keep the peak to the flattened classes and
+    one slice."""
+    rng = random.Random(8)
+    table = {p: tuple(rng.sample(range(p), (p - 1) // 2))
+             for p in map(int, primes_upto(2000))}
+    half = SievingSystem("table", table=table)
+    b = ShiftVector.uniform(half, 2000, rng)
+    tracemalloc.start()
+    try:
+        assert verify_empty(half, 2000, b, -CERTIFY_CHUNK,
+                            2 * CERTIFY_CHUNK - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MB"
