@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .primes import is_prime, primality, primes_upto
+from .primes import primality, primes_upto
 from .rng import substream
 from .systems import IntPolynomial, SievingSystem, polynomial_system
 from .window import ShiftVector, sift, verify_empty
@@ -115,8 +115,7 @@ def _greedy_empty_shift(system: SievingSystem, primes: list[int], x: int,
     target = max(x, 4) * 4
 
     def initial_run() -> int:
-        surv = sift(system, x, ShiftVector(entries, x), 1, target,
-                    z=z).members()
+        surv = sift(system, x, ShiftVector(entries), 1, target, z=z).members()
         return int(surv[0]) - 1 if len(surv) else target
 
     for _ in range(3):
@@ -135,7 +134,7 @@ def _greedy_empty_shift(system: SievingSystem, primes: list[int], x: int,
             improved = improved or best_r != base
         if not improved:
             break
-    return ShiftVector(entries, x), initial_run()
+    return ShiftVector(entries), initial_run()
 
 
 def _pick_cutoff(system: SievingSystem, X: int) -> int:
@@ -185,18 +184,15 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
         raise DomainError("period too large to map the run into [X/2, X]")
     # a sieving prime p <= x divides each f(n) of the run, which makes f(n)
     # composite unless |f(n)| = p; at tiny X the run can land there
-    tiny = next((n for n in range(start, start + L)
-                 if abs(poly(n)) <= x and is_prime(abs(poly(n)))), None)
-    if tiny is not None:
-        raise DomainError(f"X = {X} is too small for a constructed run: "
-                          f"|f({tiny})| = {abs(poly(tiny))} is itself a "
-                          f"sieving prime")
     prob = 0
     for n in range(start, start + L):
         v = abs(poly(n))
         is_p, tag = primality(v)
         if tag == "probabilistic":
             prob += 1
+        if is_p and v <= x:
+            raise DomainError(f"X = {X} is too small for a constructed run: "
+                              f"|f({n})| = {v} is itself a sieving prime")
         if is_p:
             raise DomainError(
                 f"verification failed: f({n}) = {v} is prime (bug)")
@@ -289,7 +285,7 @@ def coprimality_constructed(f, x: int, seed: int = 0) -> ConstructedCoprimality:
     """
     poly = _as_poly(f)
     d = poly.degree
-    system = polynomial_system(poly, small_prime_mode="empty")
+    system = polynomial_system(poly)
     primes = system.active_primes(x, d)
     if not primes:
         raise DomainError(f"no usable primes in ({d}, {x}]")

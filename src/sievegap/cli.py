@@ -67,20 +67,11 @@ def _flatten(obj, prefix="", out=None):
     """Dotted-key flattening for CSV output; lists index numerically."""
     if out is None:
         out = {}
-    if isinstance(obj, dict):
-        for k, v in sorted(obj.items()):
-            key = f"{prefix}{k}"
-            if isinstance(v, (dict, list)):
-                _flatten(v, key + ".", out)
-            else:
-                out[key] = v
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            key = f"{prefix}{i}"
-            if isinstance(v, (dict, list)):
-                _flatten(v, key + ".", out)
-            else:
-                out[key] = v
+    if isinstance(obj, (dict, list)):
+        items = sorted(obj.items()) if isinstance(obj, dict) \
+            else enumerate(obj)
+        for k, v in items:
+            _flatten(v, f"{prefix}{k}.", out)
     else:
         out[prefix.rstrip(".")] = obj
     return out
@@ -176,7 +167,7 @@ def _load_shift_file(path: str, x: int) -> ShiftVector:
     if bad:
         raise SievegapError(f"shift file {path!r}: modulus {bad[0]} is not "
                             f"a prime <= --x {x}, so no sieve reads it")
-    return ShiftVector(entries, x)
+    return ShiftVector(entries)
 
 
 def _at_least_1(cfg: dict, *keys: str) -> None:
@@ -219,7 +210,7 @@ def _cmd_gaps(cfg: dict) -> dict:
     win_arg = cfg["window"]
     lo, hi = _window_arg(win_arg) if isinstance(win_arg, str) else win_arg
     shift = (_load_shift_file(cfg["shift_file"], cfg["x"])
-             if cfg.get("shift_file") else ShiftVector({}, cfg["x"]))
+             if cfg.get("shift_file") else ShiftVector())
     win = sift(system, cfg["x"], shift, lo, hi)
     gap = largest_gap(win)
     return {"gap": gap.length, "left": gap.left, "sentinel": gap.sentinel,
@@ -301,7 +292,7 @@ def _cmd_moments(cfg: dict) -> dict:
 
 def _cmd_constants(cfg: dict) -> dict:
     out = constants_report(cfg["rho"], cfg["tol"]).to_dict()
-    if cfg.get("derangement"):
+    if cfg.get("derangement") is not None:
         d = cfg["derangement"]
         frac = rho_derangement(d)
         out["derangement"] = {"d": d, "value": float(frac),

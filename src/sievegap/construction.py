@@ -76,8 +76,10 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
     """
     if x < 100:
         raise DomainError("x must be >= 100")
+    if delta is not None and delta < 0:
+        raise DomainError(f"delta must be >= 0, got {delta}")
     warnings: list[str] = []
-    rho_hat = estimate_rho(system, max(x, 100))
+    rho_hat = estimate_rho(system, x)
     if delta is None:
         delta = min(0.9 * c_rho(min(rho_hat, 1.0)), 0.45)
     elif delta >= c_rho(min(rho_hat, 1.0)):
@@ -332,7 +334,7 @@ def apply_stage2(system: SievingSystem, shift: ShiftVector,
         if not res:
             raise DomainError(f"q={q} has an empty residue set")
         out[q] = (n_q - res[0]) % q
-    return ShiftVector(out, shift.x)
+    return ShiftVector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +389,7 @@ def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
     matched = min(len(survivors), len(large))
     for q in large[matched:]:
         entries[q] = rng.randrange(q)
-    shift = ShiftVector(entries, x)
+    shift = ShiftVector(entries)
     if not verify_empty(system, x, shift, 1, length):
         raise DomainError("internal error: certification failed after cleanup")
     return Stage3Result(ok=ok, shift=shift, length=length,

@@ -24,7 +24,7 @@ from .errors import DomainError, EnumerationLimitError
 from .primes import primes_in_range
 from .rng import substream
 from .systems import SievingSystem, period, sigma
-from .window import ShiftVector, _strike, sift
+from .window import MAX_WINDOW, ShiftVector, _strike, sift
 
 EXACT_PERIOD_CAP = 100_000
 ENUM_CAP = 1_000_000
@@ -75,8 +75,7 @@ def error_E(system: SievingSystem, A, m: int, H: float, M: float, z: int):
     Exact rational arithmetic when A is an int or Fraction.
     """
     primes = [int(p) for p in primes_in_range(H ** M, z)]
-    if len(primes) < 64 and (1 << len(primes)) - 1 > ENUM_CAP or \
-            len(primes) >= 64:
+    if (1 << len(primes)) - 1 > ENUM_CAP:
         raise EnumerationLimitError(
             f"{len(primes)} primes in range: too many squarefree d")
     good = []
@@ -130,6 +129,8 @@ def correlation_exact(system: SievingSystem, U, H: float, M: float, z: int,
 def exact_first_moment(system: SievingSystem, z: int, y: int) -> MomentReport:
     """Enumerate every shift b mod P(z); the mean member count is an
     exact rational equal to sigma(z) y."""
+    if z < 1:
+        raise DomainError("z must be >= 1")
     P = period(system, z)
     if P > EXACT_PERIOD_CAP:
         raise EnumerationLimitError(f"P(z) = {P} exceeds {EXACT_PERIOD_CAP}")
@@ -152,31 +153,37 @@ def exact_first_moment(system: SievingSystem, z: int, y: int) -> MomentReport:
     return rep
 
 
-def mc_first_moment(system: SievingSystem, z: int, y: int, trials: int,
-                    seed: int) -> MomentReport:
+def _mc_counts(system: SievingSystem, z: int, y: int, trials: int,
+               seed: int, label: str) -> list[int]:
+    """|S cap [1, y]| for each of ``trials`` uniform shifts mod P(z), the
+    t-th drawn from substream(seed, label, t)."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if y < 0:
-        raise DomainError("y must be >= 0")
-    vals = []
+    if not 0 <= y <= MAX_WINDOW:
+        raise DomainError(f"y must lie in [0, {MAX_WINDOW}]")
+    if z < 1:
+        raise DomainError("z must be >= 1")
+    primes = system.active_primes(z)
+    counts = []
     for t in range(trials):
-        b = ShiftVector.uniform(system, z, substream(seed, "first", t))
-        vals.append(float(sift(system, z, b, 1, y).count()) if y >= 1 else 0.0)
+        b = ShiftVector.uniform(system, z, substream(seed, label, t))
+        bits = np.ones(y, dtype=bool)
+        _strike(bits, 1, system, primes, b)
+        counts.append(int(bits.sum()))
+    return counts
+
+
+def mc_first_moment(system: SievingSystem, z: int, y: int, trials: int,
+                    seed: int) -> MomentReport:
+    vals = [float(c) for c in _mc_counts(system, z, y, trials, seed, "first")]
     predicted = float(sigma(system, 1, z)) * y
     return _report("i-first-mc", predicted, vals)
 
 
 def mc_second_moment(system: SievingSystem, z: int, y: int, trials: int,
                      seed: int) -> MomentReport:
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if y < 0:
-        raise DomainError("y must be >= 0")
-    vals = []
-    for t in range(trials):
-        b = ShiftVector.uniform(system, z, substream(seed, "second", t))
-        c = sift(system, z, b, 1, y).count() if y >= 1 else 0
-        vals.append(float(c) ** 2)
+    vals = [float(c) ** 2
+            for c in _mc_counts(system, z, y, trials, seed, "second")]
     predicted = (float(sigma(system, 1, z)) * y) ** 2
     rep = _report("i-second-mc", predicted, vals)
     rep.extras["relative_deviation"] = abs(rep.estimated / predicted - 1) \

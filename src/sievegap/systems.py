@@ -134,28 +134,23 @@ class IntPolynomial:
 # modular root finding
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def sqrt_mod_p(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None (Tonelli-Shanks)."""
+    """A square root of a modulo an odd prime p, or None when a is not a
+    square (Tonelli-Shanks).  A non-square needs no separate test: for
+    p = 3 mod 4 its candidate root does not square back to a, and
+    otherwise t = a^q starts with the full order 2^s."""
     a %= p
     if a == 0:
         return 0
-    if _legendre(a, p) != 1:
-        return None
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
-    while _legendre(z, p) != -1:
+    while pow(z, (p - 1) // 2, p) != p - 1:    # Euler's criterion
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -163,6 +158,8 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:
+            return None
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t = t * c % p
@@ -201,9 +198,8 @@ def _gcd_poly(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _inverse_mod(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """c^(p-2) mod p elementwise: the inverse of c, nonzero mod prime p."""
-    e = p - 2
+def _pow_mod(c: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c^e mod p elementwise, for 0 <= c < p < 2^31 and e >= 0."""
     r = np.ones_like(c)
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         r = r * r % p
@@ -246,29 +242,35 @@ def _pow_x_plus_a(a: int, e: np.ndarray, f: np.ndarray,
 
 
 def _small_roots(g: list[int], p: int) -> list[int] | None:
-    """Roots of a monic g that is a product of distinct linear factors mod
-    p, when its degree is at most 2; None for higher degrees."""
+    """Distinct roots mod an odd prime p of a monic g of degree at most 2,
+    by the quadratic formula; None for higher degrees."""
     if len(g) > 3:
         return None
     if len(g) < 3:
         return [-g[0] % p] if len(g) == 2 else []
     b, c = g[1], g[0]
     r = sqrt_mod_p(b * b - 4 * c, p)
+    if r is None:
+        return []
     half = (p + 1) // 2
-    return [(-b + r) * half % p, (-b - r) * half % p]
+    return sorted({(-b + r) * half % p, (-b - r) * half % p})
 
 
 def _roots_mod_primes(coeffs: Sequence[int],
                       primes: list[int]) -> list[tuple[int, ...]]:
     """Sorted roots mod p of sum_j coeffs[j] x^j, for each of ``primes``.
 
-    Every prime must be odd and below 2^31.  For all primes at once:
-    f made monic mod p, then x^p mod (f, p) by vectorised square and
-    multiply.  Per prime, g = gcd(f, x^p - x) is the product of (x - r)
-    over the distinct roots r, and Cantor-Zassenhaus rounds split g: round
-    a computes (x + a)^((p-1)/2) mod (g, p) for every pending g of one
-    degree at once, and gcd(g, that - 1) separates the roots r with r + a
-    a nonzero square.  Some a below p splits any two roots, and the roots
+    Every prime must be odd and below 2^31.  Degree 1 is solved per prime.
+    Otherwise f is made monic mod p for all primes at once.  A quadratic
+    then has a closed form: Euler's criterion, run on every discriminant
+    at once, leaves the quadratic formula only the primes where the
+    discriminant is a square.  For higher degrees, x^p mod (f, p) is
+    computed by vectorised square and multiply.  Per prime,
+    g = gcd(f, x^p - x) is the product of (x - r) over the distinct roots
+    r, and Cantor-Zassenhaus rounds split g: round a computes
+    (x + a)^((p-1)/2) mod (g, p) for every pending g of one degree at
+    once, and gcd(g, that - 1) separates the roots r with r + a a nonzero
+    square.  Some a below p splits any two roots, and the roots
     do not depend on the a tried, so a simply counts up from 0.  A prime
     dividing the leading coefficient is solved for the lower-degree
     polynomial, and a prime dividing every coefficient forbids all p
@@ -298,7 +300,13 @@ def _roots_mod_primes(coeffs: Sequence[int],
         return out
     ps = np.array(qs, dtype=np.int64)
     c = np.array([[coef % p for p in qs] for coef in coeffs], dtype=np.int64)
-    f = c[:-1] * _inverse_mod(c[-1], ps) % ps
+    f = c[:-1] * _pow_mod(c[-1], ps - 2, ps) % ps
+    if len(coeffs) == 3:                       # x^2 + f[1] x + f[0]
+        disc = (f[1] * f[1] - 4 * f[0]) % ps
+        square = _pow_mod(disc, (ps - 1) // 2, ps) != ps - 1
+        for i, p, g, sq in zip(idx, qs, f.T.tolist(), square.tolist()):
+            out[i] = tuple(_small_roots(g + [1], p)) if sq else ()
+        return out
     h = _pow_x_plus_a(0, ps, f, ps)            # x^p mod (f, p)
     h[1] = (h[1] - 1) % ps
     # (position in qs, monic factor of f whose roots are distinct roots of f)
@@ -332,24 +340,6 @@ def _roots_mod_primes(coeffs: Sequence[int],
     for i, rs in zip(idx, roots):
         out[i] = tuple(sorted(rs))
     return out
-
-
-def _roots_quadratic(poly: IntPolynomial, p: int) -> tuple[int, ...]:
-    """Fast path for degree-2 polynomials, p odd and p > 2 = degree."""
-    c0, c1, c2 = poly.scaled_standard_coeffs()[0]   # 2 f = c2 n^2 + c1 n + c0
-    a, b, c = c2 % p, c1 % p, c0 % p
-    if a == 0:
-        if b == 0:
-            return tuple(range(p)) if c == 0 else ()
-        return ((-c * pow(b, -1, p)) % p,)
-    disc = (b * b - 4 * a * c) % p
-    if disc == 0:
-        return ((-b * pow(2 * a, -1, p)) % p,)
-    r = sqrt_mod_p(disc, p)
-    if r is None:
-        return ()
-    inv = pow(2 * a, -1, p)
-    return tuple(sorted({(-b + r) * inv % p, (-b - r) * inv % p}))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +412,6 @@ class SievingSystem:
         for p in primes:
             if p <= d and self.small_prime_mode == "empty":
                 out[p] = ()
-            elif d == 2 and p > 2:
-                out[p] = _roots_quadratic(poly, p)
             elif p <= max(d, 3):
                 # tiny modulus: exact evaluation (d! may vanish mod p)
                 out[p] = tuple(n for n in range(p) if poly(n) % p == 0)
@@ -472,13 +460,15 @@ def sigma(system: SievingSystem, z: float, x: float, exact: bool = False):
     """
     if not (1 <= z <= x):
         raise DomainError(f"need 1 <= z <= x, got z={z}, x={x}")
-    return _sigma_prefixes(system, system.active_primes(x, z), [x], exact)[0]
+    primes = system.active_primes(x, z)
+    return _sigma_prefixes(system, primes, [x], exact)[0][0]
 
 
 def _sigma_prefixes(system: SievingSystem, primes: list[int],
-                    cuts: Sequence[float], exact: bool) -> list:
+                    cuts: Sequence[float], exact: bool) -> tuple[list, int]:
     """Products of (1 - |I_p|/p) over the p <= c of the increasing
-    ``primes``, one for each c of the increasing ``cuts``.
+    ``primes``, one for each c of the increasing ``cuts``, and prod p
+    over the p <= the last cut.
 
     Each is the ratio of the exact integers prod (p - |I_p|) and prod p,
     multiplied segment by segment between cuts; it is divided once to
@@ -505,7 +495,7 @@ def _sigma_prefixes(system: SievingSystem, primes: list[int],
         shift = den.bit_length() - num.bit_length() + SIGMA_PRECISION_BITS + 2
         with mp.workprec(SIGMA_PRECISION_BITS):
             out.append(mp.ldexp((num << shift) // den, -shift))
-    return out
+    return out, den
 
 
 def _balanced_prod(vals: list[int]) -> int:
@@ -540,15 +530,16 @@ def mertens_fit(system: SievingSystem,
     """Track sigma(x_i) * log(x_i) along increasing checkpoints.
 
     One walk over the active primes <= x_max gives the track, the period
-    and rho_hat.  Flags non-one-dimensional behavior when the track drifts
-    monotonically and its last step exceeds ``DRIFT_TOL`` (relative).
+    (the denominator of the last sigma) and rho_hat.  Flags
+    non-one-dimensional behavior when the track drifts monotonically and
+    its last step exceeds ``DRIFT_TOL`` (relative).
     """
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 100 for c in cps) or sorted(cps) != cps:
         raise DomainError("checkpoints must be increasing and >= 100")
     x = cps[-1]
     active = system.active_primes(x)
-    sigmas = _sigma_prefixes(system, active, cps, exact=False)
+    sigmas, period_x = _sigma_prefixes(system, active, cps, exact=False)
     with mp.workprec(SIGMA_PRECISION_BITS):
         track = [(cp, float(s * mp.log(cp))) for cp, s in zip(cps, sigmas)]
     final_sigma = float(sigmas[-1])
@@ -562,7 +553,7 @@ def mertens_fit(system: SievingSystem,
     return DensityReport(
         x=x,
         sigma=final_sigma,
-        period_bitlength=_balanced_prod(active).bit_length(),
+        period_bitlength=period_x.bit_length(),
         rho_hat=_rho(active, x),
         mertens_track=track,
         flagged_not_one_dimensional=flagged,
@@ -578,12 +569,10 @@ def eratosthenes() -> SievingSystem:
     return SievingSystem("eratosthenes")
 
 
-def polynomial_system(poly: IntPolynomial | str, *,
-                      small_prime_mode: str = "roots") -> SievingSystem:
+def polynomial_system(poly: IntPolynomial | str) -> SievingSystem:
     if isinstance(poly, str):
         poly = IntPolynomial.parse(poly)
-    return SievingSystem("polynomial", poly=poly,
-                         small_prime_mode=small_prime_mode)
+    return SievingSystem("polynomial", poly=poly)
 
 
 def twin_system() -> SievingSystem:

@@ -32,7 +32,6 @@ class ShiftVector:
     """
 
     entries: dict[int, int] = field(default_factory=dict)
-    x: int = 0
 
     def residue(self, p: int) -> int:
         return self.entries.get(p, 0) % p
@@ -51,7 +50,7 @@ class ShiftVector:
     def uniform(cls, system: SievingSystem, x: int,
                 rng: random.Random) -> "ShiftVector":
         """Independent uniform residue for each active prime p <= x."""
-        return cls({p: rng.randrange(p) for p in system.active_primes(x)}, x)
+        return cls({p: rng.randrange(p) for p in system.active_primes(x)})
 
 
 @dataclass

@@ -274,7 +274,17 @@ BAD_FLAGS = {
     "construct-table-cells-cap": ["construct", "--system", "eratosthenes",
                                   "--x", "300000", "--force-scales", "2",
                                   "3", "--mode", "cover"],
+    "constants-derangement-0": ["constants", "--rho", "1",
+                                "--derangement", "0"],
+    "construct-delta-neg": _CONSTRUCT + ["--delta", "-0.01"],
+    "construct-delta-neg-half": _CONSTRUCT + ["--delta", "-0.5"],
+    "moments-delta-neg": _MOMENTS_II + ["--delta", "-1"],
 }
+for _identity in ("i-first-exact", "i-first-mc", "i-second-mc"):
+    for _z in ("0", "-4"):
+        BAD_FLAGS[f"moments-{_identity}-z-{_z}"] = [
+            "moments", "--system", "eratosthenes", "--identity", _identity,
+            "--z", _z]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
@@ -282,6 +292,31 @@ def test_bad_numeric_flag_exits_1(case, capsys):
     code, out = run_cli(BAD_FLAGS[case])
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case,message", [
+    ("constants-derangement-0", "d must be >= 1"),
+    ("construct-delta-neg", "delta must be >= 0, got -0.01"),
+    ("construct-delta-neg-half", "delta must be >= 0, got -0.5"),
+    ("moments-delta-neg", "delta must be >= 0, got -1.0"),
+    ("moments-i-first-exact-z--4", "z must be >= 1"),
+    ("moments-i-first-mc-z-0", "z must be >= 1"),
+    ("moments-i-second-mc-z--4", "z must be >= 1")])
+def test_bad_flag_message_names_the_option(case, message, capsys):
+    """The error names the option, not a quantity derived from it."""
+    assert run_cli(BAD_FLAGS[case])[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("identity,power", [
+    ("i-first-exact", 1), ("i-first-mc", 1), ("i-second-mc", 2)])
+def test_moments_z_1_keeps_all_of_1_to_y(identity, power):
+    """No prime is at most z = 1, so every shift leaves all of [1, y]."""
+    rep = run_json(["moments", "--system", "eratosthenes", "--identity",
+                    identity, "--z", "1", "--y", "40", "--trials", "3"])
+    validate(rep)
+    assert rep["result"]["estimated"] == 40 ** power
+    assert rep["result"]["predicted"] == 40 ** power
 
 
 @pytest.mark.parametrize("text", ['{"scale_y": NaN}', '{"c2": Infinity}',

@@ -202,7 +202,7 @@ def test_stage1_mod2_split():
 
 
 def test_compute_ap_empty_cases():
-    b = ShiftVector({}, 30)
+    b = ShiftVector({})
     assert compute_AP(ERA, b, 2.0, 29, 5, 0) == []
 
 
@@ -500,7 +500,7 @@ def test_survivors_above_matches_oracle():
 
 def test_stage3_empty_survivors_succeeds():
     rng = substream(0, "s3")
-    b = ShiftVector({p: 1 for p in ERA.active_primes(50)}, 50)
+    b = ShiftVector({p: 1 for p in ERA.active_primes(50)})
     # [1, 1] shifted: n=1 has (1-1)%2=0 in I_2, so no survivors
     r = stage3_cleanup(ERA, 100, b, 0, rng)
     assert r.ok and r.matched == 0

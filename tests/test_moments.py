@@ -162,7 +162,7 @@ def test_mc_second_moment_two_prime_closed_form():
     sys_ = SievingSystem("table", table={2: (0,), 3: (0,)})
     # counts over the 6 shifts are exact; compare MC mean of count^2
     y = 60
-    counts = [sift(sys_, 3, ShiftVector({2: b % 2, 3: b % 3}, 3),
+    counts = [sift(sys_, 3, ShiftVector({2: b % 2, 3: b % 3}),
                    1, y).count() for b in range(6)]
     exact2 = sum(c * c for c in counts) / 6
     rep = mc_second_moment(sys_, 3, y, trials=2000, seed=21)

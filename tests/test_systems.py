@@ -98,9 +98,14 @@ def test_quadratic_fast_path_matches_bruteforce():
 
 
 # n^3-n splits completely at every prime; 7n^3+n+1 loses its leading
-# coefficient at 7, where its root is that of n+1; 5n^3+5 vanishes at 5
+# coefficient at 7, where its root is that of n+1; 5n^3+5 vanishes at 5.
+# Quadratics take the closed form: n^2+2n is twin, 5n^2+n+1 loses its
+# leading coefficient at 5, 4n^2+4n+1 = (2n+1)^2 has a double root, and
+# (n^2+n)/2 is scaled by d! = 2.
+QUADRATICS = ["n^2+1", "n^2+2n", "3n^2+5n+7", "5n^2+n+1", "4n^2+4n+1",
+              "(n^2+n)/2"]
 BATCH_POLYS = ["n^3+2", "n^3-n", "n^4+n+7", "n^5-3n+1", "7n^3+n+1",
-               "5n^3+5"]
+               "5n^3+5"] + QUADRATICS
 
 
 @pytest.mark.parametrize("text", BATCH_POLYS)
@@ -149,6 +154,29 @@ def test_roots_near_1e6_and_1e7_match_sympy(text, sympy_text):
     for p in primes:
         want = tuple(sorted(polynomial_congruence(expr, p)))
         assert sys_.residues(p) == want, (text, p)
+
+
+@pytest.mark.parametrize("text", QUADRATICS)
+def test_quadratic_roots_near_1e6_match_numpy_evaluation(text):
+    """The closed form for about 30 primes near 10^6, found in one batch,
+    against f evaluated on every class mod p."""
+    sys_ = polynomial_system(text)
+    primes = [int(p) for p in primes_in_range(10 ** 6 - 500, 10 ** 6)]
+    assert len(primes) >= 30
+    sys_.active_primes(10 ** 6, 10 ** 6 - 500)
+    for p in primes:
+        assert sys_.residues(p) == brute_roots(sys_.poly, p), (text, p)
+
+
+def test_sqrt_mod_p_matches_squares():
+    """A root exactly for the squares mod p, p = 1 and 3 mod 4, including
+    p = 1 mod 8 where Tonelli-Shanks takes more than one step."""
+    for p in (int(p) for p in primes_in_range(2, 300)):
+        squares = {n * n % p for n in range(p)}
+        for a in range(-2, p + 2):
+            r = systems.sqrt_mod_p(a, p)
+            assert (r is not None) == (a % p in squares), (a, p)
+            assert r is None or r * r % p == a % p
 
 
 def test_root_finding_refuses_primes_from_2_31():
@@ -324,6 +352,14 @@ def test_mertens_fit_one_walk_equals_per_checkpoint_sigma(make):
     assert rep.sigma == float(sigma(sys_, 1, cps[-1]))
     assert rep.period_bitlength == period(sys_, cps[-1]).bit_length()
     assert rep.rho_hat == estimate_rho(sys_, cps[-1])
+
+
+@pytest.mark.parametrize("spec", ["eratosthenes", "twin", "poly:n^3+2"])
+def test_mertens_fit_period_bitlength_is_period(spec):
+    sys_ = system_from_spec(spec)
+    for x in (100, 101, 1_000, 7_919, 30_000):
+        rep = mertens_fit(sys_, sorted({100, x}))
+        assert rep.period_bitlength == period(sys_, x).bit_length()
 
 
 def test_mertens_fit_rejects_bad_checkpoints():

@@ -26,7 +26,7 @@ ERA = eratosthenes()
 
 
 def test_shift_vector_residue_default_zero():
-    b = ShiftVector({5: 3}, 7)
+    b = ShiftVector({5: 3})
     assert b.residue(5) == 3
     assert b.residue(7) == 0
 
@@ -35,7 +35,7 @@ def test_shift_vector_crt_value_consistent():
     rng = random.Random(3)
     for _ in range(20):
         entries = {p: rng.randrange(p) for p in (2, 3, 5, 7, 11)}
-        b, mod = ShiftVector(entries, 11).crt_value()
+        b, mod = ShiftVector(entries).crt_value()
         assert mod == 2 * 3 * 5 * 7 * 11
         for p, r in entries.items():
             assert b % p == r
@@ -53,7 +53,7 @@ def test_shift_vector_uniform_in_range():
 
 
 def test_sift_eratosthenes_fixture():
-    win = sift(ERA, 5, ShiftVector({}, 5), 1, 30)
+    win = sift(ERA, 5, ShiftVector({}), 1, 30)
     assert list(win.members()) == [1, 7, 11, 13, 17, 19, 23, 29]
 
 
@@ -84,7 +84,7 @@ def test_sift_member_count_identity_over_period():
         P = period(sys_, x)
         if P > 1_000_000:
             continue
-        count = sift(sys_, x, ShiftVector({}, x), 1, P).count()
+        count = sift(sys_, x, ShiftVector({}), 1, P).count()
         assert Fraction(count, P) == sigma(sys_, 1, x, exact=True)
 
 
@@ -102,19 +102,19 @@ def test_sift_matches_bruteforce_random_systems():
 
 def test_sift_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        sift(ERA, 5, ShiftVector({}, 5), 10, 5)
+        sift(ERA, 5, ShiftVector({}), 10, 5)
     with pytest.raises(DomainError):
-        sift(ERA, 5, ShiftVector({}, 5), 1, 10, z=5)
+        sift(ERA, 5, ShiftVector({}), 1, 10, z=5)
     with pytest.raises(DomainError):
-        sift(ERA, 5, ShiftVector({}, 5), 1, MAX_WINDOW + 2)
+        sift(ERA, 5, ShiftVector({}), 1, MAX_WINDOW + 2)
     with pytest.raises(DomainError):          # a 128 MiB flag array at most
-        sift(ERA, 5, ShiftVector({}, 5), 1, 2 ** 27 + 1)
+        sift(ERA, 5, ShiftVector({}), 1, 2 ** 27 + 1)
 
 
 def test_sift_degenerate_prime_errors():
     sys_ = SievingSystem("table", table={2: (0, 1)})
     with pytest.raises(Exception, match="2"):
-        sift(sys_, 2, ShiftVector({}, 2), 1, 10)
+        sift(sys_, 2, ShiftVector({}), 1, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +122,23 @@ def test_sift_degenerate_prime_errors():
 
 
 def test_largest_gap_fixtures():
-    win = sift(ERA, 5, ShiftVector({}, 5), 1, 31)
+    win = sift(ERA, 5, ShiftVector({}), 1, 31)
     gap = largest_gap(win)
     assert (gap.length, gap.left, gap.sentinel) == (6, 1, False)
 
-    win = sift(ERA, 3, ShiftVector({}, 3), 1, 13)
+    win = sift(ERA, 3, ShiftVector({}), 1, 13)
     assert largest_gap(win).length == 4
 
 
 def test_largest_gap_all_members():
     empty_sys = SievingSystem("table", table={})
-    win = sift(empty_sys, 10, ShiftVector({}, 10), 1, 10)
+    win = sift(empty_sys, 10, ShiftVector({}), 1, 10)
     assert win.count() == 10
     assert largest_gap(win).length == 1
 
 
 def test_largest_gap_sentinel():
-    win = sift(ERA, 5, ShiftVector({}, 5), 2, 6)  # single member? check
+    win = sift(ERA, 5, ShiftVector({}), 2, 6)  # single member? check
     gap = largest_gap(win)
     if win.count() < 2:
         assert gap.sentinel and gap.length == win.width
@@ -177,11 +177,11 @@ def test_verify_empty_agrees_with_sift():
 
 
 def test_verify_empty_edge_cases():
-    assert verify_empty(ERA, 5, ShiftVector({}, 5), 10, 5)  # lo > hi
+    assert verify_empty(ERA, 5, ShiftVector({}), 10, 5)  # lo > hi
     # window containing the member 7 of S_5
-    assert not verify_empty(ERA, 5, ShiftVector({}, 5), 6, 8)
+    assert not verify_empty(ERA, 5, ShiftVector({}), 6, 8)
     # shift b = 1 per prime empties [2, 4]: members of S_5+1 near 2..4
-    b1 = ShiftVector({2: 1, 3: 1, 5: 1}, 5)
+    b1 = ShiftVector({2: 1, 3: 1, 5: 1})
     members = set(sift(ERA, 5, b1, 1, 10).members())
     lo = min(m for m in range(1, 8) if m not in members)
     assert verify_empty(ERA, 5, b1, lo, lo)
@@ -235,12 +235,12 @@ def test_verify_empty_windows_wider_than_one_chunk():
     # a degenerate prime sieves every integer of every chunk
     full = SievingSystem("table", table={3: (0, 1, 2)})
     wide = 3 * CERTIFY_CHUNK + 5
-    assert verify_empty(full, 3, ShiftVector({}, 3), -7, wide)
+    assert verify_empty(full, 3, ShiftVector({}), -7, wide)
     # one prime spares one class: the lone member in [1, p] lies in the
     # second chunk, and the first chunk alone is empty
     p = 2 * CERTIFY_CHUNK + 29                      # 131101 is prime
     lone = SievingSystem("table", table={p: tuple(range(1, p))})
-    b = ShiftVector({p: CERTIFY_CHUNK + 100}, p)
+    b = ShiftVector({p: CERTIFY_CHUNK + 100})
     assert not verify_empty(lone, p, b, 1, p)
     assert verify_empty(lone, p, b, 1, CERTIFY_CHUNK + 99)
     assert not verify_empty(lone, p, b, CERTIFY_CHUNK + 100, p)
