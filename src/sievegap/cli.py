@@ -101,16 +101,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < SIEVEGAP_SEED env < --config file < explicit flags."""
-    known = {k for k in vars(args)
-             if k not in ("func", "defaults", "subcommand")}
-    known |= set(defaults)
     provided = {k: v for k, v in vars(args).items()
-                if k in known and v is not None}
+                if k in args.flags and v is not None}
     cfg = dict(defaults)
     cfg.setdefault("format", "json")
     env_seed = os.environ.get("SIEVEGAP_SEED")
-    cfg["seed"] = int(env_seed) if env_seed else DEFAULT_SEED
-    path = provided.pop("config", None)
+    try:
+        cfg["seed"] = int(env_seed) if env_seed else DEFAULT_SEED
+    except ValueError:
+        raise SievegapError(
+            f"SIEVEGAP_SEED must be an integer, got {env_seed!r}") from None
+    path = args.config
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -118,16 +119,49 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         except (OSError, ValueError) as exc:
             raise SievegapError(
                 f"cannot read config file {path!r}: {exc}") from exc
-        unknown = set(file_cfg) - known
+        if not isinstance(file_cfg, dict):
+            raise SievegapError(f"config file {path!r} must hold a JSON "
+                                f"object, got {file_cfg!r}")
+        unknown = set(file_cfg) - set(args.flags)
         if unknown:
             raise SievegapError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        cfg.update(file_cfg)
+        cfg.update({k: _from_file(args.flags[k], v)
+                    for k, v in file_cfg.items()})
     cfg.update(provided)
     for key, value in cfg.items():
         if not _finite(value):
             raise SievegapError(f"{key} must be finite, got {value}")
+    if cfg["seed"] < 0:
+        raise SievegapError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
+
+
+def _from_file(flag: argparse.Action, value):
+    """A config file value, checked against its flag's declaration and
+    converted as argparse converts the flag: a store_true flag takes a
+    JSON bool, an int flag a JSON integer (not a bool), a float flag a JSON
+    number, any other flag a string; nargs "+" takes a non-empty list."""
+    kind = bool if flag.nargs == 0 else flag.type or str
+    json_types, want = {bool: ((bool,), "true or false"),
+                        int: ((int,), "an integer"),
+                        float: ((int, float), "a number")}.get(
+                            kind, ((str,), "a string"))
+    many = flag.nargs == "+"
+    items = value if many and type(value) is list else [value]
+    if not items or many != (type(value) is list) or any(
+            type(v) not in json_types for v in items):
+        raise SievegapError(f"config key {flag.dest!r} must be "
+                            f"{'a non-empty list, each ' * many}{want}, "
+                            f"got {value!r}")
+    try:
+        items = [kind(v) for v in items]
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise SievegapError(f"config key {flag.dest!r}: {exc}") from None
+    if flag.choices and not set(items) <= set(flag.choices):
+        raise SievegapError(f"config key {flag.dest!r} must be one of "
+                            f"{', '.join(flag.choices)}, got {value!r}")
+    return items if many else items[0]
 
 
 def _finite(value) -> bool:
@@ -207,8 +241,7 @@ def _cmd_system_info(cfg: dict) -> dict:
 
 def _cmd_gaps(cfg: dict) -> dict:
     system = system_from_spec(cfg["system"])
-    win_arg = cfg["window"]
-    lo, hi = _window_arg(win_arg) if isinstance(win_arg, str) else win_arg
+    lo, hi = cfg["window"]
     shift = (_load_shift_file(cfg["shift_file"], cfg["x"])
              if cfg.get("shift_file") else ShiftVector())
     win = sift(system, cfg["x"], shift, lo, hi)
@@ -418,6 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coprime,
                    defaults={"k": 2, "bound": 10_000, "x": 100,
                              "constructed": False})
+    for sub in subs.choices.values():
+        sub.set_defaults(flags={a.dest: a for a in sub._actions
+                                if a.dest not in ("help", "config")})
     return parser
 
 
@@ -431,9 +467,7 @@ def dispatch(argv=None, stream=None) -> int:
     except SievegapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = {"subcommand": args.subcommand,
-              "config": {k: v for k, v in cfg.items() if k != "func"},
-              "result": result}
+    report = {"subcommand": args.subcommand, "config": cfg, "result": result}
     _emit(report, cfg["format"], stream)
     return 0
 

@@ -238,8 +238,8 @@ class Stage2Result:
 
 
 def stage2_select(system: SievingSystem, params: Params,
-                  stage1_shift: ShiftVector, seed: int,
-                  mode: str = "sample") -> Stage2Result:
+                  stage1_shift: ShiftVector, survivors: np.ndarray,
+                  seed: int, mode: str = "sample") -> Stage2Result:
     """Choose n_q for each admissible q, with probability lambda / total.
 
     mode "sample" draws independently per q, from each scale's tables as
@@ -261,11 +261,7 @@ def stage2_select(system: SievingSystem, params: Params,
         raise EnumerationLimitError(
             f"stage 2 would hold {held} weight-table cells at once, above "
             f"{MAX_TABLE_CELLS}; use a smaller --x or fewer --force-scales")
-    # cover mode: survivors of the full stage-1 sieve inside [1, y] are the
-    # vertices; each q's sampler draws n ~ lambda and emits the portion of
-    # its progression that is still alive among the vertices.
-    surv = sift(system, params.z_eff, stage1_shift, 1, params.y).members() \
-        if mode == "cover" else ()
+    surv = survivors if mode == "cover" else ()
     rejected: list[int] = []
     built = 0
     all_tables: dict[int, WeightTable] = {}      # kept only for covering
@@ -364,20 +360,20 @@ def _survivors_above(system: SievingSystem, shift: ShiftVector,
 
 
 def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
-                   y: int, rng: random.Random,
+                   y: int, survivors: list[int], rng: random.Random,
                    z_mid: int | None = None) -> Stage3Result:
-    """Match survivors in [1, y] with distinct primes q in (z_mid, x], then
-    certify the empty interval [1, L].
+    """Match survivors, the sorted members of [1, y] left by partial_shift,
+    with distinct primes q in (z_mid, x], then certify [1, L] empty.
 
     Each survivor m gets b = m - min(I_q) (mod q) for the smallest
     unused admissible q, so m is sieved by q; unmatched large primes
     receive uniform residues.  Primes already fixed by an earlier stage
     keep their residues.  When survivors outnumber the available primes
     the target shrinks to L = (first unmatched survivor) - 1 and ok is
-    False; otherwise L = y.  z_mid defaults to x/2.
+    False; otherwise L = y.  z_mid defaults to x/2.  A wrong survivor
+    list gives no false certificate: a failed certification raises.
     """
     half = x // 2 if z_mid is None else z_mid
-    survivors = _survivors_above(system, partial_shift, half, y)
     large = [p for p in system.active_primes(x, half)
              if p not in partial_shift.entries]
     ok = len(survivors) <= len(large)
@@ -426,17 +422,20 @@ def construct(system: SievingSystem, params: Params, seed: int,
     """Run stages 1-3 and certify the empty interval [1, L], L <= y."""
     z = params.z_eff
     b1 = ShiftVector.uniform(system, z, substream(seed, "stage1"))
-    n1 = sift(system, z, b1, 1, params.y).count()
+    members = sift(system, z, b1, 1, params.y).members()
     rejected: list[int] = []
-    partial = b1
+    partial, survivors = b1, members.tolist()
     if not params.degraded:
-        r2 = stage2_select(system, params, b1, seed, mode=mode)
+        r2 = stage2_select(system, params, b1, members, seed, mode=mode)
         rejected = r2.rejected
         partial = apply_stage2(system, b1, r2.chosen)
-    r3 = stage3_cleanup(system, params.x, partial, params.y,
+        # a chosen q <= z replaces b1's class at q, which members can't restore
+        survivors = _survivors_above(system, partial, z, params.y)
+    r3 = stage3_cleanup(system, params.x, partial, params.y, survivors,
                         substream(seed, "stage3"), z_mid=z)
     return ConstructResult(shift=r3.shift, length=r3.length, params=params,
-                           survivors_stage1=n1, survivors_stage2=r3.survivors,
+                           survivors_stage1=len(members),
+                           survivors_stage2=r3.survivors,
                            matched=r3.matched, rejected_q=rejected, mode=mode)
 
 
@@ -460,5 +459,6 @@ def trivial_baseline(system: SievingSystem, x: int, seed: int) -> BaselineResult
     target = max(1, math.floor(rho_hat * x / (8 * c1_hat))) if c1_hat > 0 \
         else x // 4
     b1 = ShiftVector.uniform(system, x // 2, substream(seed, "stage1"))
-    r3 = stage3_cleanup(system, x, b1, target, substream(seed, "stage3"))
+    r3 = stage3_cleanup(system, x, b1, target, _survivors_above(
+        system, b1, x // 2, target), substream(seed, "stage3"))
     return BaselineResult(shift=r3.shift, length=r3.length)

@@ -43,3 +43,27 @@ def test_summary_refuses_a_run_whose_checks_failed(tmp_path, capsys):
     bad = _write(tmp_path / "c", 1.0, 100.0, correct=False)
     assert bench_summary.main(["--parent", good, "--change", bad]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_summary_marks_wide_spread_unresolved(tmp_path, capsys):
+    """A metric whose runs spread wider than its bound is unresolved,
+    unless every change run reads better than every parent run."""
+    def summary(ops_parent, ops_change):
+        parents = [_write(tmp_path / f"p{k}", v, 100.0)
+                   for k, v in enumerate(ops_parent)]
+        changes = [_write(tmp_path / f"c{k}", v, 100.0)
+                   for k, v in enumerate(ops_change)]
+        assert bench_summary.main(["--parent", *parents,
+                                   "--change", *changes]) == 0
+        return json.loads(capsys.readouterr().out)["workloads"]["cover"]
+
+    wide = [float(k) for k in range(1, 11)]    # IQR 4.5 > 0.25 * 5.5
+    out = summary(wide, [v + 0.5 for v in wide])
+    assert out["ops_per_s"]["unresolved"]
+    assert out["ops_per_s"]["within_bound"]
+    assert not out["peak_rss_mb"]["unresolved"]            # no spread
+    assert not summary(wide, [v + 10 for v in wide])["ops_per_s"][
+        "unresolved"]
+    narrow = [1.0 + 0.01 * k for k in range(10)]
+    assert summary(narrow, wide)["ops_per_s"]["unresolved"]   # change side
+    assert not summary(narrow, narrow)["ops_per_s"]["unresolved"]

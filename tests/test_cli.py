@@ -107,7 +107,10 @@ def test_csv_output_flattens_dotted():
 
 
 def test_reports_validate_against_schema():
-    reports = [
+    """Fresh reports, and every JSON golden report."""
+    golden = Path(__file__).parent / "golden"
+    reports = [json.loads(path.read_text(encoding="utf-8"))
+               for path in sorted(golden.glob("*.json"))] + [
         run_json(["constants", "--rho", "0.5", "--derangement", "3"]),
         run_json(["gaps", "--system", "poly:n^2+1", "--x", "13",
                   "--window", "1..50"]),
@@ -329,6 +332,63 @@ def test_config_file_non_finite_value_exits_1(text, tmp_path, capsys):
     code, out = run_cli(_COVER + ["--config", str(cfg)])
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# case -> (config file text, argv that the file is added to); each value
+# is checked against its flag's declaration
+BAD_CONFIGS = {
+    "seed-string": ('{"seed": "abc"}', _CONSTRUCT),
+    "seed-float": ('{"seed": 1.5}', _CONSTRUCT),
+    "seed-bool": ('{"seed": true}', _CONSTRUCT),
+    "seed-negative": ('{"seed": -5}', _CONSTRUCT),
+    "trials-float": ('{"trials": 1.5}', _CONSTRUCT),
+    "force-scales-scalar": ('{"force_scales": 3}', _CONSTRUCT),
+    "top-level-list": ("[1, 2]", _CONSTRUCT),
+    "mode-bogus": ('{"mode": "bogus"}', _CONSTRUCT),
+    "format-xml": ('{"format": "xml"}', _CONSTRUCT),
+    # a config file names no further config file
+    "config-key": ('{"config": "other.json"}', _CONSTRUCT),
+    "constructed-string": ('{"constructed": "yes"}',
+                           ["composite-runs", "--poly", "n^2+1", "--X",
+                            "2000"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_value_checked_like_its_flag(case, tmp_path, capsys):
+    text, argv = BAD_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out = run_cli(argv + ["--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("env, flags", [("abc", []), ("-5", []),
+                                        (None, ["--seed", "-5"])])
+def test_bad_seed_exits_1(env, flags, monkeypatch, capsys):
+    """The report schema requires an integer seed >= 0."""
+    if env is None:
+        monkeypatch.delenv("SIEVEGAP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SIEVEGAP_SEED", env)
+    code, out = run_cli(_CONSTRUCT + flags)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_values_mean_what_the_flags_mean(tmp_path):
+    """A config file value converts as its flag's text does, so both
+    give the same report bytes (force_scales 2 reads as 2.0)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"force_scales": [2, 3], "mode": "cover",
+                               "trials": 2, "seed": 9}))
+    from_file = run_cli(_CONSTRUCT + ["--config", str(cfg)])
+    from_flags = run_cli(_CONSTRUCT + ["--force-scales", "2", "3",
+                                       "--mode", "cover", "--trials", "2",
+                                       "--seed", "9"])
+    assert from_file == from_flags
+    assert from_file[0] == 0
 
 
 @pytest.mark.parametrize("x", ["5", "99"])

@@ -104,6 +104,11 @@ def small_params(system=ERA, **overrides) -> Params:
     return Params(**kw)
 
 
+def stage1_members(system, params, b):
+    """The sorted members of [1, y] that the stage-1 shift b leaves."""
+    return sift(system, params.z_eff, b, 1, params.y).members()
+
+
 # ---------------------------------------------------------------------------
 # derive_params
 
@@ -346,8 +351,9 @@ def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
 def test_stage2_deterministic_and_supported():
     p = small_params()
     b = ShiftVector.uniform(ERA, p.z_eff, substream(2, "stage1"))
-    r1 = stage2_select(ERA, p, b, seed=99)
-    r2 = stage2_select(ERA, p, b, seed=99)
+    s1 = stage1_members(ERA, p, b)
+    r1 = stage2_select(ERA, p, b, s1, seed=99)
+    r2 = stage2_select(ERA, p, b, s1, seed=99)
     assert r1.chosen == r2.chosen
     tables = build_weight_tables(ERA, p, b, 2.0)
     for q, n in r1.chosen.items():
@@ -405,7 +411,8 @@ def test_stage2_sampling_frequencies():
 def test_stage2_cover_mode_supported():
     p = small_params()
     b = ShiftVector.uniform(ERA, p.z_eff, substream(8, "stage1"))
-    r = stage2_select(ERA, p, b, seed=11, mode="cover")
+    r = stage2_select(ERA, p, b, stage1_members(ERA, p, b), seed=11,
+                      mode="cover")
     tables = build_weight_tables(ERA, p, b, 2.0)
     for q, n in r.chosen.items():
         assert tables[q].values[n - tables[q].n_lo] > 0
@@ -419,8 +426,9 @@ def test_stage2_caps_table_cells_before_building(monkeypatch):
     from sievegap import construction
     p = derive_params(ERA, 2_950, force_scales=[2.0, 3.0])
     b = ShiftVector.uniform(ERA, p.z_eff, substream(1, "stage1"))
+    s1 = stage1_members(ERA, p, b)
     cells = [len(p.Q[H]) * (p.K + 1) * p.y for H in p.scales]
-    want = {mode: stage2_select(ERA, p, b, seed=5, mode=mode)
+    want = {mode: stage2_select(ERA, p, b, s1, seed=5, mode=mode)
             for mode in ("sample", "cover")}
     calls = []
 
@@ -437,10 +445,10 @@ def test_stage2_caps_table_cells_before_building(monkeypatch):
             calls.clear()
             if mode in refused:
                 with pytest.raises(EnumerationLimitError):
-                    stage2_select(ERA, p, b, seed=5, mode=mode)
+                    stage2_select(ERA, p, b, s1, seed=5, mode=mode)
                 assert calls == []
             else:
-                assert stage2_select(ERA, p, b, seed=5, mode=mode) == \
+                assert stage2_select(ERA, p, b, s1, seed=5, mode=mode) == \
                     want[mode]
                 assert len(calls) == len(p.scales)
 
@@ -455,7 +463,8 @@ def test_stage2_rejects_every_all_zero_table():
     b = ShiftVector.uniform(sys_, p.z_eff, substream(10, "stage1"))
     assert build_weight_tables(sys_, p, b, 2.0)[31].total == 0.0
     for mode in ("sample", "cover"):
-        r = stage2_select(sys_, p, b, seed=17, mode=mode)
+        r = stage2_select(sys_, p, b, stage1_members(sys_, p, b), seed=17,
+                          mode=mode)
         assert r.rejected == p.Q[2.0]
         assert r.tables_built == len(p.Q[2.0])
         assert r.chosen == {}
@@ -467,7 +476,7 @@ def test_stage2_rejects_every_all_zero_table():
 def test_apply_stage2_sieves_chosen_class():
     p = small_params()
     b = ShiftVector.uniform(ERA, p.z_eff, substream(9, "stage1"))
-    r = stage2_select(ERA, p, b, seed=13)
+    r = stage2_select(ERA, p, b, stage1_members(ERA, p, b), seed=13)
     shifted = apply_stage2(ERA, b, r.chosen)
     for q, n_q in r.chosen.items():
         assert (n_q - shifted.residue(q)) % q in ERA.residues(q)
@@ -502,7 +511,7 @@ def test_stage3_empty_survivors_succeeds():
     rng = substream(0, "s3")
     b = ShiftVector({p: 1 for p in ERA.active_primes(50)})
     # [1, 1] shifted: n=1 has (1-1)%2=0 in I_2, so no survivors
-    r = stage3_cleanup(ERA, 100, b, 0, rng)
+    r = stage3_cleanup(ERA, 100, b, 0, [], rng)
     assert r.ok and r.matched == 0
 
 
@@ -511,7 +520,7 @@ def test_stage3_matches_and_removes_survivors():
     x = 100
     b1 = ShiftVector.uniform(ERA, x // 2, substream(21, "stage1"))
     surv = [int(m) for m in sift(ERA, x // 2, b1, 1, 30).members()]
-    r = stage3_cleanup(ERA, x, b1, 30, rng)
+    r = stage3_cleanup(ERA, x, b1, 30, surv, rng)
     if r.ok:
         assert r.matched == len(surv)
         assert r.length == 30
@@ -525,15 +534,29 @@ def test_stage3_pigeonhole_failure():
     # x=100: large primes in (50, 100] number 10; a wide target overflows
     rng = substream(2, "s3")
     b1 = ShiftVector.uniform(ERA, 50, substream(22, "stage1"))
-    r = stage3_cleanup(ERA, 100, b1, 100, rng)
+    surv = [int(m) for m in sift(ERA, 50, b1, 1, 100).members()]
+    r = stage3_cleanup(ERA, 100, b1, 100, surv, rng)
     assert not r.ok
     assert r.survivors > r.available
     # the target shrinks to just below the first unmatched survivor
-    surv = [int(m) for m in sift(ERA, 50, b1, 1, 100).members()]
     assert r.matched == r.available
     assert r.length == surv[r.available] - 1
     assert verify_empty(ERA, 100, r.shift, 1, r.length)
     assert not verify_empty(ERA, 100, r.shift, 1, r.length + 1)
+
+
+def test_stage3_never_certifies_a_short_survivor_list():
+    """Stage 3 takes its survivors from the caller but certifies [1, L]
+    itself: here, leaving out any one survivor raises instead of
+    certifying."""
+    b1 = ShiftVector.uniform(ERA, 50, substream(21, "stage1"))
+    surv = [int(m) for m in sift(ERA, 50, b1, 1, 30).members()]
+    assert surv
+    assert stage3_cleanup(ERA, 100, b1, 30, surv, substream(1, "s3")).ok
+    for k in range(len(surv)):
+        with pytest.raises(DomainError, match="certification failed"):
+            stage3_cleanup(ERA, 100, b1, 30, surv[:k] + surv[k + 1:],
+                           substream(1, "s3"))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +571,28 @@ def test_construct_certificate_and_reproducibility():
     assert a.shift.entries == b.shift.entries
     assert verify_empty(ERA, 200, a.shift, 1, a.length)
     assert a.survivors_stage2 <= a.survivors_stage1
+
+
+@pytest.mark.parametrize("x, scales, mode", [(10_000, None, "sample"),
+                                             (3_000, [2.0, 3.0], "cover")])
+def test_construct_sifts_the_stage1_window_once(monkeypatch, x, scales, mode):
+    """construct sifts [1, y] at z_eff with the stage-1 shift once and
+    hands the members to stage 2 (cover vertices) and stage 3."""
+    from sievegap import construction
+    p = derive_params(ERA, x, force_scales=scales)
+    assert p.degraded == (scales is None)
+    b1 = ShiftVector.uniform(ERA, p.z_eff, substream(7, "stage1"))
+    calls = []
+
+    def spy(system, x, shift, lo, hi, z=1):
+        calls.append((x, shift.entries, lo, hi, z))
+        return sift(system, x, shift, lo, hi, z)
+
+    monkeypatch.setattr(construction, "sift", spy)
+    r = construct(ERA, p, seed=7, mode=mode)
+    assert calls.count((p.z_eff, b1.entries, 1, p.y, 1)) == 1
+    assert r.survivors_stage1 == sift(ERA, p.z_eff, b1, 1, p.y).count()
+    assert verify_empty(ERA, x, r.shift, 1, r.length)
 
 
 def test_construct_nondegraded_instance():

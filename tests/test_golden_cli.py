@@ -36,6 +36,12 @@ CASES = {
     "construct-cover": ("construct", "--system", "eratosthenes",
                         "--x", "3000", "--force-scales", "2", "3",
                         "--mode", "cover"),
+    # sample-mode stage 3 after stage 2 ran
+    "construct-sample": ("construct", "--system", "eratosthenes",
+                         "--x", "3000", "--force-scales", "2", "3",
+                         "--mode", "sample"),
+    "construct-default-1e6": ("construct", "--system", "eratosthenes",
+                              "--x", "1000000", "--seed", "0"),
     "cover-demo": ("cover-demo", "--vertices", "1000", "--trials", "2"),
     "moments-i-first-exact": ("moments", "--system", "eratosthenes",
                               "--identity", "i-first-exact",

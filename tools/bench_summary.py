@@ -17,7 +17,10 @@ metrics it also applies that file's bound: ``within_bound`` says the
 change's median is no worse than the parent's by more than the bound
 (relative to the parent's median), and ``gain`` says the change won at
 least nine tenths of the pairs and its median differs from the parent's
-by more than the parent's interquartile range.
+by more than the parent's interquartile range.  ``unresolved`` says the
+runs spread too widely to judge the bound: either side's interquartile
+range exceeds the bound times the parent's median, and not every change
+run reads better than every parent run.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ def summarise(parents: list[dict], changes: list[dict], spec: dict) -> dict:
                 row["wins"] >= 0.9 * len(p)
                 and sign * (cm - pm) > row["parent"]["q3"]
                 - row["parent"]["q1"])
+            spread = max(s["q3"] - s["q1"]
+                         for s in (row["parent"], row["change"]))
+            row["unresolved"] = bool(
+                spread > bounds[metric] * abs(pm)
+                and min(sign * b for b in c) <= max(sign * a for a in p))
         out.setdefault(workload, {})[metric] = row
     return out
 
