@@ -31,6 +31,7 @@ DEFAULT_M = 4.6
 DEFAULT_K = 3
 DEFAULT_XI = 1.1
 CUM_BLOCK = 256      # weight-table cells per stored running sum
+CUM_CHUNK = 32 * CUM_BLOCK   # cells per running-sum pass: a 64 KB buffer
 MAX_TABLE_CELLS = 2 ** 30   # weight-table cells stage 2 may hold at once
 
 
@@ -78,6 +79,8 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
         raise DomainError("x must be >= 100")
     if delta is not None and delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
+    if force_z is not None and force_z < 1:
+        raise DomainError(f"force_z must be >= 1, got {force_z}")
     warnings: list[str] = []
     rho_hat = estimate_rho(system, x)
     if delta is None:
@@ -99,6 +102,9 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
     if force_scales is not None:
         if not all(H >= 1 for H in force_scales):
             raise DomainError(f"forced scales must be >= 1: {force_scales}")
+        if len(set(force_scales)) < len(force_scales):
+            raise DomainError(
+                f"forced scales must be distinct: {force_scales}")
         scales = sorted(force_scales)
     else:
         lo, hi = 2 * y / x, y / (xi * z)
@@ -138,7 +144,6 @@ class WeightTable:
     n_lo: int                    # codes[k] is the cell of n = n_lo + k
     codes: np.ndarray            # |AP| per cell, or J + 1 where lambda = 0
     lut: np.ndarray              # lambda of each code, shared by a scale
-    total: float
 
     @property
     def values(self) -> np.ndarray:
@@ -146,12 +151,27 @@ class WeightTable:
         return self.lut[self.codes]
 
     @cached_property
+    def total(self) -> float:
+        """numpy's pairwise sum of the whole table."""
+        return float(self.values.sum())
+
+    @cached_property
     def starts(self) -> np.ndarray:
         # running sums before each block of CUM_BLOCK cells, built on the
         # first draw: a draw sums only its own block, in the order np.cumsum
-        # adds the whole table
-        cum = np.cumsum(self.values)
-        return np.r_[0.0, cum[CUM_BLOCK - 1::CUM_BLOCK]]
+        # adds the whole table.  Each chunk is summed in one reused buffer
+        # after buf[0], the running sum before it, which makes exactly
+        # np.cumsum's additions over the whole table.
+        ends = [np.zeros(1)]
+        buf = np.zeros(CUM_CHUNK + 1)
+        for lo in range(0, len(self.codes), CUM_CHUNK):
+            chunk = self.codes[lo:lo + CUM_CHUNK]
+            run = buf[:len(chunk) + 1]
+            self.lut.take(chunk, out=run[1:], mode="clip")
+            np.cumsum(run, out=run)
+            ends.append(run[CUM_BLOCK::CUM_BLOCK].copy())
+            buf[0] = run[-1]
+        return np.concatenate(ends)
 
     def n_at(self, u):
         """The n drawn by each uniform in u (an array, or one float in
@@ -194,8 +214,10 @@ def build_weight_tables(system: SievingSystem, params: Params,
     k = 0..J followed by 0, maps codes to lambda.
 
     For each h, the members n + q h for all n form one contiguous slice of
-    the window bitmaps, so |AP| is a sum of J shifted slices and the
-    (H^M, z] test an OR of J shifted slices.
+    the window bitmaps.  Both bitmaps are packed into one, 1 per member
+    and J + 2 per member failing the (H^M, z] sieve, in the narrowest
+    unsigned type that holds J (J + 2); a table is then a sum of J shifted
+    slices of it, clipped at J + 1.
     """
     K, y, M, z = params.K, params.y, params.M, params.z_eff
     HM = H ** M
@@ -209,24 +231,24 @@ def build_weight_tables(system: SievingSystem, params: Params,
     in_s1 = np.ones(width, dtype=bool)
     if system.active_primes(x1):
         in_s1 = sift(system, x1, stage1_shift, lo_all, hi_all).bits
-    # members of S_{H^M} + b1 that some prime in (H^M, z] removes
-    fails_s2 = np.zeros(width, dtype=bool)
+    # a member of S_{H^M} + b1 adds 1, and one that some prime in (H^M, z]
+    # removes J + 2: a sum of J slices is above J exactly when one fails
+    w = in_s1.astype(np.min_scalar_type(J * (J + 2)))
     if system.active_primes(z, HM):
         s2 = sift(system, z, stage1_shift, lo_all, hi_all, z=HM)
-        fails_s2 = in_s1 & ~s2.bits
+        w[in_s1 & ~s2.bits] = J + 2
     lut = weight_lut(params.sigma2[H], J)
     code_type = np.uint8 if J + 1 < 255 else np.int16
     out = {}
     for q in qs:
-        codes = np.zeros(cells, dtype=code_type)
-        bad = np.zeros(cells, dtype=bool)
-        for h in range(1, J + 1):
-            off = n_lo + q * h - lo_all
-            codes += in_s1[off:off + cells]
-            bad |= fails_s2[off:off + cells]
-        codes[bad] = J + 1
-        out[q] = WeightTable(H=H, q=q, n_lo=n_lo, codes=codes, lut=lut,
-                             total=float(lut[codes].sum()))
+        off = n_lo + q - lo_all
+        acc = w[off:off + cells].copy()
+        for h in range(2, J + 1):
+            off += q
+            acc += w[off:off + cells]
+        np.minimum(acc, J + 1, out=acc)
+        out[q] = WeightTable(H=H, q=q, n_lo=n_lo, lut=lut,
+                             codes=acc.astype(code_type, copy=False))
     return out
 
 

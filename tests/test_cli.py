@@ -282,7 +282,15 @@ BAD_FLAGS = {
     "construct-delta-neg": _CONSTRUCT + ["--delta", "-0.01"],
     "construct-delta-neg-half": _CONSTRUCT + ["--delta", "-0.5"],
     "moments-delta-neg": _MOMENTS_II + ["--delta", "-1"],
+    # a repeated scale would build its tables twice
+    "construct-force-scales-repeated": _CONSTRUCT + ["--force-scales", "2",
+                                                     "2"],
+    "moments-force-scales-repeated": _MOMENTS_II + ["--force-scales", "3",
+                                                    "3"],
 }
+for _argv in (_CONSTRUCT, _MOMENTS_II):
+    for _z in ("0", "-5"):
+        BAD_FLAGS[f"{_argv[0]}-force-z-{_z}"] = _argv + ["--force-z", _z]
 for _identity in ("i-first-exact", "i-first-mc", "i-second-mc"):
     for _z in ("0", "-4"):
         BAD_FLAGS[f"moments-{_identity}-z-{_z}"] = [
@@ -304,7 +312,13 @@ def test_bad_numeric_flag_exits_1(case, capsys):
     ("moments-delta-neg", "delta must be >= 0, got -1.0"),
     ("moments-i-first-exact-z--4", "z must be >= 1"),
     ("moments-i-first-mc-z-0", "z must be >= 1"),
-    ("moments-i-second-mc-z--4", "z must be >= 1")])
+    ("moments-i-second-mc-z--4", "z must be >= 1"),
+    ("construct-force-z-0", "force_z must be >= 1, got 0"),
+    ("moments-force-z--5", "force_z must be >= 1, got -5"),
+    ("construct-force-scales-repeated",
+     "forced scales must be distinct: [2.0, 2.0]"),
+    ("moments-force-scales-repeated",
+     "forced scales must be distinct: [3.0, 3.0]")])
 def test_bad_flag_message_names_the_option(case, message, capsys):
     """The error names the option, not a quantity derived from it."""
     assert run_cli(BAD_FLAGS[case])[0] == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import brute_members, random_table_system
 
-from sievegap.construction import (CUM_BLOCK, DEFAULT_M, Params,
+from sievegap.construction import (CUM_BLOCK, CUM_CHUNK, DEFAULT_M, Params,
                                    WeightTable, _survivors_above,
                                    apply_stage2, build_weight_tables,
                                    construct, derive_params, stage2_select,
@@ -90,7 +90,13 @@ def float_table(H, q, n_lo, vals):
     """A WeightTable holding an arbitrary float table: cell k has the code
     k, and the lookup table is the floats themselves."""
     return WeightTable(H=H, q=q, n_lo=n_lo, codes=np.arange(len(vals)),
-                       lut=vals, total=float(vals.sum()))
+                       lut=vals)
+
+
+def whole_table_starts(vals):
+    """The running sums before each CUM_BLOCK-cell block, from one
+    np.cumsum over the whole table."""
+    return np.r_[0.0, np.cumsum(vals)[CUM_BLOCK - 1::CUM_BLOCK]]
 
 
 def small_params(system=ERA, **overrides) -> Params:
@@ -254,16 +260,21 @@ def test_build_weight_tables_matches_pointwise():
         assert tab.values[k] == pytest.approx(
             weight_lambda(ERA, b, 2.0, 29, n, M=p.M, K=p.K, z=p.z_eff),
             rel=1e-12)
-    assert tab.total == pytest.approx(float(tab.values.sum()))
+    assert tab.total == float(tab.values.sum())
 
 
 def test_build_weight_tables_matches_gather_oracle():
     """Bit for bit: the same values, block sums and totals as the gather,
-    on derived Eratosthenes instances and random table systems."""
+    on derived Eratosthenes instances and random table systems.  H = 5 and
+    5.4 give J = 15 and 16, on either side of J (J + 2) = 256, where the
+    packed slice sums outgrow a uint8."""
     cases = [(ERA, derive_params(ERA, 2_950, force_scales=[2.0, 3.0]),
               seed) for seed in (1, 2)]
+    cases.append((ERA, derive_params(ERA, 5_000, force_scales=[5.0, 5.4]), 3))
+    assert [np.min_scalar_type(J * (J + 2)) for J in (15, 16)] == \
+        [np.uint8, np.uint16]
     rng = random.Random(61)
-    while len(cases) < 8:
+    while len(cases) < 9:
         sys_ = random_table_system(rng, prime_cap=400, max_classes=2)
         qs = sys_.active_primes(29, 24)
         if not qs:
@@ -281,6 +292,8 @@ def test_build_weight_tables_matches_gather_oracle():
                 assert got[q].codes.dtype == np.uint8
                 assert np.array_equal(got[q].values, tab.values)
                 assert np.array_equal(got[q].starts, tab.starts)
+                assert np.array_equal(got[q].starts,
+                                      whole_table_starts(tab.values))
                 assert got[q].total == tab.total
 
 
@@ -303,6 +316,26 @@ def test_build_weight_tables_int16_codes_past_uint8():
         assert 0 < np.count_nonzero(codes == int(p.K * H) + 1) < len(codes)
         assert np.array_equal(got[q].values, tab.values)
         assert got[q].total == tab.total
+
+
+def test_build_weight_tables_packed_sums_past_uint8():
+    """At H = 5.4, J = 16 and a sum of J packed slices can exceed 255.
+    The one prime p in (H^M, z] removes every class but n = 0 (mod p), so
+    the AP ending at 0 has 15 failing members and one survivor, a sum of
+    15 (J + 2) + 1 = 271 that a uint8 would wrap to the code 15."""
+    H, p = 5.4, 2341                                 # H^M ~ 2339
+    J = int(3 * H)
+    sys_ = SievingSystem("table", table={p: tuple(range(1, p))})
+    params = small_params(sys_, z=3000, z_eff=3000, scales=[H],
+                          Q={H: [11, 13]})
+    b = ShiftVector({p: 0})
+    got = build_weight_tables(sys_, params, b, H)
+    want = gather_weight_tables(sys_, params, b, H)
+    for q, tab in want.items():
+        assert got[q].codes.dtype == np.uint8
+        assert np.array_equal(got[q].values, tab.values)
+        ends_at_0 = [-q * h - tab.n_lo for h in range(1, J + 1)]
+        assert (got[q].codes[ends_at_0] == J + 1).all()
 
 
 def test_weight_lut_equals_per_cell_power():
@@ -375,14 +408,18 @@ def test_stage2_point_mass():
 
 def test_n_at_matches_whole_table_search():
     """A draw picks the cell that a search of the whole table's cumulative
-    sum picks, also when it lands exactly on a running sum."""
+    sum picks, also when it lands exactly on a running sum; the stored
+    running sums, built CUM_CHUNK cells at a time, are the whole table's
+    np.cumsum at every CUM_BLOCK-th cell, bit for bit."""
     rng = random.Random(8)
     for size in (1, 5, CUM_BLOCK - 1, CUM_BLOCK, CUM_BLOCK + 1,
-                 3 * CUM_BLOCK, 1000):
+                 3 * CUM_BLOCK, 1000, CUM_CHUNK - 1, CUM_CHUNK,
+                 CUM_CHUNK + 1, 3 * CUM_CHUNK + 5):
         vals = np.array([rng.random() * (rng.random() < 0.6)
                          for _ in range(size)])
         vals[0] += 0.5
         tab = float_table(2.0, 29, -7, vals)
+        assert np.array_equal(tab.starts, whole_table_starts(vals))
         cum = np.cumsum(vals)
         us = [rng.random() for _ in range(100)] + [0.0] + \
             [c / tab.total for c in cum]

@@ -46,6 +46,10 @@ CASES = {
     "moments-i-first-exact": ("moments", "--system", "eratosthenes",
                               "--identity", "i-first-exact",
                               "--z", "7", "--y", "50"),
+    # identity ii reads the weight-table totals
+    "moments-ii-j1": ("moments", "--system", "eratosthenes",
+                      "--identity", "ii-j1") + _MOMENTS_06
+                     + ("--trials", "2"),
     "moments-iii-j1": ("moments", "--system", "eratosthenes",
                        "--identity", "iii-j1") + _MOMENTS_06
                       + ("--trials", "2"),
