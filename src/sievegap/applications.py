@@ -25,10 +25,6 @@ _PRESIEVE_LIMIT = 300
 _BRUTE_X_CAP = 100_000_000
 
 
-def _as_poly(f) -> IntPolynomial:
-    return IntPolynomial.parse(f) if isinstance(f, str) else f
-
-
 # ---------------------------------------------------------------------------
 # brute-force composite runs
 
@@ -39,10 +35,6 @@ class RunResult:
     length: int
     probabilistic_checks: int = 0
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "length": self.length,
-                "probabilistic_checks": self.probabilistic_checks}
-
 
 def composite_run_bruteforce(f, X: int) -> RunResult:
     """Longest run of consecutive n in [1, X] with f(n) not prime.
@@ -52,10 +44,10 @@ def composite_run_bruteforce(f, X: int) -> RunResult:
     where a small prime divides f(n); only unmarked values reach the
     primality test.  Ties break to the smallest start.
     """
-    poly = _as_poly(f)
+    system = polynomial_system(f)
+    poly = system.poly
     if X < 1 or X > _BRUTE_X_CAP:
         raise DomainError(f"X must lie in [1, {_BRUTE_X_CAP}]")
-    system = polynomial_system(poly)
     # spf[n] = smallest presieve prime dividing f(n), or 0
     spf = np.zeros(X + 1, dtype=np.int32)
     for p in reversed(system.active_primes(_PRESIEVE_LIMIT)):
@@ -99,11 +91,6 @@ class ConstructedRun:
     period: int
     verified: bool
     probabilistic_checks: int = 0
-
-    def to_dict(self) -> dict:
-        return {"start": self.start, "length": self.length, "x": self.x,
-                "period": self.period, "verified": self.verified,
-                "probabilistic_checks": self.probabilistic_checks}
 
 
 def _greedy_empty_shift(system: SievingSystem, primes: list[int], x: int,
@@ -161,10 +148,10 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
     X/4), maps the interval into [X/2, X] through the CRT position of b,
     and verifies every element composite with the primality test.
     """
-    poly = _as_poly(f)
+    system = polynomial_system(f)
+    poly = system.poly
     if X < 1:
         raise DomainError("X must be >= 1")
-    system = polynomial_system(poly)
     x = _pick_cutoff(system, X)
     active = system.active_primes(x)
     if not active:
@@ -237,15 +224,11 @@ class CoprimalityWitness:
     k: int
     checked_up_to: int
 
-    def to_dict(self) -> dict:
-        return {"found": self.found, "n": self.n, "k": self.k,
-                "checked_up_to": self.checked_up_to}
-
 
 def coprimality_witness(f, k: int, search_bound: int) -> CoprimalityWitness:
     """Smallest n <= search_bound such that no f(n+i), i = 1..k, is
     coprime to all the others (witnessed by shared primes > deg f)."""
-    poly = _as_poly(f)
+    poly = polynomial_system(f).poly
     if k < 2:
         raise DomainError("k must be >= 2")
     d = max(1, poly.degree)
@@ -283,9 +266,8 @@ def coprimality_constructed(f, x: int, seed: int = 0) -> ConstructedCoprimality:
     only the per-index check is enforced here; `coprimality_witness`
     performs the full pairwise verification on searched witnesses.
     """
-    poly = _as_poly(f)
-    d = poly.degree
-    system = polynomial_system(poly)
+    system = polynomial_system(f)
+    poly, d = system.poly, system.poly.degree
     primes = system.active_primes(x, d)
     if not primes:
         raise DomainError(f"no usable primes in ({d}, {x}]")

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .applications import (composite_run_bruteforce, composite_run_constructed,
                            coprimality_constructed, coprimality_witness)
@@ -230,7 +231,7 @@ def _cmd_system_info(cfg: dict) -> dict:
     cps = [c for c in (100, 1_000, 10_000, 100_000, 1_000_000)
            if c < x] + [x]
     report = mertens_fit(system, cps)
-    out = report.to_dict()
+    out = asdict(report)
     if report.flagged_not_one_dimensional:
         warning = ("system is not one-dimensional: sigma(x) log x still "
                    "drifts at the last checkpoint")
@@ -288,7 +289,7 @@ def _cmd_cover_demo(cfg: dict) -> dict:
         fractions.append(run_cover(instance, plan, part, derive_seed(
             cfg["seed"], "trial", t)).uncovered_fraction)
     target = 10 * cfg["eta"]
-    return {"hypotheses": hyp.to_dict(), "plan": plan.to_dict(),
+    return {"hypotheses": hyp.to_dict(), "plan": asdict(plan),
             "uncovered": _stats(fractions),
             "success_fraction": sum(f <= target for f in fractions)
             / len(fractions),
@@ -320,11 +321,11 @@ def _cmd_moments(cfg: dict) -> dict:
             H = min(params.Q)
         rep = mc_lambda_moments(system, params, H, int(j), cfg["trials"],
                                 cfg["seed"], identity=family)
-    return rep.to_dict()
+    return asdict(rep)
 
 
 def _cmd_constants(cfg: dict) -> dict:
-    out = constants_report(cfg["rho"], cfg["tol"]).to_dict()
+    out = asdict(constants_report(cfg["rho"], cfg["tol"]))
     if cfg.get("derangement") is not None:
         d = cfg["derangement"]
         frac = rho_derangement(d)
@@ -335,16 +336,16 @@ def _cmd_constants(cfg: dict) -> dict:
 
 def _cmd_composite_runs(cfg: dict) -> dict:
     if cfg["constructed"]:
-        return composite_run_constructed(cfg["poly"], cfg["X"],
-                                         cfg["seed"]).to_dict()
-    return composite_run_bruteforce(cfg["poly"], cfg["X"]).to_dict()
+        return asdict(composite_run_constructed(cfg["poly"], cfg["X"],
+                                                cfg["seed"]))
+    return asdict(composite_run_bruteforce(cfg["poly"], cfg["X"]))
 
 
 def _cmd_coprime(cfg: dict) -> dict:
     if cfg["constructed"]:
         return coprimality_constructed(cfg["poly"], cfg["x"],
                                        cfg["seed"]).to_dict()
-    return coprimality_witness(cfg["poly"], cfg["k"], cfg["bound"]).to_dict()
+    return asdict(coprimality_witness(cfg["poly"], cfg["k"], cfg["bound"]))
 
 
 # ---------------------------------------------------------------------------

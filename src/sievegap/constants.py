@@ -69,11 +69,6 @@ class ConstantsReport:
     lower_bound: float
     delta1_check: bool
 
-    def to_dict(self) -> dict:
-        return {"rho": self.rho, "c_rho": self.c_rho,
-                "lower_bound": self.lower_bound,
-                "delta1_check": self.delta1_check}
-
 
 def constants_report(rho: float, tol: float = 1e-9) -> ConstantsReport:
     val = c_rho(rho, tol)

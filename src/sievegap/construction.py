@@ -83,6 +83,9 @@ def derive_params(system: SievingSystem, x: int, delta: float | None = None,
         raise DomainError(f"force_z must be >= 1, got {force_z}")
     warnings: list[str] = []
     rho_hat = estimate_rho(system, x)
+    if rho_hat == 0:
+        raise DomainError(f"no prime <= {x} has a forbidden class, so the "
+                          f"system sieves nothing")
     if delta is None:
         delta = min(0.9 * c_rho(min(rho_hat, 1.0)), 0.45)
     elif delta >= c_rho(min(rho_hat, 1.0)):
@@ -276,8 +279,7 @@ def stage2_select(system: SievingSystem, params: Params,
     """
     if mode not in ("sample", "cover"):
         raise DomainError(f"unknown stage-2 mode {mode!r}")
-    cells = [len(params.Q[H]) * (params.K + 1) * params.y
-             for H in params.scales if H in params.Q]
+    cells = [len(qs) * (params.K + 1) * params.y for qs in params.Q.values()]
     held = sum(cells) if mode == "cover" else max(cells, default=0)
     if held > MAX_TABLE_CELLS:
         raise EnumerationLimitError(
@@ -288,9 +290,7 @@ def stage2_select(system: SievingSystem, params: Params,
     built = 0
     all_tables: dict[int, WeightTable] = {}      # kept only for covering
     chosen: dict[int, int] = {}
-    for H in params.scales:
-        if H not in params.Q:
-            continue
+    for H in params.Q:
         # iterating the returned dict holds no other reference to it, so a
         # scale's tables that are drawn at once are freed before the next
         for q, tab in build_weight_tables(system, params, stage1_shift,
@@ -461,18 +461,13 @@ def construct(system: SievingSystem, params: Params, seed: int,
                            matched=r3.matched, rejected_q=rejected, mode=mode)
 
 
-@dataclass
-class BaselineResult:
-    shift: ShiftVector
-    length: int
-
-
-def trivial_baseline(system: SievingSystem, x: int, seed: int) -> BaselineResult:
+def trivial_baseline(system: SievingSystem, x: int, seed: int) -> Stage3Result:
     """Uniform shift mod P(x/2) plus clean-up over (x/2, x].
 
     The target interval is [1, rho x / (8 C1)] with rho and C1 estimated
     empirically; stage 3 stops L short of it when survivors outnumber
-    the available clean-up primes.
+    the available clean-up primes.  The shift has no entry above x/2, so
+    one sift up to x/2 gives the survivors.
     """
     if x < 100:
         raise DomainError("x must be >= 100")
@@ -481,6 +476,6 @@ def trivial_baseline(system: SievingSystem, x: int, seed: int) -> BaselineResult
     target = max(1, math.floor(rho_hat * x / (8 * c1_hat))) if c1_hat > 0 \
         else x // 4
     b1 = ShiftVector.uniform(system, x // 2, substream(seed, "stage1"))
-    r3 = stage3_cleanup(system, x, b1, target, _survivors_above(
-        system, b1, x // 2, target), substream(seed, "stage3"))
-    return BaselineResult(shift=r3.shift, length=r3.length)
+    survivors = sift(system, x // 2, b1, 1, target).members().tolist()
+    return stage3_cleanup(system, x, b1, target, survivors,
+                          substream(seed, "stage3"))

@@ -235,10 +235,6 @@ class RoundPlan:
     m: int
     intervals: list[tuple[float, float]]   # disjoint [a, b) inside [0, 1]
 
-    def to_dict(self) -> dict:
-        return {"beta": self.beta, "m": self.m,
-                "intervals": [[a, b] for a, b in self.intervals]}
-
 
 def _beta_admissible(beta: float, delta: float) -> bool:
     thr = 10.0 ** (2 * delta)

@@ -41,12 +41,6 @@ class MomentReport:
     exact: bool = False
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"identity": self.identity, "predicted": self.predicted,
-                "estimated": self.estimated, "std_error": self.std_error,
-                "trials": self.trials, "z_score": self.z_score,
-                "exact": self.exact, "extras": self.extras}
-
 
 def _report(identity: str, predicted: float, values: list[float],
             **extras) -> MomentReport:
@@ -70,33 +64,23 @@ def error_E(system: SievingSystem, A, m: int, H: float, M: float, z: int):
     (A^{omega(d)} / d) * 1{m mod d in I_d - I_d}.
 
     By the Chinese remainder theorem the indicator factors through the
-    per-prime difference sets, so a depth-first walk over the prime list
-    can prune every branch whose prime fails m mod p in I_p - I_p.
-    Exact rational arithmetic when A is an int or Fraction.
+    per-prime difference sets, so the sum is the product
+    prod(1 + A/p) - 1 over the primes p in (H^M, z] with
+    m mod p in I_p - I_p.  Exact rational arithmetic when A is an int or
+    Fraction; a float A gives the exact sum rounded once to a float.
     """
     primes = [int(p) for p in primes_in_range(H ** M, z)]
     if (1 << len(primes)) - 1 > ENUM_CAP:
         raise EnumerationLimitError(
             f"{len(primes)} primes in range: too many squarefree d")
-    good = []
+    exact = isinstance(A, (int, Fraction))
+    Aq = Fraction(A if exact else float(A))
+    total = Fraction(1)
     for p in primes:
         res = system.residues(p)
-        diff = {(a - b) % p for a in res for b in res}
-        if m % p in diff:
-            good.append(p)
-    exact = isinstance(A, (int, Fraction))
-    Aq = Fraction(A) if exact else float(A)
-    total = Fraction(0) if exact else 0.0
-
-    def dfs(idx, ratio):
-        nonlocal total
-        for k in range(idx, len(good)):
-            term = ratio * Aq / good[k]
-            total += term
-            dfs(k + 1, term)
-
-    dfs(0, Fraction(1) if exact else 1.0)
-    return total
+        if m % p in {(a - b) % p for a in res for b in res}:
+            total *= 1 + Aq / p
+    return total - 1 if exact else float(total - 1)
 
 
 # ---------------------------------------------------------------------------

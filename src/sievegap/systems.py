@@ -358,17 +358,6 @@ class DensityReport:
     flagged_not_one_dimensional: bool = False
     drift_ratio: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "sigma": self.sigma,
-            "period_bitlength": self.period_bitlength,
-            "rho_hat": self.rho_hat,
-            "mertens_track": [[int(a), float(b)] for a, b in self.mertens_track],
-            "flagged_not_one_dimensional": self.flagged_not_one_dimensional,
-            "drift_ratio": self.drift_ratio,
-        }
-
 
 class SievingSystem:
     """Residue classes I_p per prime, with metadata.

@@ -287,6 +287,11 @@ BAD_FLAGS = {
                                                      "2"],
     "moments-force-scales-repeated": _MOMENTS_II + ["--force-scales", "3",
                                                     "3"],
+    # f = 1 has no root mod any prime: no prime has a forbidden class
+    "construct-no-forbidden-class": ["construct", "--system", "poly:1",
+                                     "--x", "200"],
+    "moments-ii-j1-no-forbidden-class": ["moments", "--system", "poly:1",
+                                         "--identity", "ii-j1"],
 }
 for _argv in (_CONSTRUCT, _MOMENTS_II):
     for _z in ("0", "-5"):
@@ -318,7 +323,11 @@ def test_bad_numeric_flag_exits_1(case, capsys):
     ("construct-force-scales-repeated",
      "forced scales must be distinct: [2.0, 2.0]"),
     ("moments-force-scales-repeated",
-     "forced scales must be distinct: [3.0, 3.0]")])
+     "forced scales must be distinct: [3.0, 3.0]"),
+    ("construct-no-forbidden-class",
+     "no prime <= 200 has a forbidden class, so the system sieves nothing"),
+    ("moments-ii-j1-no-forbidden-class",
+     "no prime <= 1000 has a forbidden class, so the system sieves nothing")])
 def test_bad_flag_message_names_the_option(case, message, capsys):
     """The error names the option, not a quantity derived from it."""
     assert run_cli(BAD_FLAGS[case])[0] == 1

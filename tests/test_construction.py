@@ -338,6 +338,23 @@ def test_build_weight_tables_packed_sums_past_uint8():
         assert (got[q].codes[ends_at_0] == J + 1).all()
 
 
+def test_build_weight_tables_totals_pinned():
+    """Every total of criterion 06's instance for the first stage-1 draw of
+    seed 606, bit for bit: identity ii sums these, and its report prints
+    them to 12 digits only."""
+    params = derive_params(ERA, 2_950, delta=0.001, force_z=200,
+                           force_scales=[3.0])
+    b = ShiftVector.uniform(ERA, params.z_eff, substream(606, "lam", 0))
+    tables = build_weight_tables(ERA, params, b, 3.0)
+    assert {q: tab.total.hex() for q, tab in tables.items()} == {
+        907: "0x1.72a0526a75a6cp+13", 911: "0x1.726876904c072p+13",
+        919: "0x1.72aa6fd70d365p+13", 929: "0x1.72c21655b220dp+13",
+        937: "0x1.7278d690a115ap+13", 941: "0x1.72b033cae13a5p+13",
+        947: "0x1.72c0c8dfe1d8ep+13", 953: "0x1.7264cbb0a3b00p+13",
+        967: "0x1.728caaeb2b1a5p+13", 971: "0x1.72bb18444816ep+13",
+        977: "0x1.72a127ac4159ap+13", 983: "0x1.72ccc9848b2d2p+13"}
+
+
 def test_weight_lut_equals_per_cell_power():
     """lut[k] is the float that the per-cell power sigma2 ** -k gives, bit
     for bit, over arrays as long as a table: a numpy whose vectorised

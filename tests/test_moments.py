@@ -64,6 +64,13 @@ def test_error_e_closed_form_when_all_primes_good():
     assert error_E(ERA, 2, 0, 2.0, 4.6, 60) == expect
 
 
+def test_error_e_float_a_is_the_exact_sum_rounded_once():
+    for m in (0, 29, 31, 29 * 31, 17, -58, 12_345):
+        got = error_E(ERA, 1.5, m, 2.0, 4.6, 60)
+        assert type(got) is float
+        assert got == float(error_E(ERA, Fraction(3, 2), m, 2.0, 4.6, 60))
+
+
 def test_error_e_enumeration_guard():
     with pytest.raises(EnumerationLimitError):
         error_E(ERA, 1, 0, 2.0, 4.6, 1000)
