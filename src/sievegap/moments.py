@@ -27,7 +27,6 @@ from .systems import SievingSystem, period, sigma
 from .window import MAX_WINDOW, ShiftVector, _strike, sift
 
 EXACT_PERIOD_CAP = 100_000
-ENUM_CAP = 1_000_000
 
 
 @dataclass
@@ -70,9 +69,6 @@ def error_E(system: SievingSystem, A, m: int, H: float, M: float, z: int):
     Fraction; a float A gives the exact sum rounded once to a float.
     """
     primes = [int(p) for p in primes_in_range(H ** M, z)]
-    if (1 << len(primes)) - 1 > ENUM_CAP:
-        raise EnumerationLimitError(
-            f"{len(primes)} primes in range: too many squarefree d")
     exact = isinstance(A, (int, Fraction))
     Aq = Fraction(A if exact else float(A))
     total = Fraction(1)

@@ -134,39 +134,6 @@ class IntPolynomial:
 # modular root finding
 
 
-def sqrt_mod_p(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None when a is not a
-    square (Tonelli-Shanks).  A non-square needs no separate test: for
-    p = 3 mod 4 its candidate root does not square back to a, and
-    otherwise t = a^q starts with the full order 2^s."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return r if r * r % p == a else None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:    # Euler's criterion
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        if i == m:
-            return None
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -201,7 +168,7 @@ def _gcd_poly(a: list[int], b: list[int], p: int) -> list[int]:
 def _pow_mod(c: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """c^e mod p elementwise, for 0 <= c < p < 2^31 and e >= 0."""
     r = np.ones_like(c)
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
         r = r * r % p
         r = np.where((e >> bit) & 1 == 1, r * c % p, r)
     return r
@@ -232,7 +199,7 @@ def _pow_x_plus_a(a: int, e: np.ndarray, f: np.ndarray,
     k, n = f.shape
     r = np.zeros((k, n), dtype=np.int64)
     r[0] = 1
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
         r = _square_mod(r, f, p)
         xr = np.zeros_like(r)                  # x r = shift - top * f
         xr[1:] = r[:-1]
@@ -241,40 +208,109 @@ def _pow_x_plus_a(a: int, e: np.ndarray, f: np.ndarray,
     return r
 
 
-def _small_roots(g: list[int], p: int) -> list[int] | None:
-    """Distinct roots mod an odd prime p of a monic g of degree at most 2,
-    by the quadratic formula; None for higher degrees."""
-    if len(g) > 3:
-        return None
-    if len(g) < 3:
-        return [-g[0] % p] if len(g) == 2 else []
-    b, c = g[1], g[0]
-    r = sqrt_mod_p(b * b - 4 * c, p)
-    if r is None:
-        return []
-    half = (p + 1) // 2
-    return sorted({(-b + r) * half % p, (-b - r) * half % p})
+def _sqrt_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A square root of a mod p elementwise (Tonelli-Shanks), for odd
+    primes p < 2^31 and squares 0 <= a < p.
+
+    With p - 1 = q 2^s and w = a^((q-1)/2), r = a w has r^2 = a t for
+    t = a^q, of order dividing 2^(s-1).  Step i < s halves that bound:
+    where t^(2^(s-1-i)) = -1, r takes a factor b and t takes b^2, for b
+    = c^(2^(i-1)) and c = z^q, z the least non-square.  Only primes with
+    t != 1 and steps left take part, so p = 3 mod 4 (s = 1) takes none."""
+    two_s = (p - 1) & (1 - p)
+    w = _pow_mod(a, (p - 1) // two_s // 2, p)
+    root = a * w % p
+    t = root * w % p
+    j = np.flatnonzero(t > 1)                  # t = 0 only where a = 0
+    p, two_s, t, r = p[j], two_s[j], t[j], root[j]
+    z, k = np.full_like(p, 2), np.arange(len(p))
+    while k.size:                              # Euler's criterion
+        k = k[_pow_mod(z[k], (p[k] - 1) // 2, p[k]) != p[k] - 1]
+        z[k] += 1 + z[k] % 2                   # the least non-square is prime
+    b = _pow_mod(z, (p - 1) // two_s, p)
+    for i in range(1, int(two_s.max(initial=1)).bit_length() - 1):
+        keep = two_s >> i > 1                  # i < s
+        j, p, two_s, t, r, b = (v[keep] for v in (j, p, two_s, t, r, b))
+        k = np.flatnonzero(_pow_mod(t, two_s >> (i + 1), p) == p - 1)
+        r[k] = r[k] * b[k] % p[k]
+        b = b * b % p
+        t[k] = t[k] * b[k] % p[k]
+        root[j] = r
+    return root
+
+
+def _low_roots(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct roots mod p of the monic x^k + sum_j f[j] x^j, k =
+    len(f) <= 2, one column of f per odd prime p < 2^31, as arrays of
+    (column, root) pairs: -f[0] at degree 1, and at degree 2 the
+    quadratic formula with :func:`_sqrt_mod` on the columns where
+    Euler's criterion finds the discriminant a square."""
+    if len(f) == 1:
+        return np.arange(len(p)), -f[0] % p
+    disc = (f[1] * f[1] - 4 * f[0]) % p
+    sq = np.flatnonzero(_pow_mod(disc, (p - 1) // 2, p) != p - 1)
+    b, q = f[1][sq], p[sq]
+    r, half = _sqrt_mod(disc[sq], q), (q + 1) // 2
+    two = r > 0                                # a nonzero discriminant
+    return (np.concatenate([sq, sq[two]]),
+            np.concatenate([(r - b) * half % q, ((-r - b) * half % q)[two]]))
+
+
+def _cz_roots(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct roots mod p of the monic x^k + sum_j f[j] x^j, k =
+    len(f) >= 3, as :func:`_low_roots` gives them.
+
+    Per prime, g = gcd(f, x^p - x), with x^p mod (f, p) from vectorised
+    square and multiply, is the product of (x - r) over the distinct
+    roots r.  Cantor-Zassenhaus round a splits every pending g of one
+    degree >= 3 at once: gcd(g, (x + a)^((p-1)/2) - 1) keeps the roots r
+    with r + a a nonzero square.  Some a below p splits any two roots,
+    so a counts up from 0.  Factors of degree 1 and 2 are solved after
+    the last round, one :func:`_low_roots` call per degree."""
+    qs = p.tolist()
+    h = _pow_x_plus_a(0, p, f, p)              # x^p mod (f, p)
+    h[1] = (h[1] - 1) % p
+    # (column, monic factor of f whose roots are distinct roots of f)
+    todo = [(j, _gcd_poly(fj + [1], _trim(hj), q)) for j, (fj, hj, q)
+            in enumerate(zip(f.T.tolist(), h.T.tolist(), qs))]
+    found = ([], [])                # j, g_0[, g_1] per factor of degree 1, 2
+    a = 0
+    while todo:
+        for j, g in todo:
+            if 1 < len(g) <= 3:
+                found[len(g) - 2].extend((j, *g[:-1]))
+        todo, pending = [], [(j, g) for j, g in todo if len(g) > 3]
+        for k in sorted({len(g) for _, g in pending}):
+            batch = [(j, g) for j, g in pending if len(g) == k]
+            bp = p[[j for j, _ in batch]]
+            gl = np.array([g[:-1] for _, g in batch], dtype=np.int64).T
+            hs = _pow_x_plus_a(a, (bp - 1) // 2, gl, bp)
+            for (j, g), hj in zip(batch, hs.T.tolist()):
+                q = qs[j]
+                hj[0] = (hj[0] - 1) % q
+                g1 = _gcd_poly(g, _trim(hj), q)
+                if 1 < len(g1) < len(g):
+                    todo += [(j, g1), (j, _divmod_poly(g, g1, q)[0])]
+                else:
+                    todo.append((j, g))
+        a += 1
+    pairs = []
+    for k, flat in enumerate(found, 2):
+        jg = np.array(flat, dtype=np.int64).reshape(-1, k).T
+        col, root = _low_roots(jg[1:], p[jg[0]])
+        pairs.append((jg[0][col], root))
+    return tuple(np.concatenate(v) for v in zip(*pairs))
 
 
 def _roots_mod_primes(coeffs: Sequence[int],
                       primes: list[int]) -> list[tuple[int, ...]]:
     """Sorted roots mod p of sum_j coeffs[j] x^j, for each of ``primes``.
 
-    Every prime must be odd and below 2^31.  Degree 1 is solved per prime.
-    Otherwise f is made monic mod p for all primes at once.  A quadratic
-    then has a closed form: Euler's criterion, run on every discriminant
-    at once, leaves the quadratic formula only the primes where the
-    discriminant is a square.  For higher degrees, x^p mod (f, p) is
-    computed by vectorised square and multiply.  Per prime,
-    g = gcd(f, x^p - x) is the product of (x - r) over the distinct roots
-    r, and Cantor-Zassenhaus rounds split g: round a computes
-    (x + a)^((p-1)/2) mod (g, p) for every pending g of one degree at
-    once, and gcd(g, that - 1) separates the roots r with r + a a nonzero
-    square.  Some a below p splits any two roots, and the roots
-    do not depend on the a tried, so a simply counts up from 0.  A prime
-    dividing the leading coefficient is solved for the lower-degree
-    polynomial, and a prime dividing every coefficient forbids all p
-    classes.
+    Every prime must be odd and below 2^31.  f is made monic mod p for
+    all primes at once and solved by :func:`_low_roots` at degree 1 and
+    2, by :func:`_cz_roots` above.  A prime dividing the leading
+    coefficient is solved for the lower-degree polynomial, and a prime
+    dividing every coefficient forbids all p classes.
     """
     if primes and max(primes) >= MAX_ROOT_PRIME:
         raise DomainError(f"root finding mod p needs p < {MAX_ROOT_PRIME} "
@@ -292,53 +328,15 @@ def _roots_mod_primes(coeffs: Sequence[int],
             out[i] = res
     idx = [i for i, p in enumerate(primes) if lead % p]
     qs = [primes[i] for i in idx]
-    if len(coeffs) == 2:
-        for i, p in zip(idx, qs):
-            out[i] = (-coeffs[0] * pow(coeffs[1], -1, p) % p,)
-        return out
-    if not qs:
-        return out
     ps = np.array(qs, dtype=np.int64)
     c = np.array([[coef % p for p in qs] for coef in coeffs], dtype=np.int64)
     f = c[:-1] * _pow_mod(c[-1], ps - 2, ps) % ps
-    if len(coeffs) == 3:                       # x^2 + f[1] x + f[0]
-        disc = (f[1] * f[1] - 4 * f[0]) % ps
-        square = _pow_mod(disc, (ps - 1) // 2, ps) != ps - 1
-        for i, p, g, sq in zip(idx, qs, f.T.tolist(), square.tolist()):
-            out[i] = tuple(_small_roots(g + [1], p)) if sq else ()
-        return out
-    h = _pow_x_plus_a(0, ps, f, ps)            # x^p mod (f, p)
-    h[1] = (h[1] - 1) % ps
-    # (position in qs, monic factor of f whose roots are distinct roots of f)
-    todo = [(j, _gcd_poly(fj + [1], _trim(hj), p)) for j, (fj, hj, p)
-            in enumerate(zip(f.T.tolist(), h.T.tolist(), qs))]
-    roots: list[list[int]] = [[] for _ in qs]
-    a = 0
-    while todo:
-        pending = []
-        for j, g in todo:
-            rs = _small_roots(g, qs[j])
-            if rs is None:
-                pending.append((j, g))
-            else:
-                roots[j] += rs
-        todo = []
-        for k in sorted({len(g) for _, g in pending}):
-            batch = [(j, g) for j, g in pending if len(g) == k]
-            ps = np.array([qs[j] for j, _ in batch], dtype=np.int64)
-            gl = np.array([g[:-1] for _, g in batch], dtype=np.int64).T
-            hs = _pow_x_plus_a(a, (ps - 1) // 2, gl, ps)
-            for (j, g), hj in zip(batch, hs.T.tolist()):
-                p = qs[j]
-                hj[0] = (hj[0] - 1) % p
-                g1 = _gcd_poly(g, _trim(hj), p)
-                if 1 < len(g1) < len(g):
-                    todo += [(j, g1), (j, _divmod_poly(g, g1, p)[0])]
-                else:
-                    todo.append((j, g))
-        a += 1
-    for i, rs in zip(idx, roots):
-        out[i] = tuple(sorted(rs))
+    col, root = (_low_roots if len(f) <= 2 else _cz_roots)(f, ps)
+    order = np.lexsort((root, col))
+    ends = np.searchsorted(col[order], np.arange(len(qs) + 1)).tolist()
+    rs = root[order].tolist()
+    for i, lo, hi in zip(idx, ends, ends[1:]):
+        out[i] = tuple(rs[lo:hi])
     return out
 
 
@@ -429,6 +427,9 @@ class SievingSystem:
     def active_primes(self, x: float, z: float = 1) -> list[int]:
         """Primes p in (z, x] with I_p nonempty; the tables of all those
         not yet cached are computed in one batch."""
+        if self.kind == "polynomial" and x >= MAX_ROOT_PRIME:
+            raise DomainError(f"root finding mod p needs p < "
+                              f"{MAX_ROOT_PRIME} (got x = {x})")
         primes = primes_in_range(z, x).tolist()
         cache = self._cache
         missing = [p for p in primes if p not in cache]

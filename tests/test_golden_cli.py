@@ -27,6 +27,8 @@ CASES = {
                               "--x", "100000"),
     "system-info-quadratic": ("system-info", "--file", "poly:n^2+1",
                               "--x", "5000"),
+    "system-info-quadratic-1e6": ("system-info", "--file", "poly:n^2+1",
+                                  "--x", "1000000"),
     "system-info-twin": ("system-info", "--file", "twin", "--x", "1000"),
     "gaps-shift-file": ("gaps", "--system", "eratosthenes", "--x", "30",
                         "--window", "1..2000", "--shift-file",

@@ -71,9 +71,14 @@ def test_error_e_float_a_is_the_exact_sum_rounded_once():
         assert got == float(error_E(ERA, Fraction(3, 2), m, 2.0, 4.6, 60))
 
 
-def test_error_e_enumeration_guard():
-    with pytest.raises(EnumerationLimitError):
-        error_E(ERA, 1, 0, 2.0, 4.6, 1000)
+def test_error_e_has_no_enumeration_cap():
+    """159 primes in (2^4.6, 1000]: the product needs no walk over the
+    2^159 - 1 squarefree d, and with m = 0 every prime is good."""
+    ps = [p for p in range(25, 1001)
+          if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(ps) == 159
+    expect = math.prod(Fraction(p + 1, p) for p in ps) - 1
+    assert error_E(ERA, 1, 0, 2.0, 4.6, 1000) == expect
 
 
 def test_error_e_averaged_bound_one_sided():

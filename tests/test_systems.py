@@ -4,11 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import binomial_eval, brute_roots, random_table_system
 from mpmath import mp
 
-from sievegap import systems
+from sievegap import primes, systems
+from sievegap.cli import dispatch
 from sievegap.errors import DomainError
 from sievegap.primes import is_prime, primes_in_range, primes_upto
 from sievegap.systems import (SIGMA_PRECISION_BITS, IntPolynomial,
@@ -168,15 +170,39 @@ def test_quadratic_roots_near_1e6_match_numpy_evaluation(text):
         assert sys_.residues(p) == brute_roots(sys_.poly, p), (text, p)
 
 
-def test_sqrt_mod_p_matches_squares():
-    """A root exactly for the squares mod p, p = 1 and 3 mod 4, including
-    p = 1 mod 8 where Tonelli-Shanks takes more than one step."""
+# found with is_prime: sieving up to 2^31 would take a 2 GiB flag array
+NEAR_2_31 = [p for p in range((1 << 31) - 3000, 1 << 31) if is_prime(p)]
+
+
+def test_sqrt_mod_matches_squares():
+    """A root of every square mod every odd prime below 300, p = 1 and 3
+    mod 4, including p = 1 mod 8 where Tonelli-Shanks takes more than one
+    step, and of random squares mod the primes just below 2^31."""
     for p in (int(p) for p in primes_in_range(2, 300)):
-        squares = {n * n % p for n in range(p)}
-        for a in range(-2, p + 2):
-            r = systems.sqrt_mod_p(a, p)
-            assert (r is not None) == (a % p in squares), (a, p)
-            assert r is None or r * r % p == a % p
+        a = np.array(sorted({n * n % p for n in range(p)}), dtype=np.int64)
+        r = systems._sqrt_mod(a, np.full_like(a, p))
+        assert ((0 <= r) & (r < p) & (r * r % p == a)).all(), p
+    rng = random.Random(31)
+    ps = np.array(NEAR_2_31 * 4, dtype=np.int64)
+    a = np.array([rng.randrange(p) ** 2 % p for p in ps.tolist()])
+    r = systems._sqrt_mod(a, ps)
+    assert ((0 <= r) & (r < ps) & (r * r % ps == a)).all()
+
+
+@pytest.mark.parametrize("coeffs,count", [
+    ([1, 0, 1], 138), ([0, 2, 1], 276),
+    ([2147483647, 2147483587, 2147483629], 161)])
+def test_quadratic_roots_near_2_31(coeffs, count):
+    """Near 2^31 the quadratic formula's products reach about 2^62.  The
+    last polynomial's coefficients are primes in this range, so it loses
+    a coefficient at each of them."""
+    assert len(NEAR_2_31) == 138
+    out = systems._roots_mod_primes(coeffs, NEAR_2_31)
+    for p, rs in zip(NEAR_2_31, out):
+        assert len(rs) <= 2 and list(rs) == sorted(set(rs)), p
+        assert all((coeffs[2] * r * r + coeffs[1] * r + coeffs[0]) % p == 0
+                   for r in rs), p
+    assert sum(map(len, out)) == count
 
 
 def test_root_finding_refuses_primes_from_2_31():
@@ -184,6 +210,18 @@ def test_root_finding_refuses_primes_from_2_31():
     assert is_prime(p)
     with pytest.raises(DomainError, match="2147483648"):
         polynomial_system("n^3+2").residues(p)
+
+
+def test_active_primes_refuses_x_from_2_31_before_sieving(monkeypatch,
+                                                          capsys):
+    def refuse(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(primes, "sieve_flags", refuse)
+    argv = ["system-info", "--file", "poly:n^3+2", "--x", "2147483660"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: root finding mod p needs p < 2147483648")
 
 
 def test_degenerate_prime_flagged_not_error():
