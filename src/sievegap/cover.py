@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .rng import derive_seed, uniforms
 ASSIGN_RETRY_CAP = 100
 RESAMPLE_FACTOR = 5.0       # attempts per index ~ factor / alive fraction
 RESAMPLE_HARD_CAP = 20_000  # < 2^rng.ATTEMPT_BITS, so attempts never collide
+MAX_EDGES = 1 << 40         # rng.uniforms keeps indices below 2^40 apart
 DEGREE_CHUNK = 1 << 22      # partial sums the degree check holds at once
 
 
@@ -95,9 +95,10 @@ def progression_instance(n_vertices: int, C2: float,
                          eta: float) -> CoverInstance:
     """The calibrated synthetic family: C2 * N singleton-progression edges."""
     s = int(round(C2 * n_vertices))
-    if n_vertices < 1 or s < 1:
-        raise DomainError(f"need at least one vertex and one edge, got "
-                          f"N={n_vertices} and round(C2 N)={s}")
+    if n_vertices < 1 or not 1 <= s < MAX_EDGES:
+        raise DomainError(f"need at least one vertex and 1 to 2^40 - 1 "
+                          f"edges, got N={n_vertices} and C2 N="
+                          f"{C2 * n_vertices:.6g}")
     return CoverInstance(
         vertices=np.arange(n_vertices, dtype=np.int64),
         samplers=[ProgressionSampler(n_vertices)] * s,
@@ -138,31 +139,28 @@ class HypothesisReport:
                 "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _distinct_probs(instance: CoverInstance):
-    """For each distinct sampler object, keyed by id in index order: the
-    first index holding it, and its inclusion probabilities.  Families
-    repeat one object many times, so these are computed once per object."""
-    first: dict[int, int] = {}
-    for i, sm in enumerate(instance.samplers):
-        first.setdefault(id(sm), i)
-    probs = {k: instance.samplers[i].inclusion_probs(instance.vertices)
-             for k, i in first.items()}
-    return first, probs
+def _shared(samplers: list[EdgeSampler]):
+    """Which indices share a sampler object: first[g] is the first index
+    holding distinct sampler g, in increasing order, group[i] is the g of
+    index i, and distinct[g] is the sampler.  Families repeat one object
+    many times, so readers call each distinct sampler once."""
+    ids = np.fromiter(map(id, samplers), dtype=np.uint64,
+                      count=len(samplers))
+    _, first, group = np.unique(ids, return_index=True, return_inverse=True)
+    first, group = np.unique(first[group], return_inverse=True)
+    return first, group, [samplers[i] for i in first.tolist()]
 
 
-def _degree_sums(instance: CoverInstance, probs: dict) -> np.ndarray:
-    """sum_i Pr(v in e_i) for each vertex v, added in index order as the
-    loop degree += probs[i] adds it.
+def _degree_sums(probs: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """sum_k probs[seq[k]] for each vertex, added in the order of seq as
+    the loop degree += probs[seq[k]] adds it.
 
-    Vertices whose probabilities agree under every distinct sampler see
-    the same sequence of terms, so the sequential sum (np.add.accumulate,
-    never pairwise) runs once per distinct column of the stacked
-    probabilities, DEGREE_CHUNK partial sums at a time.
+    Vertices whose probabilities agree in every row of probs see the same
+    sequence of terms, so the sequential sum (np.add.accumulate, never
+    pairwise) runs once per distinct column of probs, DEGREE_CHUNK
+    partial sums at a time.
     """
-    row = {k: r for r, k in enumerate(probs)}
-    seq = np.array([row[id(sm)] for sm in instance.samplers])
-    cols, inv = np.unique(np.stack(list(probs.values())), axis=1,
-                          return_inverse=True)
+    cols, inv = np.unique(probs, axis=1, return_inverse=True)
     sums = np.empty(cols.shape[1])
     step = max(1, DEGREE_CHUNK // len(seq))
     for c in range(0, len(sums), step):
@@ -185,10 +183,12 @@ def check_hypotheses(instance: CoverInstance, delta: float,
         raise DomainError("scale y too small for the size cap to make sense")
     conds: list[ConditionReport] = []
 
-    first, probs = _distinct_probs(instance)
+    first, group, distinct = _shared(instance.samplers)
+    probs = np.stack([sm.inclusion_probs(instance.vertices)
+                      for sm in distinct])
 
     size_cap = math.sqrt(math.log(y)) / math.log(math.log(y))
-    worst_size = max(instance.samplers[i].max_size() for i in first.values())
+    worst_size = max(sm.max_size() for sm in distinct)
     conds.append(ConditionReport("edge_size", worst_size <= size_cap,
                                  float(worst_size), size_cap))
 
@@ -196,22 +196,21 @@ def check_hypotheses(instance: CoverInstance, delta: float,
     # first indices in order finds the first index with the largest prob
     sparsity_cap = y ** (-0.5 - 0.01)
     worst_p, worst_v = 0.0, None
-    for k, i in first.items():
-        j = int(np.argmax(probs[k]))
-        if probs[k][j] > worst_p:
-            worst_p = float(probs[k][j])
+    for i, row in zip(first.tolist(), probs):
+        j = int(np.argmax(row))
+        if row[j] > worst_p:
+            worst_p = float(row[j])
             worst_v = (i, int(instance.vertices[j]))
     conds.append(ConditionReport("sparsity", worst_p <= sparsity_cap,
                                  worst_p, sparsity_cap, worst_v))
 
     codeg_cap = y ** -0.5
-    bounds = {k: instance.samplers[i].codegree_bound()
-              for k, i in first.items()}
-    codeg = sum(bounds[id(sm)] for sm in instance.samplers)
+    bounds = [sm.codegree_bound() for sm in distinct]
+    codeg = sum(map(bounds.__getitem__, group.tolist()))
     conds.append(ConditionReport("codegree", codeg <= codeg_cap,
                                  float(codeg), codeg_cap))
 
-    degree = _degree_sums(instance, probs)
+    degree = _degree_sums(probs, group)
     dev = np.abs(degree - instance.C2)
     j = int(np.argmax(dev))
     conds.append(ConditionReport("degree_uniform", float(dev[j]) <= instance.eta,
@@ -321,10 +320,12 @@ def degree_profile(instance: CoverInstance,
     n = len(instance.vertices)
     m = max(partition) if partition else 0
     degrees = np.zeros((m, n))
-    _, probs = _distinct_probs(instance)
+    _, group, distinct = _shared(instance.samplers)
+    probs = np.stack([sm.inclusion_probs(instance.vertices)
+                      for sm in distinct])
     for j, idxs in partition.items():
-        for i in idxs:
-            degrees[j - 1] += probs[id(instance.samplers[i])]
+        if idxs:
+            degrees[j - 1] = _degree_sums(probs, group[idxs])
     P = np.ones((m + 1, n))
     for j in range(m):
         P[j + 1] = P[j] * np.exp(-degrees[j] / P[j])
@@ -337,55 +338,53 @@ def degree_profile(instance: CoverInstance,
 
 @dataclass
 class CoverResult:
-    chosen: dict[int, tuple[int, ...]]   # index -> accepted edge (may be ())
+    # accepted[i] says index i kept an edge; last_u[i] is the uniform of
+    # its last draw, the accepted one (the edge samplers[i].sample(
+    # last_u[i:i + 1])) or else its attempt_cap-th (NaN in no round)
+    accepted: np.ndarray
+    last_u: np.ndarray
     uncovered: np.ndarray
     uncovered_fraction: float
-    rounds_trace: list[dict] = field(default_factory=list)
-    # last_u[i]: the uniform of index i's last draw, the accepted one or
-    # its attempt_cap-th when none landed inside the alive set (NaN when
-    # i is in no round)
-    last_u: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rounds_trace: list[dict]
 
 
-def _draw_round(samplers: list[EdgeSampler], idxs: list[int], key: int,
-                cap: int, rank_of, alive: np.ndarray):
+def _draw_round(distinct: list[EdgeSampler], group: np.ndarray,
+                idxs: list[int], key: int, cap: int, rank_of,
+                alive: np.ndarray):
     """Attempts t = 0..cap-1 of the round's indices idxs, in waves: wave
     t draws attempt t of every index still pending, with one sample call
-    per distinct sampler object among them.
+    per distinct sampler among them (index i holds distinct[group[i]]).
 
-    Returns, per position of idxs, the first drawn edge that is nonempty
-    and lies inside alive (() if no attempt gave one), and the uniform of
-    the last attempt drawn.
+    Returns, per position of idxs, whether an attempt drew an edge that
+    is nonempty and lies inside alive, and the uniform of the last
+    attempt drawn; then the members of every accepted edge.
     """
-    ids = np.fromiter((id(samplers[i]) for i in idxs), dtype=np.uint64,
-                      count=len(idxs))
-    _, first, group = np.unique(ids, return_index=True, return_inverse=True)
-    by_group = [samplers[idxs[k]] for k in first.tolist()]
+    idx = np.array(idxs, dtype=np.int64)
+    grp = group[idx]
     # pending holds positions of idxs, kept sorted by group so that each
     # sampler's draws of a wave form one contiguous slice
-    pending = np.argsort(group, kind="stable")
-    idx = np.array(idxs, dtype=np.int64)
-    edges: list[tuple[int, ...]] = [()] * len(idxs)
-    last_u = np.empty(len(idxs))
+    pending = np.argsort(grp, kind="stable")
+    accepted = np.zeros(len(idx), dtype=bool)
+    last_u = np.empty(len(idx))
+    kept = [np.empty(0, dtype=np.int64)]
     for t in range(cap):
         if not len(pending):
             break
         u = uniforms(key, idx[pending], t)
         last_u[pending] = u
-        g = group[pending]
+        g = grp[pending]
         cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
-        drawn = [by_group[gs[0]].sample(us)
+        drawn = [distinct[gs[0]].sample(us)
                  for gs, us in zip(np.split(g, cuts), np.split(u, cuts))]
         members = np.concatenate([m for m, _ in drawn])
         sizes = np.concatenate([n for _, n in drawn])
         owner = np.repeat(np.arange(len(u)), sizes)
         ok = (sizes > 0) & (np.bincount(owner[alive[rank_of(members)]],
                                         minlength=len(u)) == sizes)
-        kept = iter(members[ok[owner]].tolist())
-        for k, n in zip(pending[ok], sizes[ok]):
-            edges[k] = tuple(islice(kept, n))
+        kept.append(members[ok[owner]])
+        accepted[pending[ok]] = True
         pending = pending[~ok]
-    return edges, last_u
+    return accepted, last_u, np.concatenate(kept)
 
 
 def run_cover(instance: CoverInstance, plan: RoundPlan,
@@ -416,8 +415,9 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
             raise DomainError("a sampler drew a vertex outside the instance")
         return order[pos]
 
+    _, group, distinct = _shared(instance.samplers)
     alive = np.ones(len(labels), dtype=bool)
-    chosen: dict[int, tuple[int, ...]] = {}
+    accepted = np.zeros(instance.s, dtype=bool)
     last_u = np.full(instance.s, np.nan)
     trace = []
     for j in range(1, plan.m + 1):
@@ -426,17 +426,15 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
         cap = min(RESAMPLE_HARD_CAP,
                   max(1, int(math.ceil(RESAMPLE_FACTOR / max(frac, 1e-9)))))
         idxs = partition.get(j, [])
-        edges, last_u[idxs] = _draw_round(
-            instance.samplers, idxs, derive_seed(seed, "cover", j), cap,
+        ok, last_u[idxs], members = _draw_round(
+            distinct, group, idxs, derive_seed(seed, "cover", j), cap,
             rank_of, alive_start)
-        chosen.update(zip(idxs, edges))
-        alive[rank_of(np.array([v for e in edges for v in e],
-                               dtype=np.int64))] = False
+        accepted[idxs] = ok
+        alive[rank_of(members)] = False
         trace.append({"round": j, "alive_fraction_start": float(frac),
-                      "indices": len(idxs),
-                      "accepted": sum(map(bool, edges)),
+                      "indices": len(idxs), "accepted": int(ok.sum()),
                       "attempt_cap": cap})
-    return CoverResult(chosen=chosen,
+    return CoverResult(accepted=accepted, last_u=last_u,
                        uncovered=instance.vertices[alive],
                        uncovered_fraction=float(alive.mean()),
-                       rounds_trace=trace, last_u=last_u)
+                       rounds_trace=trace)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .construction import Params, build_weight_tables
 from .errors import DomainError, EnumerationLimitError
-from .primes import primes_in_range
 from .rng import substream
 from .systems import SievingSystem, period, sigma
 from .window import MAX_WINDOW, ShiftVector, _strike, sift
@@ -68,11 +67,11 @@ def error_E(system: SievingSystem, A, m: int, H: float, M: float, z: int):
     m mod p in I_p - I_p.  Exact rational arithmetic when A is an int or
     Fraction; a float A gives the exact sum rounded once to a float.
     """
-    primes = [int(p) for p in primes_in_range(H ** M, z)]
     exact = isinstance(A, (int, Fraction))
     Aq = Fraction(A if exact else float(A))
     total = Fraction(1)
-    for p in primes:
+    # I_p empty makes I_p - I_p empty: only active primes, found in a batch
+    for p in system.active_primes(z, H ** M):
         res = system.residues(p)
         if m % p in {(a - b) % p for a in res for b in res}:
             total *= 1 + Aq / p

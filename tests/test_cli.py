@@ -264,6 +264,9 @@ BAD_FLAGS = {
     "cover-demo-edges-0": _COVER + ["--edges", "0"],
     "cover-demo-c2-nan": _COVER + ["--c2", "nan"],
     "cover-demo-c2-inf": _COVER + ["--c2", "inf"],
+    # 2^40 edges and more would share counter streams
+    "cover-demo-c2-1e300": _COVER + ["--c2", "1e300"],
+    "cover-demo-edges-2^40": _COVER + ["--edges", str(1 << 40)],
     "cover-demo-scale-y-nan": _COVER + ["--scale-y", "nan"],
     "constants-rho-nan": ["constants", "--rho", "nan"],
     "constants-rho-inf": ["constants", "--rho", "inf"],

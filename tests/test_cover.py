@@ -404,7 +404,8 @@ def test_run_cover_support_containment_replayable():
             u = uniforms(key, i, np.arange(cap))
             inside = [bool(e) and alive_start.issuperset(e)
                       for e in _edges(inst.samplers[i], u)]
-            edge = res.chosen[i]
+            edge = (_edges(inst.samplers[i], res.last_u[i:i + 1])[0]
+                    if res.accepted[i] else ())
             if edge:
                 t = inside.index(True)
                 assert edge == _edges(inst.samplers[i], u[t:t + 1])[0]
@@ -439,5 +440,60 @@ def test_run_cover_deterministic():
     part = assign_indices(inst.s, plan, substream(9, "a"))
     r1 = run_cover(inst, plan, part, seed=10)
     r2 = run_cover(inst, plan, part, seed=10)
-    assert r1.chosen == r2.chosen
+    assert np.array_equal(r1.accepted, r2.accepted)
+    assert np.array_equal(r1.last_u, r2.last_u, equal_nan=True)
     assert list(r1.uncovered) == list(r2.uncovered)
+
+
+class CountingEdge(EdgeSampler):
+    """Another sampler's edges, recording how many uniforms each call
+    draws."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def sample(self, u):
+        self.calls.append(len(u))
+        return self.inner.sample(u)
+
+
+def test_run_cover_draws_one_call_per_sampler_per_wave():
+    """A wave draws all pending indices of one sampler in one call, even
+    when they are not contiguous.  In one round from a fully alive start,
+    every draw of a (a singleton) is accepted at attempt 0, while an
+    index of b waits for its first uniform >= 1/2."""
+    n = 40
+    a = CountingEdge(progression_instance(n, 4.0, 0.05).samplers[0])
+    b = CountingEdge(SparseEdge())
+    inst = CoverInstance(vertices=np.arange(n, dtype=np.int64),
+                         samplers=[a] * 50 + [b] * 7 + [a] * 30,
+                         eta=0.05, C2=4.0)
+    plan = RoundPlan(beta=3.3, m=1, intervals=[(0.0, 1.0)])
+    seed = 11
+    res = run_cover(inst, plan, {1: list(range(inst.s))}, seed)
+    cap = res.rounds_trace[0]["attempt_cap"]
+    u = uniforms(derive_seed(seed, "cover", 1), np.arange(50, 57)[:, None],
+                 np.arange(cap)[None, :])
+    waiting = [int((u[:, :t] < 0.5).all(axis=1).sum()) for t in range(cap)]
+    assert a.calls == [80]
+    assert b.calls == [k for k in waiting if k]
+    assert 1 < len(b.calls)
+    assert res.accepted.sum() == 87 - (u < 0.5).all(axis=1).sum()
+
+
+def test_run_cover_with_empty_and_missing_rounds():
+    """Round 2 has no indices and round 3 is missing from the partition:
+    both draw nothing and accept nothing, and the indices in no round
+    keep accepted False and last_u NaN."""
+    inst = progression_instance(30, 4.0, 0.05)
+    plan = RoundPlan(beta=3.3, m=3, intervals=[(j / 3, (j + 1) / 3)
+                                               for j in range(3)])
+    res = run_cover(inst, plan, {1: list(range(20)), 2: []}, seed=12)
+    assert [(t["indices"], t["accepted"]) for t in res.rounds_trace] == \
+        [(20, 20), (0, 0), (0, 0)]
+    assert res.accepted[:20].all() and not res.accepted[20:].any()
+    assert not np.isnan(res.last_u[:20]).any()
+    assert np.isnan(res.last_u[20:]).all()
+    hit = {int(v) for i in range(20)
+           for v in _edges(inst.samplers[i], res.last_u[i:i + 1])[0]}
+    assert set(res.uncovered.tolist()) == set(range(30)) - hit

@@ -13,7 +13,8 @@ from sievegap.moments import (correlation_exact, error_E, exact_first_moment,
                               mc_first_moment, mc_lambda_moments,
                               mc_second_moment)
 from sievegap.primes import primes_in_range
-from sievegap.systems import SievingSystem, eratosthenes, period, sigma
+from sievegap.systems import (SievingSystem, eratosthenes, period,
+                              polynomial_system, sigma)
 from sievegap.window import ShiftVector, sift
 
 ERA = eratosthenes()
@@ -57,8 +58,8 @@ def test_error_e_even_and_monotone_in_a():
 
 
 def test_error_e_closed_form_when_all_primes_good():
-    # m = 0 lies in I_p - I_p for every p, so the DFS covers all
-    # squarefree d: sum = prod(1 + A/p) - 1
+    # m = 0 lies in I_p - I_p for every p, so the product takes every
+    # prime: sum = prod(1 + A/p) - 1
     ps = [int(p) for p in primes_in_range(2.0 ** 4.6, 60)]
     expect = math.prod(Fraction(p + 2, p) for p in ps) - 1
     assert error_E(ERA, 2, 0, 2.0, 4.6, 60) == expect
@@ -79,6 +80,30 @@ def test_error_e_has_no_enumeration_cap():
     assert len(ps) == 159
     expect = math.prod(Fraction(p + 1, p) for p in ps) - 1
     assert error_E(ERA, 1, 0, 2.0, 4.6, 1000) == expect
+
+
+def test_error_e_finds_the_roots_in_one_batch(monkeypatch):
+    """For a polynomial system, error_E finds every residue table it
+    needs in one root-finding call, and its value equals the product
+    over each prime of (H^M, z] read one at a time."""
+    from sievegap import systems
+    calls = []
+    batch = systems._roots_mod_primes
+    monkeypatch.setattr(systems, "_roots_mod_primes",
+                        lambda coeffs, ps: calls.append(len(ps)) or
+                        batch(coeffs, ps))
+    got = {m: error_E(polynomial_system("n^2+1"), 1, m, 2.0, 4.6, 3000)
+           for m in (0, 1, 4, 12)}
+    assert calls == [len(primes_in_range(2.0 ** 4.6, 3000))] * 4
+    one = polynomial_system("n^2+1")
+    for m, value in got.items():
+        expect = Fraction(1)
+        for p in primes_in_range(2.0 ** 4.6, 3000).tolist():
+            res = one.residues(p)
+            if m % p in {(a - b) % p for a in res for b in res}:
+                expect *= Fraction(p + 1, p)
+        assert value == expect - 1
+    assert got[0] > got[12] > 0
 
 
 def test_error_e_averaged_bound_one_sided():
