@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .primes import primality, primes_upto
+from .primes import primality, primes_in_range, primes_upto
 from .rng import substream
 from .systems import IntPolynomial, SievingSystem, polynomial_system
 from .window import ShiftVector, sift, verify_empty
@@ -23,6 +23,8 @@ __all__ = [
 _OVERFLOW_LIMIT = 1 << 128
 _PRESIEVE_LIMIT = 300
 _BRUTE_X_CAP = 100_000_000
+_SEGMENT = 1 << 16              # values per Horner pass
+_ROOT_BATCH = 1 << 14           # primes per root-finder call
 
 
 # ---------------------------------------------------------------------------
@@ -40,42 +42,62 @@ def composite_run_bruteforce(f, X: int) -> RunResult:
     """Longest run of consecutive n in [1, X] with f(n) not prime.
 
     f(n) counts as prime when |f(n)| is prime, so a negative value -q
-    with q prime is prime, and |f(n)| <= 1 is not.  A presieve marks n
-    where a small prime divides f(n); only unmarked values reach the
-    primality test.  Ties break to the smallest start.
+    with q prime is prime, and |f(n)| <= 1 is not.  Ties break to the
+    smallest start.
+
+    The values are sieved by the root classes of f: spf[n - 1] is the
+    smallest prime p <= depth with p | f(n), or 0.  A prime p <= deg f
+    divides the values directly, since f mod p need not have period p
+    there (n(n + 1)/2 mod 2 has period 4).  |f(n)| > p makes f(n)
+    composite and |f(n)| = p prime.  An unstruck |f(n)| > 1 below
+    (depth + 1)^2 has no prime factor up to its square root, so it is
+    prime; only the unstruck values above that reach the primality
+    test.  With B = isqrt of a bound on |f| over [1, X], depth is B
+    while B <= max(X, 300), so that no value reaches the test, and 300
+    otherwise.
     """
     system = polynomial_system(f)
-    poly = system.poly
     if X < 1 or X > _BRUTE_X_CAP:
         raise DomainError(f"X must lie in [1, {_BRUTE_X_CAP}]")
-    # spf[n] = smallest presieve prime dividing f(n), or 0
-    spf = np.zeros(X + 1, dtype=np.int32)
-    for p in reversed(system.active_primes(_PRESIEVE_LIMIT)):
-        for r in system.residues(p):
-            spf[r::p] = p
-    best_start, best_len = 1, 0
-    run_start, run_len = 1, 0
+    poly = system.poly
+    coeffs, fact = poly.scaled_standard_coeffs()
+    bound = sum(abs(c) * X ** i for i, c in enumerate(coeffs))
+    B = math.isqrt(bound // fact)
+    depth = B if B <= max(X, _PRESIEVE_LIMIT) else _PRESIEVE_LIMIT
+    d = system.degree_d
+    small = primes_upto(min(d, depth)).tolist()[::-1]
+    spf = np.zeros(X, dtype=np.int32)
+    primes = primes_in_range(d, depth)
+    for hi in range(len(primes), 0, -_ROOT_BATCH):
+        batch = primes[max(0, hi - _ROOT_BATCH):hi].tolist()
+        tables = system.residue_tables(batch)
+        # largest prime first, so that the smallest is struck last; the
+        # primes <= d, all below these, divide each segment's values
+        for p, rs in zip(reversed(batch), reversed(tables)):
+            for r in rs:
+                spf[(r - 1) % p::p] = p
+    # Horner stays exact in int64 while sum |c_i| X^i < 2^63
+    dtype = np.int64 if bound < 1 << 63 else object
+    is_p = np.zeros(X, dtype=bool)
     prob = 0
-    for n in range(1, X + 1):
-        v = poly(n)
-        if abs(v) >= _OVERFLOW_LIMIT:
-            raise DomainError(f"|f({n})| exceeds 128 bits")
-        p = int(spf[n])
-        if abs(v) <= 1:
-            is_p = False
-        elif p and abs(v) > p:
-            is_p = False          # a proper small divisor: composite
-        else:
-            is_p, tag = primality(abs(v))
-            if tag == "probabilistic":
-                prob += 1
-        if is_p:
-            run_start, run_len = n + 1, 0
-        else:
-            run_len += 1
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-    return RunResult(start=best_start, length=best_len,
+    for lo in range(0, X, _SEGMENT):
+        hi = min(lo + _SEGMENT, X)
+        v = np.abs(poly(np.arange(lo + 1, hi + 1).astype(dtype)))
+        big = np.flatnonzero(v >= _OVERFLOW_LIMIT)
+        if big.size:
+            raise DomainError(f"|f({lo + 1 + big[0]})| exceeds 128 bits")
+        s = spf[lo:hi]
+        for p in small:
+            s = np.where(v % p == 0, p, s)
+        is_p[lo:hi] = (v > 1) & ((s == 0) | (s == v))
+        for i in np.flatnonzero((s == 0) & (v >= (depth + 1) ** 2)):
+            is_p[lo + i], tag = primality(int(v[i]))
+            prob += tag == "probabilistic"
+    # runs lie between consecutive primes, with sentinels at 0 and X + 1
+    edges = np.concatenate(([0], np.flatnonzero(is_p) + 1, [X + 1]))
+    runs = np.diff(edges) - 1
+    i = int(np.argmax(runs))    # the first maximum has the smallest start
+    return RunResult(start=int(edges[i]) + 1, length=int(runs[i]),
                      probabilistic_checks=prob)
 
 

@@ -27,7 +27,7 @@ from .constants import constants_report, rho_derangement
 from .construction import construct, derive_params, trivial_baseline
 from .cover import (MAX_EDGES, CoverInstance, assign_indices,
                     check_hypotheses, plan_rounds, progression_instance,
-                    run_cover)
+                    repeated, run_cover)
 from .errors import SievegapError
 from .moments import (exact_first_moment, mc_first_moment, mc_lambda_moments,
                       mc_second_moment)
@@ -281,7 +281,8 @@ def _cmd_cover_demo(cfg: dict) -> dict:
     instance = progression_instance(cfg["vertices"], cfg["c2"], cfg["eta"])
     if cfg["edges"] is not None:
         instance = CoverInstance(vertices=instance.vertices,
-                                 samplers=instance.samplers[:1] * cfg["edges"],
+                                 samplers=repeated(instance.samplers[0],
+                                                  cfg["edges"]),
                                  eta=cfg["eta"], C2=cfg["c2"])
     hyp = check_hypotheses(instance, cfg["delta"], y=cfg["scale_y"])
     plan = plan_rounds(cfg["eta"], cfg["delta"], cfg["c2"])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -91,6 +92,16 @@ class CoverInstance:
         return len(self.samplers)
 
 
+def repeated(sampler: EdgeSampler, s: int) -> list[EdgeSampler]:
+    """A family of s indices that share one sampler; a list of s
+    references too large for memory is refused with its edge count."""
+    try:
+        return list(repeat(sampler, s))
+    except MemoryError:
+        raise DomainError(f"a family of {s} edges does not fit in "
+                          f"memory") from None
+
+
 def progression_instance(n_vertices: int, C2: float,
                          eta: float) -> CoverInstance:
     """The calibrated synthetic family: C2 * N singleton-progression edges."""
@@ -101,7 +112,7 @@ def progression_instance(n_vertices: int, C2: float,
                           f"{C2 * n_vertices:.6g}")
     return CoverInstance(
         vertices=np.arange(n_vertices, dtype=np.int64),
-        samplers=[ProgressionSampler(n_vertices)] * s,
+        samplers=repeated(ProgressionSampler(n_vertices), s),
         eta=eta,
         C2=C2,
     )

@@ -39,7 +39,9 @@ class IntPolynomial:
     The binomial-basis coefficients a_j are integers exactly when f maps
     the integers to the integers, which is the acceptance test applied by
     :meth:`from_coefficients`.  Evaluation runs Horner's rule on the
-    integer standard-basis coefficients of d! * f, computed once here.
+    integer standard-basis coefficients of d! * f, computed once here;
+    it also runs elementwise on a numpy array of n, exactly while d! * f
+    stays within the array's dtype.
     """
 
     def __init__(self, binomial_coeffs: Sequence[int]):
@@ -364,7 +366,8 @@ class SievingSystem:
     a miss only, checks primality and computes the table;
     ``active_primes`` computes the tables of all its uncached primes in
     one batch.  Every count, activity test and degeneracy test reads the
-    cache through these two.
+    cache through these two.  ``residue_tables`` computes tables without
+    the cache, for sweeps over more primes than are worth keeping.
     """
 
     def __init__(self, kind: str, *, poly: IntPolynomial | None = None,
@@ -385,9 +388,10 @@ class SievingSystem:
 
     # -- residue tables ----------------------------------------------------
 
-    def _raw_residues(self, primes: list[int]) -> list[tuple[int, ...]]:
-        """I_p for each of ``primes``; polynomial roots for every prime
-        above max(d, 3) are found together."""
+    def residue_tables(self, primes: list[int]) -> list[tuple[int, ...]]:
+        """I_p for each of ``primes``, all prime, computed without reading
+        or filling the cache; polynomial roots for every prime above
+        max(d, 3) are found together."""
         if self.kind == "eratosthenes":
             return [(0,)] * len(primes)
         if self.kind == "table":
@@ -396,10 +400,11 @@ class SievingSystem:
         poly, d = self.poly, self.degree_d
         out: dict[int, tuple[int, ...]] = {}
         batch = []
+        tiny = max(d, 3)
         for p in primes:
             if p <= d and self.small_prime_mode == "empty":
                 out[p] = ()
-            elif p <= max(d, 3):
+            elif p <= tiny:
                 # tiny modulus: exact evaluation (d! may vanish mod p)
                 out[p] = tuple(n for n in range(p) if poly(n) % p == 0)
             else:
@@ -411,7 +416,7 @@ class SievingSystem:
 
     def _store(self, primes: list[int]) -> list[tuple[int, ...]]:
         """Compute and cache I_p for ``primes``, all prime."""
-        tables = self._raw_residues(primes)
+        tables = self.residue_tables(primes)
         self._cache.update(zip(primes, tables))
         return tables
 

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from sievegap import applications
 from sievegap.applications import (composite_run_bruteforce,
                                    composite_run_constructed,
                                    coprimality_constructed,
                                    coprimality_witness)
 from sievegap.errors import DomainError
 from sievegap.primes import primality, primes_upto
+from sievegap.systems import polynomial_system
 
 
 def _strip_small(g: int, d: int) -> int:
@@ -25,6 +27,23 @@ def _strip_small(g: int, d: int) -> int:
 # brute-force runs
 
 
+def _direct_scan(f: str, X: int) -> tuple[int, int, int]:
+    """(start, length, probabilistic checks) of the longest run, from one
+    primality call per n."""
+    poly = polynomial_system(f).poly
+    best, best_start, run, run_start, prob = 0, 1, 0, 1, 0
+    for n in range(1, X + 1):
+        is_p, tag = primality(abs(poly(n)))
+        prob += tag == "probabilistic"
+        if is_p:
+            run, run_start = 0, n + 1
+        else:
+            run += 1
+            if run > best:
+                best, best_start = run, run_start
+    return best_start, best, prob
+
+
 def test_brute_run_identity_poly():
     r = composite_run_bruteforce("n", 30)
     assert (r.start, r.length) == (24, 5)
@@ -37,18 +56,8 @@ def test_brute_run_square_poly():
 
 
 def test_brute_run_matches_direct_scan():
-    fn = lambda n: n * n + 1
-    X = 2000
-    best, best_start, run, run_start = 0, 1, 0, 1
-    for n in range(1, X + 1):
-        if primality(fn(n))[0]:
-            run, run_start = 0, n + 1
-        else:
-            run += 1
-            if run > best:
-                best, best_start = run, run_start
-    r = composite_run_bruteforce("n^2+1", X)
-    assert (r.start, r.length) == (best_start, best)
+    r = composite_run_bruteforce("n^2+1", 2000)
+    assert (r.start, r.length) == _direct_scan("n^2+1", 2000)[:2]
 
 
 def test_brute_run_negative_values_test_their_absolute_value():
@@ -58,9 +67,45 @@ def test_brute_run_negative_values_test_their_absolute_value():
 
 
 def test_brute_run_tie_breaks_smallest_start():
-    # f(n) = n on [1, 10]: runs 1, 8..10 -> wait, scan directly instead
+    # f(n) = n: the primes 2, 3, 5, 7 leave the runs [1, 1], [4, 4],
+    # [6, 6] and [8, 10]; on [1, 10] the longest is [8, 10], and on
+    # [1, 6] the three runs of length 1 tie and [1, 1] wins
     r = composite_run_bruteforce("n", 10)
     assert (r.start, r.length) == (8, 3)
+    r = composite_run_bruteforce("n", 6)
+    assert (r.start, r.length) == (1, 1)
+
+
+# X large enough for each path: quadratics and 2n+1 sieve every value to
+# sqrt(max |f|); n^3+2 presieves to 300 and tests the rest; n^4+1 at
+# X = 56000 evaluates in Python ints and passes 2^63 from n = 55109 on.
+# (n^2+n)/2 mod 2 has period 4, so its values are divided by 2 directly.
+@pytest.mark.parametrize("f,X", [
+    ("n^2+1", 3000), ("2n+1", 3000), ("n^2+n+41", 3000),
+    ("(n^2+n)/2", 3000), ("n^2-2", 3000), ("n^2+2n", 3000),
+    ("n-500", 1000), ("n^2", 500), ("n^3+2", 2000), ("n^4+1", 56000)])
+def test_brute_run_matches_primality_scan(f, X, monkeypatch):
+    expected = {x: _direct_scan(f, x) for x in (1, 2, X)}
+    if polynomial_system(f).poly.degree <= 2:
+        # the sieve reaches isqrt(max |f|) <= X: no value needs the test
+        monkeypatch.setattr(applications, "primality", None)
+    for x, scan in expected.items():
+        r = composite_run_bruteforce(f, x)
+        assert (r.start, r.length, r.probabilistic_checks) == scan, x
+
+
+def test_brute_run_overflow_names_first_n():
+    # 84^20 < 2^128 <= 85^20
+    with pytest.raises(DomainError, match=r"^\|f\(85\)\| exceeds 128 bits$"):
+        composite_run_bruteforce("n^20", 100)
+
+
+def test_brute_run_counts_probabilistic_checks_after_presieve():
+    # f(n) = n + psi_13 lies past the deterministic Miller-Rabin bound;
+    # on [1, 40] every value is composite and two have no prime factor
+    # <= 300, so only those two reach the probabilistic test
+    r = composite_run_bruteforce("n+3317044064679887385961981", 40)
+    assert (r.start, r.length, r.probabilistic_checks) == (1, 40, 2)
 
 
 def test_brute_run_validation():

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, determinism, schema, exit codes."""
 
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ except ImportError:                                    # pragma: no cover
 
 from conftest import brute_verify_empty
 
+from sievegap import cover
 from sievegap.cli import build_parser, dispatch
 from sievegap.construction import construct, derive_params
 from sievegap.rng import DEFAULT_SEED, derive_seed
@@ -445,6 +447,26 @@ def test_cover_demo_edges_flag_reports_degree_deviation():
     [cond] = [c for c in rep["result"]["hypotheses"]["conditions"]
               if c["name"] == "degree_uniform"]
     assert not cond["ok"] and cond["worst"] == 1.0
+
+
+@pytest.mark.parametrize("flags,edges", [
+    (["--edges", str((1 << 40) - 1)], (1 << 40) - 1),
+    (["--c2", "1e7"], 500_000_000)])
+def test_cover_demo_family_too_large_for_memory_exits_1(flags, edges,
+                                                        monkeypatch, capsys):
+    """A family of fewer than 2^40 edges whose list of references cannot
+    be allocated is refused with its edge count, not a MemoryError
+    traceback (from --edges, or from C2 N in progression_instance).  The
+    allocation failure is faked above 10^6 references."""
+    def repeat(obj, times):
+        if times > 10 ** 6:
+            raise MemoryError
+        return itertools.repeat(obj, times)
+
+    monkeypatch.setattr(cover, "repeat", repeat)
+    assert run_cli(_COVER + flags) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: a family of {edges} edges does not fit in memory\n")
 
 
 @pytest.mark.parametrize("identity", ["i-first-mc", "i-second-mc"])
