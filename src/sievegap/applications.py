@@ -69,13 +69,11 @@ def composite_run_bruteforce(f, X: int) -> RunResult:
     spf = np.zeros(X, dtype=np.int32)
     primes = primes_in_range(d, depth)
     for hi in range(len(primes), 0, -_ROOT_BATCH):
-        batch = primes[max(0, hi - _ROOT_BATCH):hi].tolist()
-        tables = system.residue_tables(batch)
+        p, r = system.residue_tables(primes[max(0, hi - _ROOT_BATCH):hi])
         # largest prime first, so that the smallest is struck last; the
         # primes <= d, all below these, divide each segment's values
-        for p, rs in zip(reversed(batch), reversed(tables)):
-            for r in rs:
-                spf[(r - 1) % p::p] = p
+        for q, s in zip(p[::-1].tolist(), ((r[::-1] - 1) % p[::-1]).tolist()):
+            spf[s::q] = q
     # Horner stays exact in int64 while sum |c_i| X^i < 2^63
     dtype = np.int64 if bound < 1 << 63 else object
     is_p = np.zeros(X, dtype=bool)

@@ -194,8 +194,11 @@ def _load_shift_file(path: str, x: int) -> ShiftVector:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                p, r = line.split()
-                entries[int(p)] = int(r)
+                p, r = map(int, line.split())
+                if p in entries:
+                    raise SievegapError(
+                        f"shift file {path!r} lists p={p} twice")
+                entries[p] = r
     except (OSError, ValueError) as exc:
         raise SievegapError(f"cannot read shift file {path!r} (one "
                             f"'prime residue' pair a line): {exc}") from exc

@@ -347,11 +347,12 @@ def apply_stage2(system: SievingSystem, shift: ShiftVector,
     removed integers without requiring pre-normalized residue sets.
     """
     out = dict(shift.entries)
+    least = dict(zip(*(a.tolist() for a in system.least_classes(
+        max(chosen, default=0), min(chosen, default=2) - 1))))
     for q, n_q in chosen.items():
-        res = system.residues(q)
-        if not res:
+        if q not in least:
             raise DomainError(f"q={q} has an empty residue set")
-        out[q] = (n_q - res[0]) % q
+        out[q] = (n_q - least[q]) % q
     return ShiftVector(out)
 
 
@@ -376,8 +377,9 @@ def _survivors_above(system: SievingSystem, shift: ShiftVector,
     if y < 1:
         return []
     win = sift(system, cutoff, shift, 1, y)
-    _strike(win.bits, 1, system, [q for q in shift.entries if q > cutoff],
-            shift)
+    p, r = system.classes(max(shift.entries, default=cutoff), cutoff)
+    keep = np.array([q in shift.entries for q in p.tolist()], dtype=bool)
+    _strike(win.bits, 1, p[keep], r[keep], shift)
     return [int(m) for m in win.members()]
 
 
@@ -396,16 +398,16 @@ def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
     list gives no false certificate: a failed certification raises.
     """
     half = x // 2 if z_mid is None else z_mid
-    large = [p for p in system.active_primes(x, half)
-             if p not in partial_shift.entries]
+    entries = dict(partial_shift.entries)
+    qs, least = system.least_classes(x, half)
+    free = np.array([q not in entries for q in qs.tolist()], dtype=bool)
+    large, least = qs[free], least[free]
     ok = len(survivors) <= len(large)
     length = y if ok else survivors[len(large)] - 1
-    entries = dict(partial_shift.entries)
-    for m, q in zip(survivors, large):
-        res = system.residues(q)
-        entries[q] = (m - res[0]) % q
     matched = min(len(survivors), len(large))
-    for q in large[matched:]:
+    m, q = np.array(survivors[:matched], dtype=np.int64), large[:matched]
+    entries.update(zip(q.tolist(), ((m - least[:matched]) % q).tolist()))
+    for q in large[matched:].tolist():
         entries[q] = rng.randrange(q)
     shift = ShiftVector(entries)
     if not verify_empty(system, x, shift, 1, length):

@@ -116,7 +116,7 @@ def exact_first_moment(system: SievingSystem, z: int, y: int) -> MomentReport:
     if y < 0:
         raise DomainError("y must be >= 0")
     bit = np.ones(P, dtype=bool)
-    _strike(bit, 0, system, system.active_primes(z), ShiftVector())
+    _strike(bit, 0, *system.classes(z), ShiftVector())
     total = 0
     bs = np.arange(P, dtype=np.int64)
     for n in range(1, y + 1):
@@ -142,12 +142,12 @@ def _mc_counts(system: SievingSystem, z: int, y: int, trials: int,
         raise DomainError(f"y must lie in [0, {MAX_WINDOW}]")
     if z < 1:
         raise DomainError("z must be >= 1")
-    primes = system.active_primes(z)
+    classes = system.classes(z)
     counts = []
     for t in range(trials):
         b = ShiftVector.uniform(system, z, substream(seed, label, t))
         bits = np.ones(y, dtype=bool)
-        _strike(bits, 1, system, primes, b)
+        _strike(bits, 1, *classes, b)
         counts.append(int(bits.sum()))
     return counts
 

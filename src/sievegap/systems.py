@@ -10,7 +10,6 @@ classes I_p.  Supported kinds:
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import re
@@ -27,6 +26,7 @@ from .primes import is_prime, primes_in_range
 SIGMA_PRECISION_BITS = 120      # >= 80-bit significand requirement
 MAX_ROOT_PRIME = 1 << 31        # residue products stay in int64 below
 DRIFT_TOL = 0.1                 # relative last step that flags a drift
+Classes = tuple[np.ndarray, np.ndarray]  # int64 (p, r), sorted by p, then r
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,9 @@ def _cz_roots(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(v) for v in zip(*pairs))
 
 
-def _roots_mod_primes(coeffs: Sequence[int],
-                      primes: list[int]) -> list[tuple[int, ...]]:
-    """Sorted roots mod p of sum_j coeffs[j] x^j, for each of ``primes``.
+def _roots_mod_primes(coeffs: Sequence[int], primes: np.ndarray) -> Classes:
+    """Every root mod p of sum_j coeffs[j] x^j, for each of the distinct
+    ``primes``, as int64 arrays (p, r) sorted by p and then r.
 
     Every prime must be odd and below 2^31.  f is made monic mod p for
     all primes at once and solved by :func:`_low_roots` at degree 1 and
@@ -314,32 +314,30 @@ def _roots_mod_primes(coeffs: Sequence[int],
     coefficient is solved for the lower-degree polynomial, and a prime
     dividing every coefficient forbids all p classes.
     """
-    if primes and max(primes) >= MAX_ROOT_PRIME:
+    primes = np.asarray(primes, dtype=np.int64)
+    if primes.max(initial=0) >= MAX_ROOT_PRIME:
         raise DomainError(f"root finding mod p needs p < {MAX_ROOT_PRIME} "
-                          f"(got {max(primes)})")
+                          f"(got {primes.max()})")
     coeffs = _trim(list(coeffs))
     if len(coeffs) <= 1:
         c = coeffs[0] if coeffs else 0
-        return [tuple(range(p)) if c % p == 0 else () for p in primes]
-    out: list = [None] * len(primes)
-    lead = coeffs[-1]
-    low = [i for i, p in enumerate(primes) if lead % p == 0]
-    if low:
-        sub = _roots_mod_primes(coeffs[:-1], [primes[i] for i in low])
-        for i, res in zip(low, sub):
-            out[i] = res
-    idx = [i for i, p in enumerate(primes) if lead % p]
-    qs = [primes[i] for i in idx]
-    ps = np.array(qs, dtype=np.int64)
-    c = np.array([[coef % p for p in qs] for coef in coeffs], dtype=np.int64)
+        return _columns([(p, r) for p in primes.tolist() if c % p == 0
+                         for r in range(p)])
+    low = np.array([coeffs[-1] % p == 0 for p in primes.tolist()], dtype=bool)
+    ps = primes[~low]
+    c = np.array([[coef % p for p in ps.tolist()] for coef in coeffs],
+                 dtype=np.int64)
     f = c[:-1] * _pow_mod(c[-1], ps - 2, ps) % ps
     col, root = (_low_roots if len(f) <= 2 else _cz_roots)(f, ps)
-    order = np.lexsort((root, col))
-    ends = np.searchsorted(col[order], np.arange(len(qs) + 1)).tolist()
-    rs = root[order].tolist()
-    for i, lo, hi in zip(idx, ends, ends[1:]):
-        out[i] = tuple(rs[lo:hi])
-    return out
+    sub = _roots_mod_primes(coeffs[:-1], primes[low]) if low.any() \
+        else (primes[:0], primes[:0])
+    p, r = np.concatenate([ps[col], sub[0]]), np.concatenate([root, sub[1]])
+    order = np.lexsort((r, p))
+    return p[order], r[order]
+
+
+def _columns(pairs: list[tuple[int, int]]) -> Classes:
+    return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +360,10 @@ class DensityReport:
 class SievingSystem:
     """Residue classes I_p per prime, with metadata.
 
-    One cache holds I_p.  ``residues`` serves one prime from it and, on
-    a miss only, checks primality and computes the table;
-    ``active_primes`` computes the tables of all its uncached primes in
-    one batch.  Every count, activity test and degeneracy test reads the
-    cache through these two.  ``residue_tables`` computes tables without
-    the cache, for sweeps over more primes than are worth keeping.
+    One class table holds the classes (p, r), r in I_p, of the primes
+    met so far, and those primes, as sorted int64 arrays.  ``classes``
+    fills a range in one batch and returns its slice, which every layer
+    reads; ``residue_tables`` computes classes without the table.
     """
 
     def __init__(self, kind: str, *, poly: IntPolynomial | None = None,
@@ -384,63 +380,76 @@ class SievingSystem:
             raise DomainError("small_prime_mode must be 'roots' or 'empty'")
         self.small_prime_mode = small_prime_mode
         self.degree_d = poly.degree if (kind == "polynomial" and poly) else 0
-        self._cache: dict[int, tuple[int, ...]] = {}
+        self._p = self._r = self._met = np.zeros(0, dtype=np.int64)
 
     # -- residue tables ----------------------------------------------------
 
-    def residue_tables(self, primes: list[int]) -> list[tuple[int, ...]]:
-        """I_p for each of ``primes``, all prime, computed without reading
-        or filling the cache; polynomial roots for every prime above
-        max(d, 3) are found together."""
+    def residue_tables(self, primes: np.ndarray) -> Classes:
+        """The classes of the increasing ``primes``, all prime, as
+        ``classes`` gives them but without the table; polynomial roots
+        for every prime above max(d, 3) are found together.
+
+        At p <= max(d, 3), f mod p can lack period p, as (n^2 + n)/2 does
+        at 2, so r is in I_p only when p divides f on the whole class
+        r mod p.  f(r + kp) is integer-valued of degree <= d in k, so its
+        values at k = 0..d decide that.
+        """
+        primes = np.asarray(primes, dtype=np.int64)
         if self.kind == "eratosthenes":
-            return [(0,)] * len(primes)
+            return primes, np.zeros_like(primes)
         if self.kind == "table":
-            return [tuple(sorted(set(self.table.get(p, ())))) for p in primes]
+            return _columns([(p, r) for p in primes.tolist()
+                             for r in sorted(set(self.table.get(p, ())))])
         assert self.poly is not None
         poly, d = self.poly, self.degree_d
-        out: dict[int, tuple[int, ...]] = {}
-        batch = []
-        tiny = max(d, 3)
-        for p in primes:
-            if p <= d and self.small_prime_mode == "empty":
-                out[p] = ()
-            elif p <= tiny:
-                # tiny modulus: exact evaluation (d! may vanish mod p)
-                out[p] = tuple(n for n in range(p) if poly(n) % p == 0)
-            else:
-                batch.append(p)
-        if batch:
-            coeffs = poly.scaled_standard_coeffs()[0]
-            out.update(zip(batch, _roots_mod_primes(coeffs, batch)))
-        return [out[p] for p in primes]
+        p0, r0 = _columns([
+            (p, r) for p in primes[primes <= max(d, 3)].tolist()
+            if p > d or self.small_prime_mode == "roots" for r in range(p)
+            if all(poly(r + k * p) % p == 0 for k in range(d + 1))])
+        p1, r1 = _roots_mod_primes(poly.scaled_standard_coeffs()[0],
+                                   primes[primes > max(d, 3)])
+        return np.concatenate([p0, p1]), np.concatenate([r0, r1])
 
-    def _store(self, primes: list[int]) -> list[tuple[int, ...]]:
-        """Compute and cache I_p for ``primes``, all prime."""
-        tables = self.residue_tables(primes)
-        self._cache.update(zip(primes, tables))
-        return tables
+    def _fill(self, primes: np.ndarray) -> None:
+        p, r = self.residue_tables(primes)
+        at, met = self._p.searchsorted(p), self._met
+        self._p, self._r = np.insert(self._p, at, p), np.insert(self._r, at, r)
+        self._met = np.insert(met, met.searchsorted(primes), primes)
+        self._p.flags.writeable = self._r.flags.writeable = False
 
-    def residues(self, p: int) -> tuple[int, ...]:
-        """Sorted forbidden residue set I_p (cached)."""
-        res = self._cache.get(p)
-        if res is not None:
-            return res
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        return self._store([p])[0]
-
-    def active_primes(self, x: float, z: float = 1) -> list[int]:
-        """Primes p in (z, x] with I_p nonempty; the tables of all those
-        not yet cached are computed in one batch."""
+    def classes(self, x: float, z: float = 1) -> Classes:
+        """The classes (p, r), r in I_p, p in (z, x], sorted by p and then r:
+        read-only int64 views of the table, after one batch fills it."""
         if self.kind == "polynomial" and x >= MAX_ROOT_PRIME:
             raise DomainError(f"root finding mod p needs p < "
                               f"{MAX_ROOT_PRIME} (got x = {x})")
-        primes = primes_in_range(z, x).tolist()
-        cache = self._cache
-        missing = [p for p in primes if p not in cache]
-        if missing:
-            self._store(missing)
-        return [p for p in primes if cache[p]]
+        met, primes = self._met, primes_in_range(z, x)
+        held = met.searchsorted(x, "right") - met.searchsorted(z, "right")
+        if held < len(primes):
+            self._fill(np.setdiff1d(primes, met, assume_unique=True))
+        lo, hi = (self._p.searchsorted(c, "right") for c in (z, x))
+        return self._p[lo:hi], self._r[lo:hi]
+
+    def residues(self, p: int) -> tuple[int, ...]:
+        """Sorted forbidden residue set I_p; a prime not met yet is added
+        to the table alone."""
+        i = self._met.searchsorted(p)
+        if i == len(self._met) or self._met[i] != p:
+            if not is_prime(p):
+                raise DomainError(f"{p} is not prime")
+            self._fill(np.array([p], dtype=np.int64))
+        lo, hi = self._p.searchsorted(p), self._p.searchsorted(p, "right")
+        return tuple(self._r[lo:hi].tolist())
+
+    def least_classes(self, x: float, z: float = 1) -> Classes:
+        """The primes p in (z, x] with I_p nonempty, and min I_p of each."""
+        p, r = self.classes(x, z)
+        first = np.concatenate(([True], p[1:] != p[:-1]))[:len(p)]
+        return p[first], r[first]
+
+    def active_primes(self, x: float, z: float = 1) -> list[int]:
+        """Primes p in (z, x] with I_p nonempty."""
+        return self.least_classes(x, z)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +464,30 @@ def sigma(system: SievingSystem, z: float, x: float, exact: bool = False):
     """
     if not (1 <= z <= x):
         raise DomainError(f"need 1 <= z <= x, got z={z}, x={x}")
-    primes = system.active_primes(x, z)
-    return _sigma_prefixes(system, primes, [x], exact)[0][0]
+    return _sigma_prefixes(system, z, [x], exact)[0][0]
 
 
-def _sigma_prefixes(system: SievingSystem, primes: list[int],
-                    cuts: Sequence[float], exact: bool) -> tuple[list, int]:
-    """Products of (1 - |I_p|/p) over the p <= c of the increasing
-    ``primes``, one for each c of the increasing ``cuts``, and prod p
-    over the p <= the last cut.
+def _sigma_prefixes(system: SievingSystem, z: float, cuts: Sequence[float],
+                    exact: bool) -> tuple[list, int]:
+    """Products of (1 - |I_p|/p) over the primes p in (z, c], one for each
+    c of the increasing ``cuts``, and prod p over the active primes in
+    (z, the last cut].
 
     Each is the ratio of the exact integers prod (p - |I_p|) and prod p,
     multiplied segment by segment between cuts; it is divided once to
     SIGMA_PRECISION_BITS, or kept as a Fraction when ``exact`` is set."""
+    primes, sizes = np.unique(system.classes(cuts[-1], z)[0],
+                              return_counts=True)
+    if (primes <= sizes).any():
+        raise DegenerateSystemError(int(primes[primes <= sizes][0]))
+    ends = primes.searchsorted(cuts, "right").tolist()
+    primes, kept = primes.tolist(), (primes - sizes).tolist()
     out = []
     num = den = 1
     i = 0
-    for c in cuts:
-        j = bisect.bisect_right(primes, c, i)
-        seg = primes[i:j]
-        kept = [p - len(system.residues(p)) for p in seg]
-        bad = next((p for p, k in zip(seg, kept) if k <= 0), None)
-        if bad is not None:
-            raise DegenerateSystemError(bad)
-        num *= _balanced_prod(kept)
-        den *= _balanced_prod(seg)
+    for j in ends:
+        num *= _balanced_prod(kept[i:j])
+        den *= _balanced_prod(primes[i:j])
         i = j
         if exact:
             out.append(Fraction(num, den))
@@ -534,10 +542,9 @@ def mertens_fit(system: SievingSystem,
         raise DomainError("checkpoints must be increasing and >= 100")
     x = cps[-1]
     active = system.active_primes(x)
-    sigmas, period_x = _sigma_prefixes(system, active, cps, exact=False)
+    sigmas, period_x = _sigma_prefixes(system, 1, cps, exact=False)
     with mp.workprec(SIGMA_PRECISION_BITS):
         track = [(cp, float(s * mp.log(cp))) for cp, s in zip(cps, sigmas)]
-    final_sigma = float(sigmas[-1])
     drift = 0.0
     flagged = False
     if len(track) >= 2 and track[-2][1] > 0:
@@ -547,7 +554,7 @@ def mertens_fit(system: SievingSystem,
         flagged = monotone and drift > DRIFT_TOL
     return DensityReport(
         x=x,
-        sigma=final_sigma,
+        sigma=float(sigmas[-1]),
         period_bitlength=period_x.bit_length(),
         rho_hat=_rho(active, x),
         mertens_track=track,
@@ -617,15 +624,19 @@ def load_system_file(path: str) -> SievingSystem:
             small_prime_mode=data.get("small_prime_mode", "roots"))
     if kind == "table":
         try:
-            table = {int(p): tuple(int(r) for r in rs)
-                     for p, rs in data["entries"]}
+            entries = [(int(p), tuple(int(r) for r in rs))
+                       for p, rs in data["entries"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise DomainError(f"table file {path!r} needs "
                               '"entries": [[p, [r, ...]], ...]') from exc
-        for p, rs in table.items():
+        table: dict[int, tuple[int, ...]] = {}
+        for p, rs in entries:
+            if p in table:
+                raise DomainError(f"table file {path!r} lists p={p} twice")
             if not is_prime(p):
                 raise DomainError(f"table modulus {p} is not prime")
             if any(not 0 <= r < p for r in rs):
                 raise DomainError(f"residue out of range for p={p}")
+            table[p] = rs
         return SievingSystem("table", table=table)
     raise DomainError(f"unknown system kind {kind!r} in {path}")

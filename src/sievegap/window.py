@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -35,6 +34,11 @@ class ShiftVector:
 
     def residue(self, p: int) -> int:
         return self.entries.get(p, 0) % p
+
+    def at(self, p: np.ndarray) -> np.ndarray:
+        """b mod p for each entry of the int64 prime array p."""
+        return np.array([self.entries.get(q, 0) % q for q in p.tolist()],
+                        dtype=np.int64)
 
     def crt_value(self) -> tuple[int, int]:
         """(b mod P, P) as explicit integers, for position mapping only."""
@@ -86,24 +90,24 @@ def sift(system: SievingSystem, x: int, shift: ShiftVector,
     if z >= x:
         raise DomainError(f"need z < x, got z={z}, x={x}")
     bits = np.ones(hi - lo + 1, dtype=bool)
-    _strike(bits, lo, system, system.active_primes(x, z), shift)
+    _strike(bits, lo, *system.classes(x, z), shift)
     return SiftedWindow(lo, hi, bits)
 
 
-def _strike(bits: np.ndarray, lo: int, system: SievingSystem,
-            primes, shift: ShiftVector) -> None:
-    """Clear bits[n - lo] for every n with (n - b) mod p in I_p, p in primes.
+def _strike(bits: np.ndarray, lo: int, p: np.ndarray, r: np.ndarray,
+            shift: ShiftVector) -> None:
+    """Clear bits[n - lo] for every n with (n - b_p) mod p = r, over the
+    classes (p, r) sorted by p and then r.
 
     The strided marker behind sift(); callers that already hold a window
-    use it to sieve by further primes.
+    use it to sieve by further classes.  A degenerate prime's p classes
+    end in r = p - 1, p - 1 places after r = 0.
     """
-    for p in primes:
-        res = system.residues(p)
-        if len(res) >= p:
-            raise DegenerateSystemError(p)
-        b = shift.residue(p)
-        for r in res:
-            bits[(b + r - lo) % p::p] = False
+    for i in np.flatnonzero(r == p - 1).tolist():
+        if i >= r[i] and p[i - r[i]] == p[i]:
+            raise DegenerateSystemError(int(p[i]))
+    for q, s in zip(p.tolist(), ((shift.at(p) + r - lo) % p).tolist()):
+        bits[s::q] = False
 
 
 @dataclass
@@ -127,28 +131,22 @@ def verify_empty(system: SievingSystem, x: int, shift: ShiftVector,
                  lo: int, hi: int, z: int = 1) -> bool:
     """True iff (S_{z,x} + b) has no member in [lo, hi].
 
-    Certifies by witnesses.  Every class (p, r), r in I_p, of the active
-    primes is flattened once into arrays p, r and b_p.  For each chunk of
-    CERTIFY_CHUNK integers, the integers of the chunk in each class are
-    enumerated in one vectorised step, and a candidate n counts as
-    sieved only if it lies in the chunk and (n - b_p) mod p == r holds
-    on n itself.  The chunk is certified when the accepted witnesses
-    cover it.  A faulty enumeration can therefore only leave integers
-    uncovered, turning True into False but never the reverse, and the
-    certifier shares no code with the strided marker behind sift().
-    Classes are taken in slices of at most CERTIFY_BATCH candidates, so
-    memory stays bounded for any width and any table system.
+    Certifies by witnesses over the classes (p, r), r in I_p, with b_p
+    gathered per class.  For each chunk of CERTIFY_CHUNK integers, the
+    integers of the chunk in each class are enumerated in one vectorised
+    step, and a candidate n counts as sieved only if it lies in the
+    chunk and (n - b_p) mod p == r holds on n itself.  The chunk is
+    certified when the accepted witnesses cover it.  A faulty
+    enumeration can therefore only leave integers uncovered, turning
+    True into False but never the reverse, and the certifier shares no
+    code with the strided marker behind sift().  Classes are taken in
+    slices of at most CERTIFY_BATCH candidates, so memory stays bounded
+    for any width and any table system.
     """
     if lo > hi:
         return True
-    primes = system.active_primes(x, z)
-    tables = [system.residues(p) for p in primes]
-    sizes = np.fromiter(map(len, tables), dtype=np.int64, count=len(tables))
-    r = np.fromiter(chain.from_iterable(tables), dtype=np.int64,
-                    count=int(sizes.sum()))
-    p = np.repeat(np.array(primes, dtype=np.int64), sizes)
-    b = np.repeat(np.array([shift.residue(q) for q in primes],
-                           dtype=np.int64), sizes)
+    p, r = system.classes(x, z)
+    b = shift.at(p)
     for start in range(lo, hi + 1, CERTIFY_CHUNK):
         end = min(start + CERTIFY_CHUNK - 1, hi)
         if not _witnesses_cover(p, r, b, start, end):

@@ -70,12 +70,21 @@ def binomial_eval(poly, n: int) -> int:
 
 
 def brute_roots(poly, p: int) -> tuple[int, ...]:
-    """Evaluation oracle for I_p of a polynomial system: every n in
-    [0, p) with poly(n) == 0 mod p.  Above max(d, 3) it evaluates d! f
-    by Horner's rule over the whole of [0, p) in numpy; d! is invertible
-    mod such p, so d! f and f have the same roots."""
+    """Evaluation oracle for I_p of a polynomial system: every class r
+    mod p on which p divides every value of f.
+
+    Up to max(d, 3), f = sum_j a_j C(n, j) has period p^m mod p, p^m the
+    least power of p above d (Lucas: C(n, j) mod p has period p^m for
+    j < p^m), so r is tested at every n = r mod p in [0, p^m).  Above,
+    it evaluates d! f by Horner's rule over the whole of [0, p) in
+    numpy; d! is invertible mod such p, so d! f and f have the same
+    roots."""
     if p <= max(poly.degree, 3):
-        return tuple(n for n in range(p) if poly(n) % p == 0)
+        period = p
+        while period <= poly.degree:
+            period *= p
+        return tuple(r for r in range(p) if all(
+            binomial_eval(poly, n) % p == 0 for n in range(r, period, p)))
     coeffs, _ = poly.scaled_standard_coeffs()
     ns = np.arange(p, dtype=np.int64)
     vals = np.zeros(p, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sievegap import applications
@@ -12,6 +13,7 @@ from sievegap.applications import (composite_run_bruteforce,
 from sievegap.errors import DomainError
 from sievegap.primes import primality, primes_upto
 from sievegap.systems import polynomial_system
+from sievegap.window import ShiftVector, sift
 
 
 def _strip_small(g: int, d: int) -> int:
@@ -145,6 +147,23 @@ def test_constructed_run_deterministic():
 def test_constructed_run_identity_poly():
     r = composite_run_constructed("n", 10 ** 6, seed=1)
     assert r.verified and r.length >= 5
+
+
+@pytest.mark.parametrize("f", ["(n^2+n+2)/2", "(n^2+n)/2", "(n^7-n+7)/7"])
+def test_small_prime_classes_divide_every_value(f):
+    """At p <= deg f, f mod p can lack period p; I_p holds only the
+    classes on which p divides every value, so each n that sift strikes
+    by p has p | f(n), and the constructed runs verify."""
+    system = polynomial_system(f)
+    for p in primes_upto(50).tolist():
+        win = sift(system, p, ShiftVector(), -60, 300, z=p - 1)
+        for n in (np.flatnonzero(~win.bits) - 60).tolist():
+            assert system.poly(n) % p == 0, (p, n)
+    for seed in range(3):
+        r = composite_run_constructed(f, 10 ** 6, seed)
+        assert r.verified
+        for n in range(r.start, r.start + r.length):
+            assert not primality(abs(system.poly(n)))[0], (seed, n)
 
 
 # ---------------------------------------------------------------------------

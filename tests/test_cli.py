@@ -18,7 +18,7 @@ from sievegap import cover
 from sievegap.cli import build_parser, dispatch
 from sievegap.construction import construct, derive_params
 from sievegap.rng import DEFAULT_SEED, derive_seed
-from sievegap.systems import eratosthenes
+from sievegap.systems import SievingSystem, eratosthenes
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "sievegap" / "schemas"
@@ -202,12 +202,15 @@ BAD_FILES = {
     "shift-file-line": ("2 1\n3\n", ["--shift-file", "f"]),
     "shift-file-composite-modulus": ("4 1\n", ["--shift-file", "f"]),
     "shift-file-modulus-above-x": ("97 3\n", ["--shift-file", "f"]),
+    "shift-file-prime-twice": ("5 1\n5 3\n", ["--shift-file", "f"]),
     "system-missing": (None, ["--system", "f"]),
     "system-not-json": ("{", ["--system", "f"]),
     "system-not-object": ("[1, 2]", ["--system", "f"]),
     "table-without-entries": ('{"kind": "table"}', ["--system", "f"]),
     "table-malformed-entries": ('{"kind": "table", "entries": [[5, 3]]}',
                                 ["--system", "f"]),
+    "table-prime-twice": ('{"kind": "table", "entries": [[5, [1]], [5, [3]]]}',
+                          ["--system", "f"]),
     "polynomial-bad-coefficient": (
         '{"kind": "polynomial", "binomial_coeffs": ["a"]}', ["--system", "f"]),
     "polynomial-zero-denominator": (
@@ -227,6 +230,17 @@ def test_unreadable_user_file_exits_1(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_user_file_listing_a_prime_twice_names_it(tmp_path, monkeypatch,
+                                                  capsys):
+    """A second entry for one prime is refused, not taken over the first."""
+    monkeypatch.chdir(tmp_path)
+    for case in ("shift-file-prime-twice", "table-prime-twice"):
+        text, extra = BAD_FILES[case]
+        (tmp_path / "f").write_text(text)
+        assert run_cli(_GAPS + extra) == (1, "")
+        assert "p=5 twice" in capsys.readouterr().err
+
+
 def test_table_file_duplicate_residues_count_once(tmp_path, monkeypatch):
     """I_p is a set: a residue listed twice in a table file is one class,
     so both reports equal those of the file that lists it once."""
@@ -240,6 +254,20 @@ def test_table_file_duplicate_residues_count_once(tmp_path, monkeypatch):
                      run_cli(["system-info", "--file", "f", "--x", "100"])))
     assert runs[0] == runs[1]
     assert [code for code, _ in runs[0]] == [0, 0]
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--force-scales", "2", "3", "--mode", "cover"]])
+def test_construct_reads_no_residues_one_prime_at_a_time(extra, monkeypatch):
+    """Every layer of construct reads I_p as slices of the class table:
+    SievingSystem.residues is never called."""
+    calls = []
+    residues = SievingSystem.residues
+    monkeypatch.setattr(SievingSystem, "residues",
+                        lambda self, p: calls.append(p) or residues(self, p))
+    run_json(["construct", "--system", "eratosthenes", "--x", "10000"]
+             + extra)
+    assert calls == []
 
 
 _CONSTRUCT = ["construct", "--system", "eratosthenes", "--x", "150"]

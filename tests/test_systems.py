@@ -143,6 +143,37 @@ def test_active_primes_finds_all_misses_in_one_batch(monkeypatch):
     assert calls == [1, len(primes_in_range(3, 1_000)) - 1]
 
 
+def _expected_classes(sys_, q):
+    if sys_.kind == "polynomial":
+        return brute_roots(sys_.poly, q)
+    if sys_.kind == "table":
+        return tuple(sorted(set(sys_.table.get(q, ()))))
+    return (0,)
+
+
+@pytest.mark.parametrize("spec", ["table", "eratosthenes", "twin"]
+                         + [f"poly:{t}" for t in BATCH_POLYS])
+def test_classes_equal_flattened_residues(spec):
+    """classes(x, z) is the flattening of residues(p) over the primes of
+    (z, x], after single-prime misses out of order and above every range
+    filled so far, over a range missing one prime (499) and over ranges
+    holding inactive primes."""
+    rng = random.Random(spec)
+    sys_ = random_table_system(rng, prime_cap=400) if spec == "table" \
+        else system_from_spec(spec)
+    for q in (2_999, 101, 7, 2, 3_001):
+        assert sys_.residues(q) == _expected_classes(sys_, q)
+    for x, z in [(50, 1), (1_000, 500), (1_000, 496), (600, 40.5),
+                 (3_000, 1), (2, 1), (3_100, 2_999), (100, 100)]:
+        p, r = sys_.classes(x, z)
+        assert p.dtype == r.dtype == np.int64
+        got = list(zip(p.tolist(), r.tolist()))
+        qs = primes_in_range(z, x).tolist()
+        assert got == [(q, s) for q in qs for s in sys_.residues(q)]
+        assert got == [(q, s) for q in qs for s in _expected_classes(sys_, q)]
+        assert sys_.active_primes(x, z) == sorted(set(p.tolist()))
+
+
 @pytest.mark.parametrize("text,sympy_text", [
     ("n^3+2", "n**3+2"), ("n^4+n+7", "n**4+n+7"),
     ("n^5-3n+1", "n**5-3*n+1"), ("7n^3+n+1", "7*n**3+n+1")])
@@ -197,12 +228,14 @@ def test_quadratic_roots_near_2_31(coeffs, count):
     last polynomial's coefficients are primes in this range, so it loses
     a coefficient at each of them."""
     assert len(NEAR_2_31) == 138
-    out = systems._roots_mod_primes(coeffs, NEAR_2_31)
-    for p, rs in zip(NEAR_2_31, out):
+    ps, roots = systems._roots_mod_primes(coeffs, NEAR_2_31)
+    assert set(ps.tolist()) <= set(NEAR_2_31)
+    for p in NEAR_2_31:
+        rs = roots[ps == p].tolist()
         assert len(rs) <= 2 and list(rs) == sorted(set(rs)), p
         assert all((coeffs[2] * r * r + coeffs[1] * r + coeffs[0]) % p == 0
                    for r in rs), p
-    assert sum(map(len, out)) == count
+    assert len(roots) == count
 
 
 def test_root_finding_refuses_primes_from_2_31():
