@@ -147,34 +147,63 @@ class WeightTable:
     n_lo: int                    # codes[k] is the cell of n = n_lo + k
     codes: np.ndarray            # |AP| per cell, or J + 1 where lambda = 0
     lut: np.ndarray              # lambda of each code, shared by a scale
+    # scratch that the tables of one build share: float64 for at least
+    # len(codes) + 1 cells and intp for CUM_CHUNK.  No call leaves state in
+    # them, so the tables may be used in any order; a table built without
+    # them makes its own.
+    buf: np.ndarray | None = field(default=None, repr=False, compare=False)
+    idx: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def values(self) -> np.ndarray:
-        """lambda per cell, expanded from the codes."""
-        return self.lut[self.codes]
+    def __post_init__(self):
+        if self.buf is None:
+            self.buf = np.empty(len(self.codes) + 1)
+        if self.idx is None:
+            self.idx = np.empty(CUM_CHUNK, dtype=np.intp)
+        # the running sums before each block of CUM_BLOCK cells, stored as
+        # far as the first _summed cells reach
+        self._starts = np.zeros(len(self.codes) // CUM_BLOCK + 1)
+        self._summed = 0
+
+    def _expand(self, lo: int, out: np.ndarray) -> None:
+        """lambda of the cells from lo on, one per cell of out (at most
+        CUM_CHUNK), through the index scratch."""
+        idx = self.idx[:len(out)]
+        np.copyto(idx, self.codes[lo:lo + len(out)])
+        self.lut.take(idx, out=out, mode="clip")
 
     @cached_property
     def total(self) -> float:
-        """numpy's pairwise sum of the whole table."""
-        return float(self.values.sum())
+        """numpy's pairwise sum of the whole table, expanded into the
+        float scratch."""
+        size = len(self.codes)
+        for lo in range(0, size, CUM_CHUNK):
+            self._expand(lo, self.buf[lo:min(lo + CUM_CHUNK, size)])
+        return float(self.buf[:size].sum())
 
-    @cached_property
-    def starts(self) -> np.ndarray:
-        # running sums before each block of CUM_BLOCK cells, built on the
-        # first draw: a draw sums only its own block, in the order np.cumsum
-        # adds the whole table.  Each chunk is summed in one reused buffer
-        # after buf[0], the running sum before it, which makes exactly
-        # np.cumsum's additions over the whole table.
-        ends = [np.zeros(1)]
-        buf = np.zeros(CUM_CHUNK + 1)
-        for lo in range(0, len(self.codes), CUM_CHUNK):
-            chunk = self.codes[lo:lo + CUM_CHUNK]
-            run = buf[:len(chunk) + 1]
-            self.lut.take(chunk, out=run[1:], mode="clip")
+    def _sum_to(self, r: float) -> np.ndarray:
+        """The stored running sums, extended CUM_CHUNK cells at a time until
+        one exceeds r or the table ends.  Each chunk is summed in the float
+        scratch after the sum before it, which makes exactly np.cumsum's
+        additions over the whole table."""
+        size = len(self.codes)
+        while self._summed < size and \
+                self._starts[self._summed // CUM_BLOCK] <= r:
+            lo = self._summed
+            run = self.buf[:min(CUM_CHUNK, size - lo) + 1]
+            run[0] = self._starts[lo // CUM_BLOCK]
+            self._expand(lo, run[1:])
             np.cumsum(run, out=run)
-            ends.append(run[CUM_BLOCK::CUM_BLOCK].copy())
-            buf[0] = run[-1]
-        return np.concatenate(ends)
+            ends = run[CUM_BLOCK::CUM_BLOCK]
+            k = lo // CUM_BLOCK + 1
+            self._starts[k:k + len(ends)] = ends
+            self._summed = lo + len(run) - 1
+        return self._starts[:self._summed // CUM_BLOCK + 1]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The running sums before each block of CUM_BLOCK cells, summed to
+        the end of the table."""
+        return self._sum_to(np.inf)
 
     def n_at(self, u):
         """The n drawn by each uniform in u (an array, or one float in
@@ -182,14 +211,16 @@ class WeightTable:
         if self.total <= 0:
             raise DomainError("cannot sample from an all-zero weight table")
         r = np.atleast_1d(np.asarray(u, dtype=float)) * self.total
-        b = np.searchsorted(self.starts, r, side="right") - 1
+        # a stored start above every r ends the search as the whole table's
+        starts = self._sum_to(r.max(initial=-np.inf))
+        b = np.searchsorted(starts, r, side="right") - 1
         # each draw's own block, zero-padded past the end of the table,
         # summed from its stored start as np.cumsum sums the whole table
         cell = (b * CUM_BLOCK)[:, None] + np.arange(CUM_BLOCK)
         size = len(self.codes)
         block = np.where(cell < size,
                          self.lut[self.codes.take(cell, mode="clip")], 0.0)
-        c = np.cumsum(np.concatenate((self.starts[b, None], block), axis=1),
+        c = np.cumsum(np.concatenate((starts[b, None], block), axis=1),
                       axis=1)
         k = b * CUM_BLOCK + (c[:, 1:] <= r[:, None]).sum(axis=1)
         n = self.n_lo + np.minimum(k, size - 1)
@@ -220,7 +251,9 @@ def build_weight_tables(system: SievingSystem, params: Params,
     the window bitmaps.  Both bitmaps are packed into one, 1 per member
     and J + 2 per member failing the (H^M, z] sieve, in the narrowest
     unsigned type that holds J (J + 2); a table is then a sum of J shifted
-    slices of it, clipped at J + 1.
+    slices of it, clipped at J + 1.  The tables share the lookup table and
+    one float scratch of (K+1)y + 1 cells, into which `total` and the
+    running sums expand them.
     """
     K, y, M, z = params.K, params.y, params.M, params.z_eff
     HM = H ** M
@@ -242,6 +275,7 @@ def build_weight_tables(system: SievingSystem, params: Params,
         w[in_s1 & ~s2.bits] = J + 2
     lut = weight_lut(params.sigma2[H], J)
     code_type = np.uint8 if J + 1 < 255 else np.int16
+    buf, idx = np.empty(cells + 1), np.empty(CUM_CHUNK, dtype=np.intp)
     out = {}
     for q in qs:
         off = n_lo + q - lo_all
@@ -251,7 +285,8 @@ def build_weight_tables(system: SievingSystem, params: Params,
             acc += w[off:off + cells]
         np.minimum(acc, J + 1, out=acc)
         out[q] = WeightTable(H=H, q=q, n_lo=n_lo, lut=lut,
-                             codes=acc.astype(code_type, copy=False))
+                             codes=acc.astype(code_type, copy=False),
+                             buf=buf, idx=idx)
     return out
 
 

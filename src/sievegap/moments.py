@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,6 +59,14 @@ def _report(identity: str, predicted: float, values: list[float],
 # error function E_A
 
 
+def _classes_by_prime(system: SievingSystem, x: float, z: float):
+    """(p, I_p) for each active prime p in (z, x], from one read of the
+    class table."""
+    p, r = system.classes(x, z)
+    for q, group in groupby(zip(p.tolist(), r.tolist()), key=itemgetter(0)):
+        yield q, [res for _, res in group]
+
+
 def error_E(system: SievingSystem, A, m: int, H: float, M: float, z: int):
     """sum over squarefree d > 1 with prime factors in (H^M, z] of
     (A^{omega(d)} / d) * 1{m mod d in I_d - I_d}.
@@ -70,9 +80,8 @@ def error_E(system: SievingSystem, A, m: int, H: float, M: float, z: int):
     exact = isinstance(A, (int, Fraction))
     Aq = Fraction(A if exact else float(A))
     total = Fraction(1)
-    # I_p empty makes I_p - I_p empty: only active primes, found in a batch
-    for p in system.active_primes(z, H ** M):
-        res = system.residues(p)
+    # I_p empty makes I_p - I_p empty: only the primes with a class count
+    for p, res in _classes_by_prime(system, z, H ** M):
         if m % p in {(a - b) % p for a in res for b in res}:
             total *= 1 + Aq / p
     return total - 1 if exact else float(total - 1)
@@ -91,8 +100,7 @@ def correlation_exact(system: SievingSystem, U, H: float, M: float, z: int,
     """
     U = sorted(set(int(u) for u in U))
     out = Fraction(1) if exact else 1.0
-    for p in system.active_primes(z, H ** M):
-        res = system.residues(p)
+    for p, res in _classes_by_prime(system, z, H ** M):
         forbidden = {(u - r) % p for u in U for r in res}
         if exact:
             out *= Fraction(p - len(forbidden), p)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,11 @@ def float_table(H, q, n_lo, vals):
     k, and the lookup table is the floats themselves."""
     return WeightTable(H=H, q=q, n_lo=n_lo, codes=np.arange(len(vals)),
                        lut=vals)
+
+
+def values(tab):
+    """lambda per cell of a WeightTable, expanded from its codes."""
+    return tab.lut[tab.codes]
 
 
 def whole_table_starts(vals):
@@ -255,12 +261,12 @@ def test_build_weight_tables_matches_pointwise():
     b = ShiftVector.uniform(ERA, p.z_eff, substream(1, "stage1"))
     tables = build_weight_tables(ERA, p, b, 2.0)
     tab = tables[29]
-    for k in range(0, len(tab.values), 17):
+    for k in range(0, len(values(tab)), 17):
         n = tab.n_lo + k
-        assert tab.values[k] == pytest.approx(
+        assert values(tab)[k] == pytest.approx(
             weight_lambda(ERA, b, 2.0, 29, n, M=p.M, K=p.K, z=p.z_eff),
             rel=1e-12)
-    assert tab.total == float(tab.values.sum())
+    assert tab.total == float(values(tab).sum())
 
 
 def test_build_weight_tables_matches_gather_oracle():
@@ -290,10 +296,10 @@ def test_build_weight_tables_matches_gather_oracle():
             assert list(got) == list(want)
             for q, tab in want.items():
                 assert got[q].codes.dtype == np.uint8
-                assert np.array_equal(got[q].values, tab.values)
+                assert np.array_equal(values(got[q]), values(tab))
                 assert np.array_equal(got[q].starts, tab.starts)
                 assert np.array_equal(got[q].starts,
-                                      whole_table_starts(tab.values))
+                                      whole_table_starts(values(tab)))
                 assert got[q].total == tab.total
 
 
@@ -314,7 +320,7 @@ def test_build_weight_tables_int16_codes_past_uint8():
         codes = got[q].codes
         assert codes.dtype == np.int16
         assert 0 < np.count_nonzero(codes == int(p.K * H) + 1) < len(codes)
-        assert np.array_equal(got[q].values, tab.values)
+        assert np.array_equal(values(got[q]), values(tab))
         assert got[q].total == tab.total
 
 
@@ -333,7 +339,7 @@ def test_build_weight_tables_packed_sums_past_uint8():
     want = gather_weight_tables(sys_, params, b, H)
     for q, tab in want.items():
         assert got[q].codes.dtype == np.uint8
-        assert np.array_equal(got[q].values, tab.values)
+        assert np.array_equal(values(got[q]), values(tab))
         ends_at_0 = [-q * h - tab.n_lo for h in range(1, J + 1)]
         assert (got[q].codes[ends_at_0] == J + 1).all()
 
@@ -390,7 +396,7 @@ def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
     assert cutoffs == (p.z_eff, 1)
     assert list(win.members()) == brute_members(ERA, p.z_eff, b, win.lo,
                                                 win.hi)
-    assert np.array_equal(tab.values, np.ones((p.K + 1) * p.y))
+    assert np.array_equal(values(tab), np.ones((p.K + 1) * p.y))
     assert tab.total == (p.K + 1) * p.y
 
 
@@ -407,7 +413,7 @@ def test_stage2_deterministic_and_supported():
     assert r1.chosen == r2.chosen
     tables = build_weight_tables(ERA, p, b, 2.0)
     for q, n in r1.chosen.items():
-        assert tables[q].values[n - tables[q].n_lo] > 0
+        assert values(tables[q])[n - tables[q].n_lo] > 0
 
 
 def test_stage2_point_mass():
@@ -415,8 +421,8 @@ def test_stage2_point_mass():
     b = ShiftVector.uniform(ERA, p.z_eff, substream(3, "stage1"))
     tables = build_weight_tables(ERA, p, b, 2.0)
     tab = tables[29]
-    k_star = int(np.argmax(tab.values))
-    point = np.zeros_like(tab.values)
+    k_star = int(np.argmax(values(tab)))
+    point = np.zeros_like(values(tab))
     point[k_star] = 1.0
     tab = float_table(tab.H, tab.q, tab.n_lo, point)
     for t in range(20):
@@ -448,11 +454,109 @@ def test_n_at_matches_whole_table_search():
         assert tab.n_at(np.array(us)).tolist() == want
 
 
+def stored_starts(tab):
+    """The running sums a WeightTable has stored so far."""
+    return tab._starts[:tab._summed // CUM_BLOCK + 1]
+
+
+def test_n_at_sums_only_as_far_as_drawn():
+    """A draw extends the stored running sums CUM_CHUNK cells at a time
+    only through the chunk of the cell it picks.  Whatever order the draws
+    come in (increasing, decreasing, or one batch over the whole table),
+    the stored sums are a prefix of the whole table's np.cumsum, bit for
+    bit, and every draw is the whole-table search's."""
+    rng = random.Random(9)
+    for size in (1, 5, CUM_BLOCK - 1, CUM_BLOCK, CUM_BLOCK + 1,
+                 3 * CUM_BLOCK, 1000, CUM_CHUNK - 1, CUM_CHUNK,
+                 CUM_CHUNK + 1, 3 * CUM_CHUNK + 5):
+        vals = np.array([rng.random() * (rng.random() < 0.6)
+                         for _ in range(size)])
+        vals[0] += 0.5
+        whole, cum = whole_table_starts(vals), np.cumsum(vals)
+        us = sorted(rng.random() for _ in range(40))
+
+        def search(u, total):
+            k = int(np.searchsorted(cum, u * total, side="right"))
+            return -7 + min(k, size - 1)
+
+        for order in (us, us[::-1]):
+            tab = float_table(2.0, 29, -7, vals)
+            reach = 0
+            for u in order:
+                n = tab.n_at(u)
+                assert n == search(u, tab.total)
+                reach = max(reach, n + 7)
+                assert tab._summed == min(
+                    size, (reach // CUM_CHUNK + 1) * CUM_CHUNK)
+                got = stored_starts(tab)
+                assert np.array_equal(got, whole[:len(got)])
+        tab = float_table(2.0, 29, -7, vals)
+        spread = np.array(us[::-1] + [0.0, 1 - 2 ** -53])
+        assert tab.n_at(spread).tolist() == [search(u, tab.total)
+                                             for u in spread]
+        assert np.array_equal(stored_starts(tab), whole)
+        assert np.array_equal(tab.starts, whole)
+
+
+def test_n_at_of_no_uniforms_is_empty():
+    tab = float_table(2.0, 29, -7, np.ones(3 * CUM_CHUNK))
+    assert tab.n_at(np.array([])).shape == (0,)
+    assert tab._summed == 0
+
+
+def test_weight_tables_of_one_build_share_scratch_safely():
+    """Two tables of one build_weight_tables call share one float scratch.
+    Used interleaved, each gives the total, draws and running sums it
+    gives when used alone; the first draw stops inside the table, so its
+    later sums start from the sum it stored, not from the scratch."""
+    p = derive_params(ERA, 2_950, force_scales=[2.0, 3.0])
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(4, "stage1"))
+    assert (p.K + 1) * p.y > CUM_CHUNK
+    qa, qb = p.Q[2.0][:2]
+    us = {qa: 0.05, qb: 0.6}
+
+    def use(tab):
+        return tab.total, tab.n_at(us[tab.q]), tab.starts
+
+    alone = {q: use(build_weight_tables(ERA, p, b, 2.0)[q])
+             for q in (qa, qb)}
+    tables = build_weight_tables(ERA, p, b, 2.0)
+    a, bt = tables[qa], tables[qb]
+    assert a.buf is bt.buf and a.idx is bt.idx
+    totals = a.total, bt.total
+    draws = a.n_at(us[qa]), bt.n_at(us[qb])
+    assert 0 < a._summed < len(a.codes)
+    starts = a.starts, bt.starts
+    for i, q in enumerate((qa, qb)):
+        total, n, whole = alone[q]
+        assert totals[i] == total and draws[i] == n
+        assert np.array_equal(starts[i], whole)
+        assert np.array_equal(whole, whole_table_starts(values(tables[q])))
+
+
+def test_total_and_draw_expand_no_table():
+    """total and one draw on a 40,632-cell table (x = 10^4, H = 3) work in
+    the build's shared scratch: they allocate under a quarter of the
+    8 bytes per cell that a float64 copy of the table would take."""
+    p = derive_params(ERA, 10_000, force_scales=[2.0, 3.0])
+    b = ShiftVector.uniform(ERA, p.z_eff, substream(0, "stage1"))
+    tab = next(iter(build_weight_tables(ERA, p, b, 3.0).values()))
+    assert len(tab.codes) == 40_632
+    tracemalloc.start()
+    try:
+        tab.total
+        tab.n_at(0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(tab.codes) / 4
+
+
 def test_stage2_sampling_frequencies():
     p = small_params()
     b = ShiftVector.uniform(ERA, p.z_eff, substream(4, "stage1"))
     tab = build_weight_tables(ERA, p, b, 2.0)[29]
-    probs = tab.values / tab.total
+    probs = values(tab) / tab.total
     counts = np.zeros_like(probs)
     trials = 10_000
     for t in range(trials):
@@ -469,7 +573,7 @@ def test_stage2_cover_mode_supported():
                       mode="cover")
     tables = build_weight_tables(ERA, p, b, 2.0)
     for q, n in r.chosen.items():
-        assert tables[q].values[n - tables[q].n_lo] > 0
+        assert values(tables[q])[n - tables[q].n_lo] > 0
 
 
 def test_stage2_caps_table_cells_before_building(monkeypatch):

@@ -106,6 +106,29 @@ def test_error_e_finds_the_roots_in_one_batch(monkeypatch):
     assert got[0] > got[12] > 0
 
 
+def test_error_e_and_correlation_read_the_class_table_once(monkeypatch):
+    """Neither error_E nor correlation_exact asks for I_p one prime at a
+    time: each reads the classes of (H^M, z] in one call, and its value is
+    unchanged."""
+    sys_ = polynomial_system("n^2+1")
+    want = (error_E(sys_, 1, 4, 2.0, 4.6, 3000),
+            correlation_exact(sys_, [0, 2, 6], 2.0, 4.6, 3000, exact=True))
+    calls = {"residues": 0, "classes": 0}
+    for name in calls:
+        method = getattr(SievingSystem, name)
+
+        def spy(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SievingSystem, name, spy)
+    assert error_E(sys_, 1, 4, 2.0, 4.6, 3000) == want[0]
+    assert calls == {"residues": 0, "classes": 1}
+    assert correlation_exact(sys_, [0, 2, 6], 2.0, 4.6, 3000,
+                             exact=True) == want[1]
+    assert calls == {"residues": 0, "classes": 2}
+
+
 def test_error_e_averaged_bound_one_sided():
     # desk-scale reading of the averaged estimate: the error sum over a
     # block of shifts stays within an explicit constant of
