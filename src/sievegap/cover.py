@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -26,6 +27,7 @@ RESAMPLE_FACTOR = 5.0       # attempts per index ~ factor / alive fraction
 RESAMPLE_HARD_CAP = 20_000  # < 2^rng.ATTEMPT_BITS, so attempts never collide
 MAX_EDGES = 1 << 40         # rng.uniforms keeps indices below 2^40 apart
 DEGREE_CHUNK = 1 << 22      # partial sums the degree check holds at once
+DRAW_BLOCK = 1 << 18        # draws one block of covering attempts holds
 
 
 class EdgeSampler:
@@ -82,7 +84,9 @@ class ProgressionSampler(EdgeSampler):
 
 @dataclass
 class CoverInstance:
-    vertices: np.ndarray            # integer labels, treated as [0, N) ranks
+    # integer labels, treated as [0, N) ranks; run_cover holds one rank
+    # per integer from the smallest label to the largest
+    vertices: np.ndarray
     samplers: list[EdgeSampler]
     eta: float
     C2: float
@@ -90,6 +94,18 @@ class CoverInstance:
     @property
     def s(self) -> int:
         return len(self.samplers)
+
+    @cached_property
+    def shared(self):
+        """_shared(samplers), grouped on first read.  Assigning samplers
+        (also by +=) drops it; editing the list in place does not, so
+        reassign the list after an item edit or append."""
+        return _shared(self.samplers)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "samplers":
+            self.__dict__.pop("shared", None)
+        super().__setattr__(name, value)
 
 
 def repeated(sampler: EdgeSampler, s: int) -> list[EdgeSampler]:
@@ -194,7 +210,7 @@ def check_hypotheses(instance: CoverInstance, delta: float,
         raise DomainError("scale y too small for the size cap to make sense")
     conds: list[ConditionReport] = []
 
-    first, group, distinct = _shared(instance.samplers)
+    first, group, distinct = instance.shared
     probs = np.stack([sm.inclusion_probs(instance.vertices)
                       for sm in distinct])
 
@@ -331,7 +347,7 @@ def degree_profile(instance: CoverInstance,
     n = len(instance.vertices)
     m = max(partition) if partition else 0
     degrees = np.zeros((m, n))
-    _, group, distinct = _shared(instance.samplers)
+    _, group, distinct = instance.shared
     probs = np.stack([sm.inclusion_probs(instance.vertices)
                       for sm in distinct])
     for j, idxs in partition.items():
@@ -362,39 +378,52 @@ class CoverResult:
 def _draw_round(distinct: list[EdgeSampler], group: np.ndarray,
                 idxs: list[int], key: int, cap: int, rank_of,
                 alive: np.ndarray):
-    """Attempts t = 0..cap-1 of the round's indices idxs, in waves: wave
-    t draws attempt t of every index still pending, with one sample call
-    per distinct sampler among them (index i holds distinct[group[i]]).
+    """Attempts t = 0..cap-1 of the round's indices idxs, in blocks: a
+    block draws attempts t..t+w-1 of every index still pending, with one
+    sample call per distinct sampler among them (index i holds
+    distinct[group[i]]), and each index keeps the first of them that it
+    accepts.  The width w starts at 1 and doubles while the block holds
+    at most DRAW_BLOCK draws, so DRAW_BLOCK <= pending gives one attempt
+    per block.
 
     Returns, per position of idxs, whether an attempt drew an edge that
-    is nonempty and lies inside alive, and the uniform of the last
-    attempt drawn; then the members of every accepted edge.
+    is nonempty and lies inside alive, and the uniform of that attempt
+    (else of attempt cap-1); then the members of every accepted edge.
     """
     idx = np.array(idxs, dtype=np.int64)
     grp = group[idx]
     # pending holds positions of idxs, kept sorted by group so that each
-    # sampler's draws of a wave form one contiguous slice
+    # sampler's draws of a block form one contiguous slice
     pending = np.argsort(grp, kind="stable")
     accepted = np.zeros(len(idx), dtype=bool)
     last_u = np.empty(len(idx))
     kept = [np.empty(0, dtype=np.int64)]
-    for t in range(cap):
-        if not len(pending):
-            break
-        u = uniforms(key, idx[pending], t)
-        last_u[pending] = u
+    t = 0
+    while t < cap and len(pending):
+        w = max(1, min(cap - t, t, DRAW_BLOCK // len(pending)))
+        # draw r * w + k is attempt t + k of the index at pending[r]
+        u = uniforms(key, idx[pending, None], t + np.arange(w)).ravel()
+        t += w
         g = grp[pending]
-        cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
-        drawn = [distinct[gs[0]].sample(us)
-                 for gs, us in zip(np.split(g, cuts), np.split(u, cuts))]
+        cuts = (np.flatnonzero(g[1:] != g[:-1]) + 1) * w
+        drawn = [distinct[g[c // w]].sample(us)
+                 for c, us in zip([0, *cuts], np.split(u, cuts))]
         members = np.concatenate([m for m, _ in drawn])
         sizes = np.concatenate([n for _, n in drawn])
         owner = np.repeat(np.arange(len(u)), sizes)
         ok = (sizes > 0) & (np.bincount(owner[alive[rank_of(members)]],
                                         minlength=len(u)) == sizes)
-        kept.append(members[ok[owner]])
-        accepted[pending[ok]] = True
-        pending = pending[~ok]
+        ok = ok.reshape(-1, w)
+        hit = ok.any(axis=1)
+        # each index's first accepted draw of the block, else its last
+        pick = np.arange(0, len(u), w) + np.where(hit, ok.argmax(axis=1),
+                                                  w - 1)
+        last_u[pending] = u[pick]
+        first = np.zeros(len(u), dtype=bool)
+        first[pick[hit]] = True
+        kept.append(members[first[owner]])
+        accepted[pending[hit]] = True
+        pending = pending[~hit]
     return accepted, last_u, np.concatenate(kept)
 
 
@@ -412,21 +441,27 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
     attempt t of index i in round j is the edge of the uniform
     rng.uniforms(derive_seed(seed, "cover", j), i, t), and the accepted
     edge is the first of attempts 0, 1, ... inside the alive set.
-    Because of the freeze, a round draws attempt t of all its pending
-    indices at once.
+    Because of the freeze, a round draws a block of attempts of all its
+    pending indices at once (see _draw_round).  A drawn label is ranked
+    through one table over [smallest label, largest label], so the
+    labels should span a range not much wider than their count.
     """
     labels = instance.vertices
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
+    # rank[v - lo] is the first position of label v, or -1 for no label
+    uniq, first = np.unique(labels, return_index=True)
+    lo, hi = (int(uniq[0]), int(uniq[-1])) if len(uniq) else (0, -1)
+    rank = np.full(hi - lo + 1, -1, dtype=np.intp)
+    rank[uniq - lo] = first
 
     def rank_of(members: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(sorted_labels, members)
-        if np.any(pos == len(labels)) or \
-                np.any(sorted_labels[pos] != members):
+        if len(members) and not lo <= members.min() <= members.max() <= hi:
             raise DomainError("a sampler drew a vertex outside the instance")
-        return order[pos]
+        r = rank[members - lo]
+        if np.any(r < 0):
+            raise DomainError("a sampler drew a vertex outside the instance")
+        return r
 
-    _, group, distinct = _shared(instance.samplers)
+    _, group, distinct = instance.shared
     alive = np.ones(len(labels), dtype=bool)
     accepted = np.zeros(instance.s, dtype=bool)
     last_u = np.full(instance.s, np.nan)

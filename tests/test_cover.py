@@ -1,12 +1,15 @@
 """Hypergraph covering: hypothesis checks, round planning, recursion,
 and the semi-random covering procedure."""
 
+import io
 import math
 import random
 
 import numpy as np
 import pytest
 
+from sievegap import cover
+from sievegap.cli import dispatch
 from sievegap.cover import (RESAMPLE_HARD_CAP, CoverInstance, EdgeSampler,
                             RoundPlan, assign_indices, check_hypotheses,
                             degree_profile, plan_rounds,
@@ -457,11 +460,12 @@ class CountingEdge(EdgeSampler):
         return self.inner.sample(u)
 
 
-def test_run_cover_draws_one_call_per_sampler_per_wave():
-    """A wave draws all pending indices of one sampler in one call, even
-    when they are not contiguous.  In one round from a fully alive start,
-    every draw of a (a singleton) is accepted at attempt 0, while an
-    index of b waits for its first uniform >= 1/2."""
+def test_run_cover_draws_one_call_per_sampler_per_block():
+    """A block draws all pending indices of one sampler in one call, even
+    when they are not contiguous: pending(t) w(t) uniforms for the block
+    of width w(t) starting at attempt t.  In one round from a fully alive
+    start, every draw of a (a singleton) is accepted at attempt 0, while
+    an index of b waits for its first uniform >= 1/2."""
     n = 40
     a = CountingEdge(progression_instance(n, 4.0, 0.05).samplers[0])
     b = CountingEdge(SparseEdge())
@@ -475,10 +479,122 @@ def test_run_cover_draws_one_call_per_sampler_per_wave():
     u = uniforms(derive_seed(seed, "cover", 1), np.arange(50, 57)[:, None],
                  np.arange(cap)[None, :])
     waiting = [int((u[:, :t] < 0.5).all(axis=1).sum()) for t in range(cap)]
+    blocks, t = [], 0
+    while t < cap and waiting[t]:
+        w = max(1, min(cap - t, t, cover.DRAW_BLOCK // waiting[t]))
+        blocks.append(waiting[t] * w)
+        t += w
     assert a.calls == [80]
-    assert b.calls == [k for k in waiting if k]
+    assert b.calls == blocks
     assert 1 < len(b.calls)
     assert res.accepted.sum() == 87 - (u < 0.5).all(axis=1).sum()
+
+
+def _mixed_instance(n=40):
+    """test_hypotheses_and_profile_equal_the_per_index_loop's family:
+    singletons, SparseEdge and one FullEdge, in three rounds that leave
+    vertices uncovered."""
+    inst = progression_instance(n, 4.0, 0.05)
+    a, b = inst.samplers[0], SparseEdge()
+    inst.samplers = [a] * 50 + [b] * 7 + [a] * 30 + [FullEdge(n)] + [b] * 3
+    plan = RoundPlan(beta=3.3, m=3, intervals=[(j / 3, (j + 1) / 3)
+                                               for j in range(3)])
+    part = {1: list(range(0, 87, 4)), 2: list(range(1, 87, 4)),
+            3: list(range(2, 87, 8)) + list(range(87, 91))}
+    return inst, plan, part
+
+
+def _outcome(res):
+    return (res.accepted.tolist(), res.last_u.tobytes(),
+            res.uncovered.tolist(), res.rounds_trace)
+
+
+def test_run_cover_blocks_do_not_change_results(monkeypatch):
+    """One attempt per block (the per-attempt waves), three draws per
+    block and blocks bounded by the cap alone give the same outcome,
+    NaN last_u included, on the mixed family and in a cover-mode
+    construct report."""
+    inst, plan, part = _mixed_instance()
+    argv = ["construct", "--system", "eratosthenes", "--x", "3000",
+            "--force-scales", "2", "3", "--mode", "cover", "--seed", "5"]
+    seen = []
+    for block in (1, 3, 1 << 20):
+        monkeypatch.setattr(cover, "DRAW_BLOCK", block)
+        out = io.StringIO()
+        assert dispatch(argv, stream=out) == 0
+        seen.append((_outcome(run_cover(inst, plan, part, seed=13)),
+                     out.getvalue()))
+    assert seen[0] == seen[1] == seen[2]
+    res = run_cover(inst, plan, part, seed=13)
+    assert 0 < res.accepted.sum() < inst.s
+    assert 0 < len(res.uncovered)
+
+
+class ShiftedEdge(EdgeSampler):
+    """Another sampler's edges with every label v mapped to 3 v + 7."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sample(self, u):
+        members, sizes = self.inner.sample(u)
+        return 3 * members + 7, sizes
+
+
+@pytest.mark.parametrize("label", [-1, 1, 3, 6])
+def test_run_cover_refuses_a_label_outside_the_instance(label):
+    """A drawn label below the smallest vertex, in a gap of the labels or
+    above the largest one is refused, not ranked."""
+
+    class Fixed(EdgeSampler):
+        def sample(self, u):
+            return np.full(len(u), label, dtype=np.int64), np.ones(
+                len(u), dtype=np.int64)
+
+    inst = CoverInstance(vertices=np.array([0, 2, 5], dtype=np.int64),
+                         samplers=[Fixed()] * 4, eta=0.05, C2=4.0)
+    plan = RoundPlan(beta=3.3, m=1, intervals=[(0.0, 1.0)])
+    with pytest.raises(DomainError,
+                       match="a sampler drew a vertex outside the instance"):
+        run_cover(inst, plan, {1: [0, 1, 2, 3]}, seed=14)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_run_cover_ranks_labels_not_positions(step):
+    """Labels 3 k + 7, listed in increasing or decreasing order, give the
+    outcome of the same family on labels k."""
+    inst, plan, part = _mixed_instance()
+    shifted = CoverInstance(vertices=(3 * inst.vertices + 7)[::step],
+                            samplers=[ShiftedEdge(sm) for sm in inst.samplers],
+                            eta=inst.eta, C2=inst.C2)
+    res = run_cover(inst, plan, part, seed=15)
+    got = run_cover(shifted, plan, part, seed=15)
+    assert np.array_equal(got.accepted, res.accepted)
+    assert np.array_equal(got.last_u, res.last_u, equal_nan=True)
+    assert sorted(got.uncovered.tolist()) == \
+        (3 * res.uncovered + 7).tolist()
+    assert got.rounds_trace == res.rounds_trace
+
+
+def test_reassigning_samplers_regroups_them():
+    """The sampler grouping is read once per instance and dropped when
+    samplers is assigned, by += or by a new list: each later check and
+    run equals the one on a freshly built instance."""
+    inst, plan, part = _mixed_instance()
+    run_cover(inst, plan, part, seed=16)
+    extra = [FullEdge(40), inst.samplers[0], SparseEdge()]
+    inst.samplers += extra
+    part[3] = part[3] + [91, 92, 93]
+    for samplers in (None, [SparseEdge()] * 30 + inst.samplers[30:]):
+        if samplers is not None:
+            inst.samplers = samplers
+        fresh = CoverInstance(vertices=inst.vertices,
+                              samplers=list(inst.samplers), eta=inst.eta,
+                              C2=inst.C2)
+        assert check_hypotheses(inst, 0.25, y=1e5).to_dict() == \
+            check_hypotheses(fresh, 0.25, y=1e5).to_dict()
+        assert _outcome(run_cover(inst, plan, part, seed=16)) == \
+            _outcome(run_cover(fresh, plan, part, seed=16))
 
 
 def test_run_cover_with_empty_and_missing_rounds():
