@@ -355,6 +355,7 @@ def stage2_select(system: SievingSystem, params: Params,
 
     samplers = [_ProgressionEdge(all_tables[q]) for q in order]
     inst = cover_mod.CoverInstance(vertices=surv, samplers=samplers,
+                                   group=np.arange(len(samplers)),
                                    eta=0.05, C2=1.0)
     # simple even plan over at most three rounds (never more rounds than
     # samplers): the q family at desk scale is too small for the

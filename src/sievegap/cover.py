@@ -1,12 +1,13 @@
 """Hypergraph covering rounds: hypothesis checks, round planning, and a
 semi-random covering procedure verified statistically.
 
-An instance is a vertex set plus s indexed random-edge samplers with
-exact per-vertex inclusion probabilities summing to roughly a constant
-C2 per vertex.  The covering procedure assigns each index to one of m
-rounds via a uniform mark falling into disjoint intervals of geometric
-lengths, then greedily keeps sampled edges that lie inside the set of
-vertices still alive at the start of their round.
+An instance is a vertex set, a list of random-edge samplers with exact
+per-vertex inclusion probabilities, and s indices, each naming the
+sampler it draws from; the probabilities summed over the indices come
+to roughly a constant C2 per vertex.  The covering procedure assigns
+each index to one of m rounds via a uniform mark falling into disjoint
+intervals of geometric lengths, then greedily keeps sampled edges that
+lie inside the set of vertices still alive at the start of their round.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -87,51 +86,35 @@ class CoverInstance:
     # integer labels, treated as [0, N) ranks; run_cover holds one rank
     # per integer from the smallest label to the largest
     vertices: np.ndarray
-    samplers: list[EdgeSampler]
+    samplers: list[EdgeSampler]   # the edge distributions
+    group: np.ndarray             # intp: index i draws from samplers[group[i]]
     eta: float
     C2: float
 
     @property
     def s(self) -> int:
-        return len(self.samplers)
-
-    @cached_property
-    def shared(self):
-        """_shared(samplers), grouped on first read.  Assigning samplers
-        (also by +=) drops it; editing the list in place does not, so
-        reassign the list after an item edit or append."""
-        return _shared(self.samplers)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "samplers":
-            self.__dict__.pop("shared", None)
-        super().__setattr__(name, value)
+        return len(self.group)
 
 
-def repeated(sampler: EdgeSampler, s: int) -> list[EdgeSampler]:
-    """A family of s indices that share one sampler; a list of s
-    references too large for memory is refused with its edge count."""
-    try:
-        return list(repeat(sampler, s))
-    except MemoryError:
-        raise DomainError(f"a family of {s} edges does not fit in "
-                          f"memory") from None
-
-
-def progression_instance(n_vertices: int, C2: float,
-                         eta: float) -> CoverInstance:
-    """The calibrated synthetic family: C2 * N singleton-progression edges."""
+def progression_instance(n_vertices: int, C2: float, eta: float,
+                         edges: int | None = None) -> CoverInstance:
+    """The calibrated synthetic family: C2 * N singleton-progression
+    edges (or `edges` of them), all drawn from one sampler.  A family too
+    large for memory is refused with its edge count."""
     s = int(round(C2 * n_vertices))
     if n_vertices < 1 or not 1 <= s < MAX_EDGES:
         raise DomainError(f"need at least one vertex and 1 to 2^40 - 1 "
                           f"edges, got N={n_vertices} and C2 N="
                           f"{C2 * n_vertices:.6g}")
-    return CoverInstance(
-        vertices=np.arange(n_vertices, dtype=np.int64),
-        samplers=repeated(ProgressionSampler(n_vertices), s),
-        eta=eta,
-        C2=C2,
-    )
+    s = s if edges is None else edges
+    try:
+        group = np.zeros(s, dtype=np.intp)
+    except MemoryError:
+        raise DomainError(f"a family of {s} edges does not fit in "
+                          f"memory") from None
+    return CoverInstance(vertices=np.arange(n_vertices, dtype=np.int64),
+                         samplers=[ProgressionSampler(n_vertices)],
+                         group=group, eta=eta, C2=C2)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +149,6 @@ class HypothesisReport:
                 "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _shared(samplers: list[EdgeSampler]):
-    """Which indices share a sampler object: first[g] is the first index
-    holding distinct sampler g, in increasing order, group[i] is the g of
-    index i, and distinct[g] is the sampler.  Families repeat one object
-    many times, so readers call each distinct sampler once."""
-    ids = np.fromiter(map(id, samplers), dtype=np.uint64,
-                      count=len(samplers))
-    _, first, group = np.unique(ids, return_index=True, return_inverse=True)
-    first, group = np.unique(first[group], return_inverse=True)
-    return first, group, [samplers[i] for i in first.tolist()]
-
-
 def _degree_sums(probs: np.ndarray, seq: np.ndarray) -> np.ndarray:
     """sum_k probs[seq[k]] for each vertex, added in the order of seq as
     the loop degree += probs[seq[k]] adds it.
@@ -210,7 +181,10 @@ def check_hypotheses(instance: CoverInstance, delta: float,
         raise DomainError("scale y too small for the size cap to make sense")
     conds: list[ConditionReport] = []
 
-    first, group, distinct = instance.shared
+    # row[i] is index i's row of probs; first[k] the first index of row k
+    used, first, row = np.unique(instance.group, return_index=True,
+                                 return_inverse=True)
+    distinct = [instance.samplers[g] for g in used.tolist()]
     probs = np.stack([sm.inclusion_probs(instance.vertices)
                       for sm in distinct])
 
@@ -219,25 +193,25 @@ def check_hypotheses(instance: CoverInstance, delta: float,
     conds.append(ConditionReport("edge_size", worst_size <= size_cap,
                                  float(worst_size), size_cap))
 
-    # a repeated sampler never beats its own first index, so scanning the
+    # a sampler's later indices never beat its first, so scanning the
     # first indices in order finds the first index with the largest prob
     sparsity_cap = y ** (-0.5 - 0.01)
     worst_p, worst_v = 0.0, None
-    for i, row in zip(first.tolist(), probs):
-        j = int(np.argmax(row))
-        if row[j] > worst_p:
-            worst_p = float(row[j])
-            worst_v = (i, int(instance.vertices[j]))
+    for k in np.argsort(first).tolist():
+        j = int(np.argmax(probs[k]))
+        if probs[k, j] > worst_p:
+            worst_p = float(probs[k, j])
+            worst_v = (int(first[k]), int(instance.vertices[j]))
     conds.append(ConditionReport("sparsity", worst_p <= sparsity_cap,
                                  worst_p, sparsity_cap, worst_v))
 
     codeg_cap = y ** -0.5
     bounds = [sm.codegree_bound() for sm in distinct]
-    codeg = sum(map(bounds.__getitem__, group.tolist()))
+    codeg = sum(map(bounds.__getitem__, row.tolist()))
     conds.append(ConditionReport("codegree", codeg <= codeg_cap,
                                  float(codeg), codeg_cap))
 
-    degree = _degree_sums(probs, group)
+    degree = _degree_sums(probs, row)
     dev = np.abs(degree - instance.C2)
     j = int(np.argmax(dev))
     conds.append(ConditionReport("degree_uniform", float(dev[j]) <= instance.eta,
@@ -347,12 +321,12 @@ def degree_profile(instance: CoverInstance,
     n = len(instance.vertices)
     m = max(partition) if partition else 0
     degrees = np.zeros((m, n))
-    _, group, distinct = instance.shared
-    probs = np.stack([sm.inclusion_probs(instance.vertices)
-                      for sm in distinct])
+    used, row = np.unique(instance.group, return_inverse=True)
+    probs = np.stack([instance.samplers[g].inclusion_probs(instance.vertices)
+                      for g in used.tolist()])
     for j, idxs in partition.items():
         if idxs:
-            degrees[j - 1] = _degree_sums(probs, group[idxs])
+            degrees[j - 1] = _degree_sums(probs, row[idxs])
     P = np.ones((m + 1, n))
     for j in range(m):
         P[j + 1] = P[j] * np.exp(-degrees[j] / P[j])
@@ -366,7 +340,7 @@ def degree_profile(instance: CoverInstance,
 @dataclass
 class CoverResult:
     # accepted[i] says index i kept an edge; last_u[i] is the uniform of
-    # its last draw, the accepted one (the edge samplers[i].sample(
+    # its last draw, the accepted one (the edge samplers[group[i]].sample(
     # last_u[i:i + 1])) or else its attempt_cap-th (NaN in no round)
     accepted: np.ndarray
     last_u: np.ndarray
@@ -375,23 +349,21 @@ class CoverResult:
     rounds_trace: list[dict]
 
 
-def _draw_round(distinct: list[EdgeSampler], group: np.ndarray,
-                idxs: list[int], key: int, cap: int, rank_of,
-                alive: np.ndarray):
+def _draw_round(instance: CoverInstance, idxs: list[int], key: int,
+                cap: int, rank_of, alive: np.ndarray):
     """Attempts t = 0..cap-1 of the round's indices idxs, in blocks: a
     block draws attempts t..t+w-1 of every index still pending, with one
-    sample call per distinct sampler among them (index i holds
-    distinct[group[i]]), and each index keeps the first of them that it
-    accepts.  The width w starts at 1 and doubles while the block holds
-    at most DRAW_BLOCK draws, so DRAW_BLOCK <= pending gives one attempt
-    per block.
+    sample call per sampler they draw from, and each index keeps the
+    first of them that it accepts.  The width w starts at 1 and doubles
+    while the block holds at most DRAW_BLOCK draws, so DRAW_BLOCK <=
+    pending gives one attempt per block.
 
     Returns, per position of idxs, whether an attempt drew an edge that
     is nonempty and lies inside alive, and the uniform of that attempt
     (else of attempt cap-1); then the members of every accepted edge.
     """
     idx = np.array(idxs, dtype=np.int64)
-    grp = group[idx]
+    grp = instance.group[idx]
     # pending holds positions of idxs, kept sorted by group so that each
     # sampler's draws of a block form one contiguous slice
     pending = np.argsort(grp, kind="stable")
@@ -406,7 +378,7 @@ def _draw_round(distinct: list[EdgeSampler], group: np.ndarray,
         t += w
         g = grp[pending]
         cuts = (np.flatnonzero(g[1:] != g[:-1]) + 1) * w
-        drawn = [distinct[g[c // w]].sample(us)
+        drawn = [instance.samplers[g[c // w]].sample(us)
                  for c, us in zip([0, *cuts], np.split(u, cuts))]
         members = np.concatenate([m for m, _ in drawn])
         sizes = np.concatenate([n for _, n in drawn])
@@ -461,7 +433,6 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
             raise DomainError("a sampler drew a vertex outside the instance")
         return r
 
-    _, group, distinct = instance.shared
     alive = np.ones(len(labels), dtype=bool)
     accepted = np.zeros(instance.s, dtype=bool)
     last_u = np.full(instance.s, np.nan)
@@ -473,8 +444,8 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
                   max(1, int(math.ceil(RESAMPLE_FACTOR / max(frac, 1e-9)))))
         idxs = partition.get(j, [])
         ok, last_u[idxs], members = _draw_round(
-            distinct, group, idxs, derive_seed(seed, "cover", j), cap,
-            rank_of, alive_start)
+            instance, idxs, derive_seed(seed, "cover", j), cap, rank_of,
+            alive_start)
         accepted[idxs] = ok
         alive[rank_of(members)] = False
         trace.append({"round": j, "alive_fraction_start": float(frac),

@@ -1,10 +1,10 @@
 """Command-line interface: dispatch, determinism, schema, exit codes."""
 
 import io
-import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -14,7 +14,6 @@ except ImportError:                                    # pragma: no cover
 
 from conftest import brute_verify_empty
 
-from sievegap import cover
 from sievegap.cli import build_parser, dispatch
 from sievegap.construction import construct, derive_params
 from sievegap.rng import DEFAULT_SEED, derive_seed
@@ -298,6 +297,8 @@ BAD_FLAGS = {
     "cover-demo-c2-1e300": _COVER + ["--c2", "1e300"],
     "cover-demo-edges-2^40": _COVER + ["--edges", str(1 << 40)],
     "cover-demo-scale-y-nan": _COVER + ["--scale-y", "nan"],
+    # 10^{2 delta} overflows a float above delta = 154
+    "cover-demo-delta-200": _COVER + ["--delta", "200"],
     "constants-rho-nan": ["constants", "--rho", "nan"],
     "constants-rho-inf": ["constants", "--rho", "inf"],
     "construct-force-scales-inf": _CONSTRUCT + ["--force-scales", "2", "inf"],
@@ -353,6 +354,7 @@ def test_bad_numeric_flag_exits_1(case, capsys):
     ("moments-i-second-mc-z--4", "z must be >= 1"),
     ("construct-force-z-0", "force_z must be >= 1, got 0"),
     ("moments-force-z--5", "force_z must be >= 1, got -5"),
+    ("cover-demo-delta-200", "delta must lie in (0, 1/2)"),
     ("construct-force-scales-repeated",
      "forced scales must be distinct: [2.0, 2.0]"),
     ("moments-force-scales-repeated",
@@ -477,21 +479,31 @@ def test_cover_demo_edges_flag_reports_degree_deviation():
     assert not cond["ok"] and cond["worst"] == 1.0
 
 
+def test_cover_demo_edges_equal_to_c2_n_change_nothing():
+    """--edges C2 N builds the family that C2 alone builds: the same
+    result, hypotheses, plan and uncovered fractions included."""
+    argv = ["cover-demo", "--vertices", "1000", "--trials", "2"]
+    assert run_json(argv + ["--edges", "4000"])["result"] == \
+        run_json(argv)["result"]
+
+
 @pytest.mark.parametrize("flags,edges", [
     (["--edges", str((1 << 40) - 1)], (1 << 40) - 1),
     (["--c2", "1e7"], 500_000_000)])
 def test_cover_demo_family_too_large_for_memory_exits_1(flags, edges,
                                                         monkeypatch, capsys):
-    """A family of fewer than 2^40 edges whose list of references cannot
-    be allocated is refused with its edge count, not a MemoryError
+    """A family of fewer than 2^40 edges whose group array cannot be
+    allocated is refused with its edge count, not a MemoryError
     traceback (from --edges, or from C2 N in progression_instance).  The
-    allocation failure is faked above 10^6 references."""
-    def repeat(obj, times):
-        if times > 10 ** 6:
-            raise MemoryError
-        return itertools.repeat(obj, times)
+    allocation failure is faked above 10^6 entries."""
+    zeros = np.zeros
 
-    monkeypatch.setattr(cover, "repeat", repeat)
+    def fake_zeros(shape, *args, **kwargs):
+        if np.prod(shape) > 10 ** 6:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", fake_zeros)
     assert run_cli(_COVER + flags) == (1, "")
     assert capsys.readouterr().err == (
         f"error: a family of {edges} edges does not fit in memory\n")

@@ -57,6 +57,20 @@ class SparseEdge(EdgeSampler):
         return 0.0
 
 
+def _per_index(inst):
+    """The sampler that each index draws from, in index order."""
+    return [inst.samplers[g] for g in inst.group.tolist()]
+
+
+def _mixed_family(n=40):
+    """Singletons (indices 0-49 and 57-86), SparseEdge (50-56 and
+    88-90) and one FullEdge (87)."""
+    inst = progression_instance(n, 4.0, 0.05)
+    inst.samplers += [SparseEdge(), FullEdge(n)]
+    inst.group = np.repeat([0, 1, 0, 2, 1], [50, 7, 30, 1, 3])
+    return inst
+
+
 # ---------------------------------------------------------------------------
 # hypotheses
 
@@ -69,7 +83,8 @@ def test_calibrated_family_passes_hypotheses():
 
 def test_heavy_edge_fails_codegree_and_sparsity():
     inst = CoverInstance(vertices=np.arange(100, dtype=np.int64),
-                         samplers=[FullEdge(100)] * 5, eta=0.05, C2=5.0)
+                         samplers=[FullEdge(100)],
+                         group=np.zeros(5, dtype=np.intp), eta=0.05, C2=5.0)
     rep = check_hypotheses(inst, 0.25, y=1e5)
     by_name = {c.name: c for c in rep.conditions}
     assert not by_name["codegree"].ok
@@ -86,15 +101,14 @@ def test_small_c2_fails_degree_range():
 
 
 def test_hypotheses_and_profile_equal_the_per_index_loop():
-    """Probabilities are computed once per distinct sampler object; every
-    reported float equals the one-call-per-index loop bit for bit."""
+    """Probabilities are computed once per sampler; every reported float
+    equals the one-call-per-index loop bit for bit."""
     n = 40
-    inst = progression_instance(n, 4.0, 0.05)
-    a, b = inst.samplers[0], SparseEdge()
-    inst.samplers = [a] * 50 + [b] * 7 + [a] * 30 + [FullEdge(n)] + [b] * 3
+    inst = _mixed_family(n)
+    per_index = _per_index(inst)
     rep = check_hypotheses(inst, 0.25, y=1e5)
     degree, worst_p, worst_v = np.zeros(n), 0.0, None
-    for i, sm in enumerate(inst.samplers):
+    for i, sm in enumerate(per_index):
         probs = sm.inclusion_probs(inst.vertices)
         degree += probs
         j = int(np.argmax(probs))
@@ -104,14 +118,14 @@ def test_hypotheses_and_profile_equal_the_per_index_loop():
     assert (by_name["sparsity"].worst, by_name["sparsity"].offender) == \
         (worst_p, worst_v)
     assert by_name["codegree"].worst == \
-        sum(sm.codegree_bound() for sm in inst.samplers)
+        sum(sm.codegree_bound() for sm in per_index)
     assert by_name["degree_uniform"].worst == float(np.abs(degree - 4).max())
     assert by_name["edge_size"].worst == n
     part = {1: list(range(0, 91, 2)), 2: list(range(1, 91, 2))}
     expect = np.zeros((2, n))
     for j, idxs in part.items():
         for i in idxs:
-            expect[j - 1] += inst.samplers[i].inclusion_probs(inst.vertices)
+            expect[j - 1] += per_index[i].inclusion_probs(inst.vertices)
     assert np.array_equal(degree_profile(inst, part).degrees, expect)
 
 
@@ -140,11 +154,11 @@ def test_degree_check_equals_the_sequential_loop(monkeypatch, chunk):
     samplers = [TableEdge(rng.choice(rng.random(3) / 40, size=n))
                 for _ in range(5)]
     inst = CoverInstance(vertices=np.arange(n, dtype=np.int64),
-                         samplers=[samplers[k] for k in
-                                   rng.integers(0, 5, size=300)],
+                         samplers=samplers,
+                         group=rng.integers(0, 5, size=300),
                          eta=0.05, C2=4.0)
     degree = np.zeros(n)
-    for sm in inst.samplers:
+    for sm in _per_index(inst):
         degree += sm.inclusion_probs(inst.vertices)
     dev = np.abs(degree - 4.0)
     [cond] = [c for c in check_hypotheses(inst, 0.25, y=1e5).conditions
@@ -359,7 +373,8 @@ def test_uniforms_chi_square():
 def test_run_cover_full_edge_covers_everything():
     n = 50
     inst = CoverInstance(vertices=np.arange(n, dtype=np.int64),
-                         samplers=[FullEdge(n)], eta=0.05, C2=1.0)
+                         samplers=[FullEdge(n)],
+                         group=np.zeros(1, dtype=np.intp), eta=0.05, C2=1.0)
     plan = plan_rounds(0.5, 0.25, 4.0, beta=4.0)
     part = assign_indices(1, plan, substream(1, "a"))
     if not any(part.values()):
@@ -374,7 +389,7 @@ def test_run_cover_zero_probability_vertex_stays_uncovered():
     # extend the vertex set by one label no sampler can ever emit
     inst = CoverInstance(
         vertices=np.arange(n + 1, dtype=np.int64),
-        samplers=inst.samplers, eta=inst.eta, C2=inst.C2)
+        samplers=inst.samplers, group=inst.group, eta=inst.eta, C2=inst.C2)
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
     part = assign_indices(inst.s, plan, substream(4, "a"))
     res = run_cover(inst, plan, part, seed=5)
@@ -392,7 +407,9 @@ def test_run_cover_support_containment_replayable():
     accepted edge is its first draw inside the alive set at the start of
     the round, and an index left empty had no such draw in its cap."""
     inst = progression_instance(300, 4.0, 0.05)
-    inst.samplers += [SparseEdge()] * 60
+    inst.samplers.append(SparseEdge())
+    inst.group = np.repeat([0, 1], [inst.s, 60])
+    per_index = _per_index(inst)
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
     part = assign_indices(inst.s, plan, substream(6, "a"))
     seed = 7
@@ -406,12 +423,12 @@ def test_run_cover_support_containment_replayable():
         for i in idxs:
             u = uniforms(key, i, np.arange(cap))
             inside = [bool(e) and alive_start.issuperset(e)
-                      for e in _edges(inst.samplers[i], u)]
-            edge = (_edges(inst.samplers[i], res.last_u[i:i + 1])[0]
+                      for e in _edges(per_index[i], u)]
+            edge = (_edges(per_index[i], res.last_u[i:i + 1])[0]
                     if res.accepted[i] else ())
             if edge:
                 t = inside.index(True)
-                assert edge == _edges(inst.samplers[i], u[t:t + 1])[0]
+                assert edge == _edges(per_index[i], u[t:t + 1])[0]
                 alive -= set(edge)
             else:
                 assert not any(inside)
@@ -470,7 +487,8 @@ def test_run_cover_draws_one_call_per_sampler_per_block():
     a = CountingEdge(progression_instance(n, 4.0, 0.05).samplers[0])
     b = CountingEdge(SparseEdge())
     inst = CoverInstance(vertices=np.arange(n, dtype=np.int64),
-                         samplers=[a] * 50 + [b] * 7 + [a] * 30,
+                         samplers=[a, b],
+                         group=np.repeat([0, 1, 0], [50, 7, 30]),
                          eta=0.05, C2=4.0)
     plan = RoundPlan(beta=3.3, m=1, intervals=[(0.0, 1.0)])
     seed = 11
@@ -494,9 +512,7 @@ def _mixed_instance(n=40):
     """test_hypotheses_and_profile_equal_the_per_index_loop's family:
     singletons, SparseEdge and one FullEdge, in three rounds that leave
     vertices uncovered."""
-    inst = progression_instance(n, 4.0, 0.05)
-    a, b = inst.samplers[0], SparseEdge()
-    inst.samplers = [a] * 50 + [b] * 7 + [a] * 30 + [FullEdge(n)] + [b] * 3
+    inst = _mixed_family(n)
     plan = RoundPlan(beta=3.3, m=3, intervals=[(j / 3, (j + 1) / 3)
                                                for j in range(3)])
     part = {1: list(range(0, 87, 4)), 2: list(range(1, 87, 4)),
@@ -552,7 +568,8 @@ def test_run_cover_refuses_a_label_outside_the_instance(label):
                 len(u), dtype=np.int64)
 
     inst = CoverInstance(vertices=np.array([0, 2, 5], dtype=np.int64),
-                         samplers=[Fixed()] * 4, eta=0.05, C2=4.0)
+                         samplers=[Fixed()],
+                         group=np.zeros(4, dtype=np.intp), eta=0.05, C2=4.0)
     plan = RoundPlan(beta=3.3, m=1, intervals=[(0.0, 1.0)])
     with pytest.raises(DomainError,
                        match="a sampler drew a vertex outside the instance"):
@@ -566,7 +583,7 @@ def test_run_cover_ranks_labels_not_positions(step):
     inst, plan, part = _mixed_instance()
     shifted = CoverInstance(vertices=(3 * inst.vertices + 7)[::step],
                             samplers=[ShiftedEdge(sm) for sm in inst.samplers],
-                            eta=inst.eta, C2=inst.C2)
+                            group=inst.group, eta=inst.eta, C2=inst.C2)
     res = run_cover(inst, plan, part, seed=15)
     got = run_cover(shifted, plan, part, seed=15)
     assert np.array_equal(got.accepted, res.accepted)
@@ -576,25 +593,54 @@ def test_run_cover_ranks_labels_not_positions(step):
     assert got.rounds_trace == res.rounds_trace
 
 
-def test_reassigning_samplers_regroups_them():
-    """The sampler grouping is read once per instance and dropped when
-    samplers is assigned, by += or by a new list: each later check and
-    run equals the one on a freshly built instance."""
+def _state(inst, plan, part, seed):
+    """Everything a check, a profile and a run report on inst."""
+    prof = degree_profile(inst, part)
+    return (check_hypotheses(inst, 0.25, y=1e5).to_dict(),
+            prof.degrees.tobytes(), prof.P.tobytes(), prof.kappa,
+            _outcome(run_cover(inst, plan, part, seed)))
+
+
+def test_editing_the_family_in_place_equals_a_fresh_instance():
+    """Nothing is derived from samplers or group and kept: after a check
+    and a run, editing either in place changes every later check,
+    profile and run to those of a freshly built instance."""
     inst, plan, part = _mixed_instance()
-    run_cover(inst, plan, part, seed=16)
-    extra = [FullEdge(40), inst.samplers[0], SparseEdge()]
-    inst.samplers += extra
-    part[3] = part[3] + [91, 92, 93]
-    for samplers in (None, [SparseEdge()] * 30 + inst.samplers[30:]):
-        if samplers is not None:
-            inst.samplers = samplers
+    seen = [_state(inst, plan, part, 16)]
+
+    def regroup():
+        inst.group[:30] = 1
+
+    def replace_full():
+        inst.samplers[2] = SparseEdge()
+
+    def append():
+        inst.samplers.append(FullEdge(40))
+        inst.group[88:] = 3
+
+    for edit in (regroup, replace_full, append):
+        edit()
         fresh = CoverInstance(vertices=inst.vertices,
-                              samplers=list(inst.samplers), eta=inst.eta,
+                              samplers=list(inst.samplers),
+                              group=inst.group.copy(), eta=inst.eta,
                               C2=inst.C2)
-        assert check_hypotheses(inst, 0.25, y=1e5).to_dict() == \
-            check_hypotheses(fresh, 0.25, y=1e5).to_dict()
-        assert _outcome(run_cover(inst, plan, part, seed=16)) == \
-            _outcome(run_cover(fresh, plan, part, seed=16))
+        seen.append(_state(inst, plan, part, 16))
+        assert seen[-1] == _state(fresh, plan, part, 16)
+    assert all(seen[k] != seen[k + 1] for k in range(len(seen) - 1))
+
+
+@pytest.mark.parametrize("front", [False, True])
+def test_a_sampler_no_index_draws_from_changes_nothing(front):
+    """An extra FullEdge that no index names, listed last or first, leaves
+    the check, the profile and the run of the mixed family as they were."""
+    inst, plan, part = _mixed_instance()
+    before = _state(inst, plan, part, 17)
+    if front:
+        inst.samplers.insert(0, FullEdge(40))
+        inst.group = inst.group + 1
+    else:
+        inst.samplers.append(FullEdge(40))
+    assert _state(inst, plan, part, 17) == before
 
 
 def test_run_cover_with_empty_and_missing_rounds():
@@ -611,5 +657,6 @@ def test_run_cover_with_empty_and_missing_rounds():
     assert not np.isnan(res.last_u[:20]).any()
     assert np.isnan(res.last_u[20:]).all()
     hit = {int(v) for i in range(20)
-           for v in _edges(inst.samplers[i], res.last_u[i:i + 1])[0]}
+           for v in _edges(inst.samplers[inst.group[i]],
+                           res.last_u[i:i + 1])[0]}
     assert set(res.uncovered.tolist()) == set(range(30)) - hit
