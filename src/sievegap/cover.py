@@ -99,22 +99,26 @@ class CoverInstance:
 def progression_instance(n_vertices: int, C2: float, eta: float,
                          edges: int | None = None) -> CoverInstance:
     """The calibrated synthetic family: C2 * N singleton-progression
-    edges (or `edges` of them), all drawn from one sampler.  A family too
-    large for memory is refused with its edge count."""
-    s = int(round(C2 * n_vertices))
-    if n_vertices < 1 or not 1 <= s < MAX_EDGES:
-        raise DomainError(f"need at least one vertex and 1 to 2^40 - 1 "
-                          f"edges, got N={n_vertices} and C2 N="
-                          f"{C2 * n_vertices:.6g}")
-    s = s if edges is None else edges
+    edges (or `edges` of them), all drawn from one sampler.  N and the
+    edge count must each lie in [1, 2^40), and a vertex or group array
+    too large for memory is refused with its size."""
+    s = int(round(C2 * n_vertices)) if edges is None else edges
+    if not (1 <= n_vertices < MAX_EDGES and 1 <= s < MAX_EDGES):
+        raise DomainError(f"need 1 to 2^40 - 1 vertices and edges, got "
+                          f"N={n_vertices} and {s:.6g} edges")
+    return CoverInstance(
+        vertices=_allocate(np.arange, n_vertices, np.int64, "vertices"),
+        samplers=[ProgressionSampler(n_vertices)],
+        group=_allocate(np.zeros, s, np.intp, "edges"), eta=eta, C2=C2)
+
+
+def _allocate(make, n: int, dtype, what: str) -> np.ndarray:
+    """make(n, dtype=dtype), refused with its size when memory is short."""
     try:
-        group = np.zeros(s, dtype=np.intp)
+        return make(n, dtype=dtype)
     except MemoryError:
-        raise DomainError(f"a family of {s} edges does not fit in "
+        raise DomainError(f"a family of {n} {what} does not fit in "
                           f"memory") from None
-    return CoverInstance(vertices=np.arange(n_vertices, dtype=np.int64),
-                         samplers=[ProgressionSampler(n_vertices)],
-                         group=group, eta=eta, C2=C2)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +177,9 @@ def check_hypotheses(instance: CoverInstance, delta: float,
 
     Checks: edge-size cap (log y)^{1/2}/loglog y, per-edge sparsity
     y^{-1/2-1/100}, codegree sum y^{-1/2}, per-vertex degree sum within
-    eta of C2, and 10^{2 delta} <= C2 <= 100.
+    eta of C2, and 10^{2 delta} <= C2 <= 100, for 0 < delta < 1/2.
     """
+    _check_delta(delta)
     if y is None:
         y = float(max(len(instance.vertices), instance.s))
     if y <= math.e ** math.e:
@@ -236,6 +241,11 @@ class RoundPlan:
     intervals: list[tuple[float, float]]   # disjoint [a, b) inside [0, 1]
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < 0.5:
+        raise DomainError("delta must lie in (0, 1/2)")
+
+
 def _beta_admissible(beta: float, delta: float) -> bool:
     thr = 10.0 ** (2 * delta)
     return beta > thr and thr > beta * math.log(beta) / (beta - 1)
@@ -253,8 +263,7 @@ def plan_rounds(eta: float, delta: float, C2: float,
     """
     if not 0 < eta < 1:
         raise DomainError("eta must lie in (0, 1)")
-    if not 0 < delta < 0.5:
-        raise DomainError("delta must lie in (0, 1/2)")
+    _check_delta(delta)
     if beta is None:
         thr = 10.0 ** (2 * delta)
         k = 1

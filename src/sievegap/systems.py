@@ -360,10 +360,11 @@ class DensityReport:
 class SievingSystem:
     """Residue classes I_p per prime, with metadata.
 
-    One class table holds the classes (p, r), r in I_p, of the primes
-    met so far, and those primes, as sorted int64 arrays.  ``classes``
-    fills a range in one batch and returns its slice, which every layer
-    reads; ``residue_tables`` computes classes without the table.
+    One class table holds every class (p, r), r in I_p, of every prime
+    up to a bound, sorted by p and then r.  ``classes`` raises the bound
+    to x with one batch over the new primes (so a first request for a far
+    range computes every prime below it too) and returns the slice that
+    every layer reads; ``residue_tables`` computes classes without it.
     """
 
     def __init__(self, kind: str, *, poly: IntPolynomial | None = None,
@@ -380,7 +381,8 @@ class SievingSystem:
             raise DomainError("small_prime_mode must be 'roots' or 'empty'")
         self.small_prime_mode = small_prime_mode
         self.degree_d = poly.degree if (kind == "polynomial" and poly) else 0
-        self._p = self._r = self._met = np.zeros(0, dtype=np.int64)
+        self._p = self._r = np.zeros(0, dtype=np.int64)
+        self._upto = 1.0
 
     # -- residue tables ----------------------------------------------------
 
@@ -410,36 +412,29 @@ class SievingSystem:
                                    primes[primes > max(d, 3)])
         return np.concatenate([p0, p1]), np.concatenate([r0, r1])
 
-    def _fill(self, primes: np.ndarray) -> None:
-        p, r = self.residue_tables(primes)
-        at, met = self._p.searchsorted(p), self._met
-        self._p, self._r = np.insert(self._p, at, p), np.insert(self._r, at, r)
-        self._met = np.insert(met, met.searchsorted(primes), primes)
-        self._p.flags.writeable = self._r.flags.writeable = False
-
     def classes(self, x: float, z: float = 1) -> Classes:
         """The classes (p, r), r in I_p, p in (z, x], sorted by p and then r:
-        read-only int64 views of the table, after one batch fills it."""
+        read-only int64 views of the table, after one batch extends it."""
         if self.kind == "polynomial" and x >= MAX_ROOT_PRIME:
             raise DomainError(f"root finding mod p needs p < "
                               f"{MAX_ROOT_PRIME} (got x = {x})")
-        met, primes = self._met, primes_in_range(z, x)
-        held = met.searchsorted(x, "right") - met.searchsorted(z, "right")
-        if held < len(primes):
-            self._fill(np.setdiff1d(primes, met, assume_unique=True))
+        if not x <= self._upto:                # a NaN x fails in the sieve
+            p, r = self.residue_tables(primes_in_range(self._upto, x))
+            self._p = np.concatenate([self._p, p])
+            self._r = np.concatenate([self._r, r])
+            self._p.flags.writeable = self._r.flags.writeable = False
+            self._upto = x
         lo, hi = (self._p.searchsorted(c, "right") for c in (z, x))
         return self._p[lo:hi], self._r[lo:hi]
 
     def residues(self, p: int) -> tuple[int, ...]:
-        """Sorted forbidden residue set I_p; a prime not met yet is added
-        to the table alone."""
-        i = self._met.searchsorted(p)
-        if i == len(self._met) or self._met[i] != p:
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
-            self._fill(np.array([p], dtype=np.int64))
+        """Sorted forbidden residue set I_p: the table's slice, or above its
+        bound I_p computed alone, leaving the table unchanged."""
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
         lo, hi = self._p.searchsorted(p), self._p.searchsorted(p, "right")
-        return tuple(self._r[lo:hi].tolist())
+        r = self._r[lo:hi] if p <= self._upto else self.residue_tables([p])[1]
+        return tuple(r.tolist())
 
     def least_classes(self, x: float, z: float = 1) -> Classes:
         """The primes p in (z, x] with I_p nonempty, and min I_p of each."""

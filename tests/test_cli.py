@@ -487,6 +487,35 @@ def test_cover_demo_edges_equal_to_c2_n_change_nothing():
         run_json(argv)["result"]
 
 
+def test_cover_demo_edges_skip_the_c2_n_size_check(capsys):
+    """--edges fixes the family size, so a C2 N below one edge is no
+    refusal of its own: the plan refuses C2 = 0.01 as too small."""
+    argv = _COVER + ["--c2", "0.01", "--edges", "500"]
+    assert run_cli(argv) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: interval lengths sum to ")
+    assert err.endswith("; C2 too small for beta=3.2622776601683796\n")
+
+
+def test_cover_demo_vertices_too_large_for_memory_exits_1(monkeypatch,
+                                                          capsys):
+    """A vertex array that cannot be allocated is refused with its size,
+    as the group array is.  The allocation failure is faked above 10^6
+    entries."""
+    arange = np.arange
+
+    def fake_arange(n, *args, **kwargs):
+        if n > 10 ** 6:
+            raise MemoryError
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", fake_arange)
+    argv = ["cover-demo", "--vertices", str(1 << 39), "--edges", "10"]
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: a family of {1 << 39} vertices does not fit in memory\n")
+
+
 @pytest.mark.parametrize("flags,edges", [
     (["--edges", str((1 << 40) - 1)], (1 << 40) - 1),
     (["--c2", "1e7"], 500_000_000)])

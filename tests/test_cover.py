@@ -100,6 +100,17 @@ def test_small_c2_fails_degree_range():
     assert by_name["C2_range"].threshold == pytest.approx(10 ** 0.5)
 
 
+@pytest.mark.parametrize("delta", [200, float("nan"), 0.5, 0, -0.1])
+def test_delta_outside_the_open_half_is_refused_by_both(delta):
+    """check_hypotheses refuses delta outside (0, 1/2), NaN included,
+    with plan_rounds' message before 10^{2 delta} can overflow."""
+    inst = progression_instance(100, 4.0, 0.05)
+    with pytest.raises(DomainError, match=r"^delta must lie in \(0, 1/2\)$"):
+        check_hypotheses(inst, delta, y=1e5)
+    with pytest.raises(DomainError, match=r"^delta must lie in \(0, 1/2\)$"):
+        plan_rounds(0.05, delta, 4.0)
+
+
 def test_hypotheses_and_profile_equal_the_per_index_loop():
     """Probabilities are computed once per sampler; every reported float
     equals the one-call-per-index loop bit for bit."""

@@ -84,8 +84,9 @@ def test_error_e_has_no_enumeration_cap():
 
 def test_error_e_finds_the_roots_in_one_batch(monkeypatch):
     """For a polynomial system, error_E finds every residue table it
-    needs in one root-finding call, and its value equals the product
-    over each prime of (H^M, z] read one at a time."""
+    needs in one root-finding call, over the primes of (3, z] that a
+    fresh system's table takes, and its value equals the product over
+    each prime of (H^M, z] read one at a time."""
     from sievegap import systems
     calls = []
     batch = systems._roots_mod_primes
@@ -94,7 +95,7 @@ def test_error_e_finds_the_roots_in_one_batch(monkeypatch):
                         batch(coeffs, ps))
     got = {m: error_E(polynomial_system("n^2+1"), 1, m, 2.0, 4.6, 3000)
            for m in (0, 1, 4, 12)}
-    assert calls == [len(primes_in_range(2.0 ** 4.6, 3000))] * 4
+    assert calls == [len(primes_in_range(3, 3000))] * 4
     one = polynomial_system("n^2+1")
     for m, value in got.items():
         expect = Fraction(1)

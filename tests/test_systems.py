@@ -43,19 +43,28 @@ def test_residues_require_prime():
         eratosthenes().residues(6)
 
 
-def test_residue_cache_hit_skips_primality(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("spec", ["eratosthenes", "twin", "poly:n^3+2"])
+def test_residues_above_the_bound_leave_the_table_alone(spec):
+    """A prime above the table's bound is solved alone: the bound and
+    both arrays stay the same objects, and a later fill agrees with it.
+    A composite is refused below and above the bound."""
+    sys_ = system_from_spec(spec)
+    sys_.classes(100)
+    p0, r0 = sys_._p, sys_._r
 
-    def counting_is_prime(n):
-        calls.append(n)
-        return is_prime(n)
+    def unchanged():
+        return sys_._upto == 100 and sys_._p is p0 and sys_._r is r0
 
-    monkeypatch.setattr("sievegap.systems.is_prime", counting_is_prime)
-    era = eratosthenes()
-    assert era.residues(97) == (0,) and calls == [97]
-    assert era.residues(97) == (0,) and calls == [97]
-    with pytest.raises(DomainError):
-        era.residues(6)
+    far = 10 ** 9 + 7 if spec == "eratosthenes" else 100_003
+    alone = sys_.residues(far)
+    assert alone == _expected_classes(sys_, far) and unchanged()
+    for q in (6, 91, 3 * far):
+        with pytest.raises(DomainError, match="is not prime"):
+            sys_.residues(q)
+    assert unchanged()
+    if spec != "eratosthenes":
+        p, r = sys_.classes(far, far - 1)
+        assert sys_.residues(far) == alone == tuple(r.tolist())
 
 
 def test_polynomial_root_count_bounded_by_degree():
@@ -127,20 +136,58 @@ def test_batch_special_primes():
     assert five.residues(5) == (0, 1, 2, 3, 4)
 
 
-def test_active_primes_finds_all_misses_in_one_batch(monkeypatch):
+def test_raising_the_bound_runs_one_batch_over_the_new_primes(monkeypatch):
+    """The table is a prefix of the primes: each x above its bound runs
+    one root-finding batch over the primes of (bound, x], and every
+    request at or below the bound runs none."""
     calls = []
     batch = systems._roots_mod_primes
 
     def counted(coeffs, primes):
-        calls.append(len(primes))
+        calls.append(np.asarray(primes).tolist())
         return batch(coeffs, primes)
 
     monkeypatch.setattr(systems, "_roots_mod_primes", counted)
     sys_ = polynomial_system("n^3+2")
-    sys_.residues(101)
-    sys_.active_primes(1_000)
-    sys_.active_primes(1_000)
-    assert calls == [1, len(primes_in_range(3, 1_000)) - 1]
+    sys_.active_primes(1_000, 500)
+    assert calls == [primes_in_range(3, 1_000).tolist()]
+    sys_.classes(1_000)
+    sys_.least_classes(700, 24.3)
+    sys_.active_primes(2)
+    assert sys_.residues(101) == brute_roots(sys_.poly, 101)
+    assert len(calls) == 1
+    sys_.classes(3_000.5, 2_000)
+    assert calls[1:] == [primes_in_range(1_000, 3_000.5).tolist()]
+    sys_.classes(3_000, 5)
+    sys_.active_primes(3_000.5)
+    assert len(calls) == 2 and sys_._upto == 3_000.5
+    p, r = sys_.classes(3_000.5)
+    want = [(q, s) for q in primes_upto(3_000).tolist()
+            for s in brute_roots(sys_.poly, q)]
+    assert list(zip(p.tolist(), r.tolist())) == want
+
+
+@pytest.mark.parametrize("spec", ["table", "eratosthenes", "twin",
+                                  "poly:n^3+2"])
+def test_an_extension_adding_no_prime_keeps_the_table(spec):
+    """x = 1.5 on a fresh system, and an x between two primes, raise the
+    bound without adding a class, and return empty int64 slices; a NaN x
+    is refused and leaves the bound."""
+    sys_ = random_table_system(random.Random(5), prime_cap=100) \
+        if spec == "table" else system_from_spec(spec)
+    bound = 1
+    for x, z in [(1.5, 1), (24.3, 1), (28.5, 24.3), (28, 23)]:
+        p, r = sys_.classes(x, z)
+        bound = max(bound, x)
+        assert p.dtype == r.dtype == np.int64 and sys_._upto == bound
+        got = list(zip(p.tolist(), r.tolist()))
+        assert got == [(q, s) for q in primes_in_range(z, x).tolist()
+                       for s in _expected_classes(sys_, q)]
+        assert x != 28.5 or got == []
+    assert not sys_._p.flags.writeable and not sys_._r.flags.writeable
+    with pytest.raises(ValueError):
+        sys_.classes(float("nan"))
+    assert sys_._upto == 28.5
 
 
 def _expected_classes(sys_, q):
@@ -155,9 +202,9 @@ def _expected_classes(sys_, q):
                          + [f"poly:{t}" for t in BATCH_POLYS])
 def test_classes_equal_flattened_residues(spec):
     """classes(x, z) is the flattening of residues(p) over the primes of
-    (z, x], after single-prime misses out of order and above every range
-    filled so far, over a range missing one prime (499) and over ranges
-    holding inactive primes."""
+    (z, x], after single primes read above the table's bound, over a
+    range missing one prime (499) and over ranges holding inactive
+    primes."""
     rng = random.Random(spec)
     sys_ = random_table_system(rng, prime_cap=400) if spec == "table" \
         else system_from_spec(spec)
@@ -183,10 +230,10 @@ def test_roots_near_1e6_and_1e7_match_sympy(text, sympy_text):
     expr = sympy.sympify(sympy_text)
     primes = [int(p) for p in primes_in_range(10 ** 6 - 200, 10 ** 6)]
     primes += [p for p in range(10 ** 7, 10 ** 7 + 200) if is_prime(p)]
-    sys_ = polynomial_system(text)
+    got, roots = polynomial_system(text).residue_tables(primes)
     for p in primes:
         want = tuple(sorted(polynomial_congruence(expr, p)))
-        assert sys_.residues(p) == want, (text, p)
+        assert tuple(roots[got == p].tolist()) == want, (text, p)
 
 
 @pytest.mark.parametrize("text", QUADRATICS)
@@ -196,9 +243,10 @@ def test_quadratic_roots_near_1e6_match_numpy_evaluation(text):
     sys_ = polynomial_system(text)
     primes = [int(p) for p in primes_in_range(10 ** 6 - 500, 10 ** 6)]
     assert len(primes) >= 30
-    sys_.active_primes(10 ** 6, 10 ** 6 - 500)
+    got, roots = sys_.residue_tables(primes)
     for p in primes:
-        assert sys_.residues(p) == brute_roots(sys_.poly, p), (text, p)
+        assert tuple(roots[got == p].tolist()) == brute_roots(sys_.poly, p), \
+            (text, p)
 
 
 # found with is_prime: sieving up to 2^31 would take a 2 GiB flag array
@@ -387,6 +435,7 @@ def test_twin_residues_at_every_prime():
     """I_p = {0, -2 mod p} from the roots of n(n+2), also above 10^6."""
     twin = twin_system()
     assert twin.residues(1_000_003) == (0, 1_000_001)
+    twin.active_primes(100_000)
     for p in (int(p) for p in primes_upto(100_000)):
         assert twin.residues(p) == tuple(sorted({0, (p - 2) % p})), p
 
