@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +161,22 @@ def _degree_sums(probs: np.ndarray, seq: np.ndarray) -> np.ndarray:
     Vertices whose probabilities agree in every row of probs see the same
     sequence of terms, so the sequential sum (np.add.accumulate, never
     pairwise) runs once per distinct column of probs, DEGREE_CHUNK
-    partial sums at a time.
+    partial sums at a time.  Equal columns are found as neighbours in
+    lexicographic order.
     """
-    cols, inv = np.unique(probs, axis=1, return_inverse=True)
+    order = np.lexsort(probs[::-1])
+    srt = probs[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(srt[:, 1:] != srt[:, :-1], axis=0)
+    cols = srt[:, new]
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
     sums = np.empty(cols.shape[1])
     step = max(1, DEGREE_CHUNK // len(seq))
     for c in range(0, len(sums), step):
         sums[c:c + step] = np.add.accumulate(cols[seq, c:c + step],
                                              axis=0)[-1]
-    return sums[inv.reshape(-1)]
+    return sums[inv]
 
 
 def check_hypotheses(instance: CoverInstance, delta: float,
@@ -210,11 +218,13 @@ def check_hypotheses(instance: CoverInstance, delta: float,
     conds.append(ConditionReport("sparsity", worst_p <= sparsity_cap,
                                  worst_p, sparsity_cap, worst_v))
 
+    # added left to right in index order: cumsum never sums pairwise, and
+    # never compensates as sum() does from Python 3.12 on
     codeg_cap = y ** -0.5
-    bounds = [sm.codegree_bound() for sm in distinct]
-    codeg = sum(map(bounds.__getitem__, row.tolist()))
+    bounds = np.array([sm.codegree_bound() for sm in distinct], dtype=float)
+    codeg = float(np.cumsum(np.r_[0.0, bounds[row]])[-1])
     conds.append(ConditionReport("codegree", codeg <= codeg_cap,
-                                 float(codeg), codeg_cap))
+                                 codeg, codeg_cap))
 
     degree = _degree_sums(probs, row)
     dev = np.abs(degree - instance.C2)
@@ -287,28 +297,50 @@ def plan_rounds(eta: float, delta: float, C2: float,
     return RoundPlan(beta=beta, m=m, intervals=intervals)
 
 
+def _marks(rng: random.Random, s: int) -> np.ndarray:
+    """The next s values of rng.random(), bit for bit, from one
+    rng.randbytes(8 s) call, which leaves rng in the same state.
+
+    random() takes two 32-bit outputs a, b of the Mersenne Twister and
+    returns ((a >> 5) 2^26 + (b >> 6)) / 2^53; randbytes lays the same
+    outputs out in order as little-endian 32-bit words.
+    """
+    w = np.frombuffer(rng.randbytes(8 * s), dtype="<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * 2.0 ** -53
+
+
+def _partition(marks: np.ndarray, bounds: np.ndarray) -> dict[int, np.ndarray]:
+    """Round j = 1..m receives {i : bounds[2j-2] <= marks[i] < bounds[2j-1]},
+    in increasing order of i, for nondecreasing bounds a_1, b_1, ...,
+    a_m, b_m; a mark in no interval is in no round."""
+    # a mark in [a_j, b_j) has exactly 2j - 1 bounds at or below it
+    pos = np.searchsorted(bounds, marks, side="right")
+    used = np.flatnonzero(pos % 2 == 1)
+    rounds = (pos[used] + 1) // 2
+    return {j: used[rounds == j] for j in range(1, len(bounds) // 2 + 1)}
+
+
 def assign_indices(s: int, plan: RoundPlan,
-                   rng: random.Random) -> dict[int, list[int]]:
-    """Uniform marks t_i; round j receives {i : t_i in interval j}.
+                   rng: random.Random) -> dict[int, np.ndarray]:
+    """Uniform marks t_i = rng.random(), i = 0..s-1; round j receives the
+    intp array of {i : t_i in interval j}, in increasing order.
 
     Indices falling outside every interval stay unused.  If some round
     would be empty, the whole marking is redrawn (bounded retries).  The
     intervals must be disjoint and in increasing order, as plan_rounds
-    makes them.
+    makes them, and s must be at least plan.m; either is refused before
+    any draw.
     """
     bounds = np.array([e for ab in plan.intervals for e in ab], dtype=float)
     if np.any(np.diff(bounds) < 0):
         raise DomainError("marking intervals must be disjoint and increasing")
+    if s < plan.m:
+        raise DomainError(f"{plan.m} rounds need at least {plan.m} "
+                          f"indices, got {s}")
     for _ in range(ASSIGN_RETRY_CAP):
-        marks = np.fromiter((rng.random() for _ in range(s)), dtype=float,
-                            count=s)
-        # a mark in [a_j, b_j) has exactly 2j - 1 bounds at or below it
-        pos = np.searchsorted(bounds, marks, side="right")
-        used = np.flatnonzero(pos % 2 == 1)
-        rounds = (pos[used] + 1) // 2
-        if np.all(np.bincount(rounds, minlength=plan.m + 1)[1:]):
-            return {j: used[rounds == j].tolist()
-                    for j in range(1, plan.m + 1)}
+        part = _partition(_marks(rng, s), bounds)
+        if all(len(idxs) for idxs in part.values()):
+            return part
     raise DomainError("could not draw a marking with all rounds nonempty")
 
 
@@ -324,9 +356,12 @@ class DegreeProfile:
 
 
 def degree_profile(instance: CoverInstance,
-                   partition: dict[int, list[int]]) -> DegreeProfile:
+                   partition: dict[int, Sequence[int]]) -> DegreeProfile:
     """d_{I_j}(v) = sum of inclusion probabilities over round j, and the
-    recursion P_{j+1}(v) = P_j(v) exp(-d_{I_{j+1}}(v) / P_j(v))."""
+    recursion P_{j+1}(v) = P_j(v) exp(-d_{I_{j+1}}(v) / P_j(v)).
+
+    partition maps round j to its indices, as any int sequence (a list
+    or an index array, as assign_indices returns)."""
     n = len(instance.vertices)
     m = max(partition) if partition else 0
     degrees = np.zeros((m, n))
@@ -334,8 +369,9 @@ def degree_profile(instance: CoverInstance,
     probs = np.stack([instance.samplers[g].inclusion_probs(instance.vertices)
                       for g in used.tolist()])
     for j, idxs in partition.items():
-        if idxs:
-            degrees[j - 1] = _degree_sums(probs, row[idxs])
+        if len(idxs):
+            degrees[j - 1] = _degree_sums(
+                probs, row[np.asarray(idxs, dtype=np.intp)])
     P = np.ones((m + 1, n))
     for j in range(m):
         P[j + 1] = P[j] * np.exp(-degrees[j] / P[j])
@@ -358,22 +394,21 @@ class CoverResult:
     rounds_trace: list[dict]
 
 
-def _draw_round(instance: CoverInstance, idxs: list[int], key: int,
+def _draw_round(instance: CoverInstance, idx: np.ndarray, key: int,
                 cap: int, rank_of, alive: np.ndarray):
-    """Attempts t = 0..cap-1 of the round's indices idxs, in blocks: a
+    """Attempts t = 0..cap-1 of the round's index array idx, in blocks: a
     block draws attempts t..t+w-1 of every index still pending, with one
     sample call per sampler they draw from, and each index keeps the
     first of them that it accepts.  The width w starts at 1 and doubles
     while the block holds at most DRAW_BLOCK draws, so DRAW_BLOCK <=
     pending gives one attempt per block.
 
-    Returns, per position of idxs, whether an attempt drew an edge that
+    Returns, per position of idx, whether an attempt drew an edge that
     is nonempty and lies inside alive, and the uniform of that attempt
     (else of attempt cap-1); then the members of every accepted edge.
     """
-    idx = np.array(idxs, dtype=np.int64)
     grp = instance.group[idx]
-    # pending holds positions of idxs, kept sorted by group so that each
+    # pending holds positions of idx, kept sorted by group so that each
     # sampler's draws of a block form one contiguous slice
     pending = np.argsort(grp, kind="stable")
     accepted = np.zeros(len(idx), dtype=bool)
@@ -409,7 +444,7 @@ def _draw_round(instance: CoverInstance, idxs: list[int], key: int,
 
 
 def run_cover(instance: CoverInstance, plan: RoundPlan,
-              partition: dict[int, list[int]], seed: int) -> CoverResult:
+              partition: dict[int, Sequence[int]], seed: int) -> CoverResult:
     """Rounds j = 1..m: each index i in round j redraws its edge until it
     lies inside the set of vertices alive at the start of the round.
 
@@ -426,6 +461,9 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
     pending indices at once (see _draw_round).  A drawn label is ranked
     through one table over [smallest label, largest label], so the
     labels should span a range not much wider than their count.
+    partition maps round j to its indices, as any int sequence (a list
+    or an index array, as assign_indices returns); a round it lacks has
+    no indices.
     """
     labels = instance.vertices
     # rank[v - lo] is the first position of label v, or -1 for no label
@@ -451,7 +489,7 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
         frac = alive_start.mean()
         cap = min(RESAMPLE_HARD_CAP,
                   max(1, int(math.ceil(RESAMPLE_FACTOR / max(frac, 1e-9)))))
-        idxs = partition.get(j, [])
+        idxs = np.asarray(partition.get(j, ()), dtype=np.intp)
         ok, last_u[idxs], members = _draw_round(
             instance, idxs, derive_seed(seed, "cover", j), cap, rank_of,
             alive_start)

@@ -296,6 +296,9 @@ BAD_FLAGS = {
     # 2^40 edges and more would share counter streams
     "cover-demo-c2-1e300": _COVER + ["--c2", "1e300"],
     "cover-demo-edges-2^40": _COVER + ["--edges", str(1 << 40)],
+    # one edge cannot fill the 3 rounds of eta = 0.05
+    "cover-demo-edges-below-rounds": ["cover-demo", "--vertices", "100",
+                                      "--edges", "1"],
     "cover-demo-scale-y-nan": _COVER + ["--scale-y", "nan"],
     # 10^{2 delta} overflows a float above delta = 154
     "cover-demo-delta-200": _COVER + ["--delta", "200"],
@@ -355,6 +358,8 @@ def test_bad_numeric_flag_exits_1(case, capsys):
     ("construct-force-z-0", "force_z must be >= 1, got 0"),
     ("moments-force-z--5", "force_z must be >= 1, got -5"),
     ("cover-demo-delta-200", "delta must lie in (0, 1/2)"),
+    ("cover-demo-edges-below-rounds",
+     "3 rounds need at least 3 indices, got 1"),
     ("construct-force-scales-repeated",
      "forced scales must be distinct: [2.0, 2.0]"),
     ("moments-force-scales-repeated",

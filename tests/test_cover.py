@@ -178,6 +178,63 @@ def test_degree_check_equals_the_sequential_loop(monkeypatch, chunk):
                                            int(np.argmax(dev)))
 
 
+def _degree_sums_oracle(probs, seq):
+    """One sequential sum per column that np.unique(axis=1) finds."""
+    cols, inv = np.unique(probs, axis=1, return_inverse=True)
+    return np.add.accumulate(cols[seq], axis=0)[-1][inv.reshape(-1)]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_degree_sums_equal_the_unique_oracle(rows):
+    """Columns drawn from a small pool, repeated and permuted, and pairs
+    that agree in the first row only: the sums per vertex are those of
+    grouping by np.unique(axis=1), bit for bit."""
+    rng = np.random.default_rng(rows)
+    pool = rng.random((rows, 6)) / 7
+    pool[:, 3] = pool[:, 2]
+    if rows > 1:
+        pool[1:, 3] = rng.random(rows - 1) / 7     # same first entry only
+    probs = pool[:, rng.integers(0, 6, size=300)]
+    probs = probs[:, rng.permutation(300)]
+    seq = rng.integers(0, rows, size=1000)
+    got = cover._degree_sums(probs, seq)
+    assert got.tobytes() == _degree_sums_oracle(probs, seq).tobytes()
+    loop = np.zeros(300)
+    for k in seq.tolist():
+        loop += probs[k]
+    assert got.tobytes() == loop.tobytes()
+
+
+class CodegreeEdge(SparseEdge):
+    """SparseEdge with a given codegree bound."""
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def codegree_bound(self):
+        return self.bound
+
+
+def test_codegree_sum_is_the_left_to_right_loop():
+    """The codegree sum adds the indices' bounds left to right in index
+    order: a 1 first absorbs each 2^-60 after it, which a pairwise or a
+    compensated sum would keep."""
+    bounds = [1.0, 2.0 ** -60, 1 / 3, 3e-7]
+    rng = np.random.default_rng(5)
+    group = np.r_[0, rng.integers(1, 4, size=999)]
+    inst = CoverInstance(vertices=np.arange(100, dtype=np.int64),
+                         samplers=[CodegreeEdge(b) for b in bounds],
+                         group=group, eta=0.05, C2=4.0)
+    [cond] = [c for c in check_hypotheses(inst, 0.25, y=1e5).conditions
+              if c.name == "codegree"]
+    total = 0.0
+    for g in group.tolist():
+        total += bounds[g]
+    assert cond.worst.hex() == total.hex()
+    assert total != math.fsum(bounds[g] for g in group.tolist())
+    assert cond.ok is False
+
+
 # ---------------------------------------------------------------------------
 # round planning
 
@@ -224,12 +281,17 @@ def test_plan_rounds_rejects_bad_beta():
 # index assignment
 
 
+def _lists(part):
+    """A partition with each round's indices as a list."""
+    return {j: np.asarray(idxs).tolist() for j, idxs in part.items()}
+
+
 def test_assign_indices_concentration_and_determinism():
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
     s = 4000
     a = assign_indices(s, plan, substream(3, "assign"))
     b = assign_indices(s, plan, substream(3, "assign"))
-    assert a == b
+    assert _lists(a) == _lists(b)
     for j, (lo, hi) in enumerate(plan.intervals, start=1):
         expect = s * (hi - lo)
         assert abs(len(a[j]) - expect) <= 3 * math.sqrt(s)
@@ -237,46 +299,68 @@ def test_assign_indices_concentration_and_determinism():
     assert len(used) == len(set(used))
 
 
-def _assign_oracle(s, plan, rng):
+def _partition_oracle(marks, plan):
     """The nested loop: each mark goes to the first interval [a, b)
     holding it."""
+    part = {j: [] for j in range(1, plan.m + 1)}
+    for i, t in enumerate(marks):
+        for j, (a, b) in enumerate(plan.intervals, start=1):
+            if a <= t < b:
+                part[j].append(i)
+                break
+    return part
+
+
+def _assign_oracle(s, plan, rng):
+    """Markings of s calls of rng.random(), redrawn until every round is
+    nonempty."""
     while True:
-        marks = [rng.random() for _ in range(s)]
-        part = {j: [] for j in range(1, plan.m + 1)}
-        for i, t in enumerate(marks):
-            for j, (a, b) in enumerate(plan.intervals, start=1):
-                if a <= t < b:
-                    part[j].append(i)
-                    break
+        part = _partition_oracle([rng.random() for _ in range(s)], plan)
         if all(part.values()):
             return part
 
 
-class _Marks:
-    """A stand-in rng whose random() replays a fixed list of marks."""
-
-    def __init__(self, marks):
-        self.marks = iter(marks)
-
-    def random(self):
-        return next(self.marks)
-
-
 def test_assign_indices_matches_nested_loop_oracle():
+    """The marks-to-rounds map equals the nested loop on every bound,
+    its float neighbours and the 2^-53 grid points around it (which are
+    all random() can return near a bound that lies off the grid), and
+    assign_indices equals the loop over random() on real streams."""
     plans = [plan_rounds(0.05, 0.25, 4.0), plan_rounds(0.01, 0.25, 4.0,
                                                        beta=4.0),
              RoundPlan(beta=3.3, m=3, intervals=[(j / 3, (j + 1) / 3)
                                                  for j in range(3)])]
+    off_grid = 0
     for plan in plans:
         for seed in range(5):
-            assert assign_indices(2000, plan, substream(seed, "m")) == \
-                _assign_oracle(2000, plan, substream(seed, "m"))
-        # marks exactly on every bound, just below it, and past the last
+            assert _lists(assign_indices(2000, plan, substream(seed, "m"))) \
+                == _assign_oracle(2000, plan, substream(seed, "m"))
         bounds = [e for ab in plan.intervals for e in ab]
-        marks = bounds + [math.nextafter(e, 0.0) for e in bounds] + \
-            [0.0, 0.999, math.nextafter(1.0, 0.0)]
-        assert assign_indices(len(marks), plan, _Marks(marks)) == \
-            _assign_oracle(len(marks), plan, _Marks(marks))
+        off_grid += sum(not (e * 2 ** 53).is_integer() for e in bounds)
+        marks = [0.0, 0.999, math.nextafter(1.0, 0.0)]
+        for e in bounds:
+            marks += [e, math.nextafter(e, 0.0), math.nextafter(e, 1.0),
+                      math.floor(e * 2 ** 53) / 2 ** 53,
+                      math.ceil(e * 2 ** 53) / 2 ** 53]
+        got = cover._partition(np.array(marks), np.array(bounds))
+        assert all(idxs.dtype == np.intp for idxs in got.values())
+        assert _lists(got) == _partition_oracle(marks, plan)
+    assert off_grid >= 4
+
+
+@pytest.mark.parametrize("s", [1, 2, 623, 624, 625, 40_000])
+def test_marks_equal_a_random_loop(s):
+    """One randbytes call gives the next s values of random() bit for
+    bit and leaves the generator where s calls leave it, from a fresh
+    state, mid-stream, and half-way through a random() pair."""
+    for advance in (lambda r: None, lambda r: [r.random() for _ in range(7)],
+                    lambda r: r.getrandbits(32)):
+        rng, ref = random.Random(s), random.Random(s)
+        advance(rng)
+        advance(ref)
+        marks = cover._marks(rng, s)
+        assert marks.tobytes() == \
+            np.array([ref.random() for _ in range(s)]).tobytes()
+        assert rng.getstate() == ref.getstate()
 
 
 def test_assign_indices_single_index():
@@ -288,8 +372,37 @@ def test_assign_indices_single_index():
 
 def test_assign_indices_retry_exhaustion():
     plan = plan_rounds(0.01, 0.25, 4.0, beta=4.0)
-    with pytest.raises(DomainError):
-        assign_indices(1, plan, substream(0, "a"))  # 4 rounds, 1 index
+    with pytest.raises(DomainError, match="could not draw a marking"):
+        assign_indices(plan.m, plan, substream(0, "a"))  # 4 rounds, 4 indices
+
+
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_assign_indices_refuses_fewer_indices_than_rounds(s):
+    """Fewer indices than rounds are refused before any draw, with both
+    counts in the message."""
+    plan = plan_rounds(0.01, 0.25, 4.0, beta=4.0)
+    rng = substream(0, "a")
+    state = rng.getstate()
+    with pytest.raises(DomainError,
+                       match=f"^4 rounds need at least 4 indices, got {s}$"):
+        assign_indices(s, plan, rng)
+    assert rng.getstate() == state
+
+
+def test_partitions_as_lists_or_arrays_agree():
+    """assign_indices returns intp arrays in increasing order; the profile
+    and the run give the same results from them as from lists."""
+    inst = progression_instance(200, 4.0, 0.05)
+    plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
+    part = assign_indices(inst.s, plan, substream(18, "a"))
+    for idxs in part.values():
+        assert idxs.dtype == np.intp and np.all(np.diff(idxs) > 0)
+    as_lists = _lists(part)
+    a, b = degree_profile(inst, part), degree_profile(inst, as_lists)
+    assert (a.degrees.tobytes(), a.P.tobytes()) == \
+        (b.degrees.tobytes(), b.P.tobytes())
+    assert _outcome(run_cover(inst, plan, part, seed=19)) == \
+        _outcome(run_cover(inst, plan, as_lists, seed=19))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +501,7 @@ def test_run_cover_full_edge_covers_everything():
                          group=np.zeros(1, dtype=np.intp), eta=0.05, C2=1.0)
     plan = plan_rounds(0.5, 0.25, 4.0, beta=4.0)
     part = assign_indices(1, plan, substream(1, "a"))
-    if not any(part.values()):
+    if not any(len(idxs) for idxs in part.values()):
         pytest.skip("index fell outside the marking intervals")
     res = run_cover(inst, plan, part, seed=2)
     assert res.uncovered_fraction == 0.0
