@@ -26,7 +26,7 @@ from .applications import (composite_run_bruteforce, composite_run_constructed,
 from .constants import constants_report, rho_derangement
 from .construction import construct, derive_params, trivial_baseline
 from .cover import (assign_indices, check_hypotheses, plan_rounds,
-                    progression_instance, run_cover)
+                    progression_instance, run_cover, sequential_sum)
 from .errors import SievegapError
 from .moments import (exact_first_moment, mc_first_moment, mc_lambda_moments,
                       mc_second_moment)
@@ -219,7 +219,7 @@ def _stats(values: list[float]) -> dict:
     n = len(vs)
     mid = vs[n // 2] if n % 2 else (vs[n // 2 - 1] + vs[n // 2]) / 2
     return {"min": vs[0], "median": mid, "max": vs[-1],
-            "mean": sum(vs) / n, "n": n}
+            "mean": sequential_sum(vs) / n, "n": n}
 
 
 # ---------------------------------------------------------------------------

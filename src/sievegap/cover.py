@@ -154,6 +154,13 @@ class HypothesisReport:
                 "conditions": [c.to_dict() for c in self.conditions]}
 
 
+def sequential_sum(values) -> float:
+    """The floats of values added left to right from 0.0, as the builtin
+    sum adds them up to Python 3.11.  np.sum adds pairwise, and sum()
+    compensates from Python 3.12 on; a running sum does neither."""
+    return float(np.cumsum(np.r_[0.0, values])[-1])
+
+
 def _degree_sums(probs: np.ndarray, seq: np.ndarray) -> np.ndarray:
     """sum_k probs[seq[k]] for each vertex, added in the order of seq as
     the loop degree += probs[seq[k]] adds it.
@@ -218,11 +225,9 @@ def check_hypotheses(instance: CoverInstance, delta: float,
     conds.append(ConditionReport("sparsity", worst_p <= sparsity_cap,
                                  worst_p, sparsity_cap, worst_v))
 
-    # added left to right in index order: cumsum never sums pairwise, and
-    # never compensates as sum() does from Python 3.12 on
     codeg_cap = y ** -0.5
     bounds = np.array([sm.codegree_bound() for sm in distinct], dtype=float)
-    codeg = float(np.cumsum(np.r_[0.0, bounds[row]])[-1])
+    codeg = sequential_sum(bounds[row])         # in index order
     conds.append(ConditionReport("codegree", codeg <= codeg_cap,
                                  codeg, codeg_cap))
 

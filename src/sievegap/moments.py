@@ -21,13 +21,15 @@ from operator import itemgetter
 
 import numpy as np
 
-from .construction import Params, build_weight_tables
+from .construction import Params, WeightTable, build_weight_tables
+from .cover import sequential_sum
 from .errors import DomainError, EnumerationLimitError
 from .rng import substream
 from .systems import SievingSystem, period, sigma
 from .window import MAX_WINDOW, ShiftVector, _strike, sift
 
 EXACT_PERIOD_CAP = 100_000
+MAX_MOMENT_CELLS = 100_000_000   # weight-table cells of one lambda trial
 
 
 @dataclass
@@ -182,10 +184,34 @@ def mc_second_moment(system: SievingSystem, z: int, y: int, trials: int,
 # lambda moments (identities ii and iii)
 
 
+def iii_inner_sums(tables: dict[int, WeightTable], members: np.ndarray,
+                   J: int) -> np.ndarray:
+    """inner[i] = sum_q sum_{h <= J} lambda(H; q, members[i] - qh), added
+    per member in the order of the tables, then of h, from 0.0.
+
+    Each table fills one (J, |members|) array with a single gather; its
+    rows are then added one at a time, in h order, since np.add.reduce
+    documents no order (it adds a single column pairwise).
+    """
+    inner = np.zeros(len(members))
+    lam = np.empty((J, len(members)))
+    hs = np.arange(1, J + 1)[:, None]
+    for q, tab in tables.items():
+        k = members - (q * hs + tab.n_lo)
+        tab.lut.take(tab.codes.take(k, mode="clip"), out=lam, mode="clip")
+        lam[(k < 0) | (k >= len(tab.codes))] = 0.0
+        for row in lam:
+            inner += row
+    return inner
+
+
 def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
                       j: int, trials: int, seed: int,
                       identity: str = "ii") -> MomentReport:
-    """Monte Carlo for identity (ii) or (iii) at moment order j in {0,1,2}."""
+    """Monte Carlo for identity (ii) or (iii) at moment order j in {0,1,2}.
+
+    Raises EnumerationLimitError when one trial's weight tables would hold
+    more than MAX_MOMENT_CELLS cells."""
     if j not in (0, 1, 2):
         raise DomainError("j must be 0, 1 or 2")
     if identity not in ("ii", "iii"):
@@ -195,8 +221,11 @@ def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
     qs = params.Q[H]
     K, y = params.K, params.y
     table_cells = len(qs) * (K + 1) * y
-    if table_cells > 100_000_000:
-        raise EnumerationLimitError("weight tables too large; reduce y")
+    if table_cells > MAX_MOMENT_CELLS:
+        raise EnumerationLimitError(
+            f"identity {identity} would build {table_cells} weight-table "
+            f"cells per trial, above {MAX_MOMENT_CELLS}; use a smaller --x "
+            f"or --delta, or a larger scale through --force-scales or --H")
     sigma2 = params.sigma2[H]
     J = int(K * H)
     vals = []
@@ -205,25 +234,16 @@ def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
                                 substream(seed, "lam", t))
         tables = build_weight_tables(system, params, b, H)
         if identity == "ii":
-            v = sum(tab.total ** j for tab in tables.values())
+            v = sequential_sum([tab.total ** j for tab in tables.values()])
         else:
             members = sift(system, params.z_eff, b, 1, y).members()
             if j == 0:
                 v = float(len(members))
             else:
-                # inner[i] = sum_q sum_{h <= KH} lambda(H; q, members[i] - qh),
-                # added per member in the order of the q tables and of h
-                inner = np.zeros(len(members))
-                for q, tab in tables.items():
-                    for h in range(1, J + 1):
-                        k = members - q * h - tab.n_lo
-                        valid = (k >= 0) & (k < len(tab.codes))
-                        lam = tab.lut[tab.codes.take(k, mode="clip")]
-                        inner += np.where(valid, lam, 0.0)
-                # a sequential sum: np.sum adds pairwise, in another order
-                v = 0.0
-                for s in inner.tolist():
-                    v += s ** j
+                # Python's float power: numpy's ** 2 squares, which differs
+                # from libm's pow in the last bit of some values
+                inner = iii_inner_sums(tables, members, J)
+                v = sequential_sum([s ** j for s in inner.tolist()])
         vals.append(float(v))
     if identity == "ii":
         predicted = ((K + 1) * y) ** j * len(qs)

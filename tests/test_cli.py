@@ -16,6 +16,7 @@ from conftest import brute_verify_empty
 
 from sievegap.cli import build_parser, dispatch
 from sievegap.construction import construct, derive_params
+from sievegap.moments import MAX_MOMENT_CELLS
 from sievegap.rng import DEFAULT_SEED, derive_seed
 from sievegap.systems import SievingSystem, eratosthenes
 
@@ -383,6 +384,24 @@ def test_moments_z_1_keeps_all_of_1_to_y(identity, power):
     validate(rep)
     assert rep["result"]["estimated"] == 40 ** power
     assert rep["result"]["predicted"] == 40 ** power
+
+
+@pytest.mark.parametrize("identity", ["ii-j1", "iii-j1"])
+def test_moments_table_cap_names_the_cells_and_the_options(identity, capsys):
+    """Identities ii and iii take y from --x, so --y cannot shrink their
+    weight tables: the refusal gives the cell count and the cap, and
+    names the options that do shrink them."""
+    code, out = run_cli(["moments", "--system", "eratosthenes", "--x",
+                         "100000", "--identity", identity,
+                         "--force-scales", "3", "--y", "10"])
+    assert code == 1 and out == ""
+    p = derive_params(eratosthenes(), 100_000, force_scales=[3.0])
+    cells = len(p.Q[3.0]) * (p.K + 1) * p.y
+    assert cells > MAX_MOMENT_CELLS
+    assert capsys.readouterr().err == (
+        f"error: identity {identity[:-3]} would build {cells} weight-table "
+        f"cells per trial, above {MAX_MOMENT_CELLS}; use a smaller --x or "
+        f"--delta, or a larger scale through --force-scales or --H\n")
 
 
 @pytest.mark.parametrize("text", ['{"scale_y": NaN}', '{"c2": Infinity}',

@@ -5,16 +5,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sievegap.construction import Params, derive_params
+from sievegap.cli import _stats
+from sievegap.construction import Params, build_weight_tables, derive_params
+from sievegap.cover import sequential_sum
 from sievegap.errors import DomainError, EnumerationLimitError
+from sievegap import moments
 from sievegap.moments import (correlation_exact, error_E, exact_first_moment,
-                              mc_first_moment, mc_lambda_moments,
-                              mc_second_moment)
+                              iii_inner_sums, mc_first_moment,
+                              mc_lambda_moments, mc_second_moment)
 from sievegap.primes import primes_in_range
 from sievegap.systems import (SievingSystem, eratosthenes, period,
                               polynomial_system, sigma)
+from sievegap.rng import substream
 from sievegap.window import ShiftVector, sift
 
 ERA = eratosthenes()
@@ -313,3 +318,161 @@ def test_lambda_moments_validation():
         mc_lambda_moments(ERA, p, 2.0, 1, trials=5, seed=0, identity="iv")
     with pytest.raises(DomainError):
         mc_lambda_moments(ERA, p, 9.0, 1, trials=5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the order of floating-point sums
+
+
+# left to right 1e100 swallows both ones; a compensated sum keeps them
+SWALLOWED = [1.0, 1e100, 1.0, -1e100]
+
+
+def test_sequential_sum_adds_left_to_right():
+    assert math.fsum(SWALLOWED) == 2.0
+    assert sequential_sum(SWALLOWED) == 0.0
+    assert sequential_sum([]) == 0.0
+    rng = random.Random(26)
+    for _ in range(50):
+        vals = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+                for _ in range(rng.randint(1, 40))]
+        acc = 0.0
+        for v in vals:
+            acc += v
+        assert sequential_sum(vals) == acc
+        assert sequential_sum(np.array(vals)) == acc
+
+
+def test_cli_stats_mean_is_the_sequential_sum():
+    # sorted: -1e100, 1, 1, 1e100; a compensated sum would give 2 / 4
+    assert _stats(SWALLOWED)["mean"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# identity iii's inner sums against the per-(q, h) loop
+
+
+def _inner_sums_oracle(tables, members, J):
+    """One pass per (q, h): inner += lambda(H; q, members - qh)."""
+    inner = np.zeros(len(members))
+    for q, tab in tables.items():
+        for h in range(1, J + 1):
+            k = members - q * h - tab.n_lo
+            valid = (k >= 0) & (k < len(tab.codes))
+            lam = tab.lut[tab.codes.take(k, mode="clip")]
+            inner += np.where(valid, lam, 0.0)
+    return inner
+
+
+def _power_sum_oracle(inner, j):
+    """sum of inner[i] ** j, one Python addition and power at a time."""
+    v = 0.0
+    for s in inner.tolist():
+        v += s ** j
+    return v
+
+
+def _assert_iii_matches_oracle(tables, members, J):
+    """The helper's inner sums and their j-th power sums equal the loop's
+    for j = 1, 2; returns the loop's inner sums."""
+    fast = iii_inner_sums(tables, members, J)
+    slow = _inner_sums_oracle(tables, members, J)
+    assert fast.shape == slow.shape and bool(np.all(fast == slow))
+    for j in (1, 2):
+        assert sequential_sum([s ** j for s in fast.tolist()]) == \
+            _power_sum_oracle(slow, j)
+    return slow
+
+
+def _trials(system, params, H, seed, trials):
+    """(tables, members) of each trial of mc_lambda_moments."""
+    for t in range(trials):
+        b = ShiftVector.uniform(system, params.z_eff,
+                                substream(seed, "lam", t))
+        yield (build_weight_tables(system, params, b, H),
+               sift(system, params.z_eff, b, 1, params.y).members())
+
+
+def _reported_values(monkeypatch):
+    """The per-trial values that mc_lambda_moments hands to _report."""
+    seen = []
+    report = moments._report
+    monkeypatch.setattr(moments, "_report",
+                        lambda ident, pred, vals, **kw:
+                        seen.append(vals) or report(ident, pred, vals, **kw))
+    return seen
+
+
+def test_iii_inner_sums_match_loop_at_criterion_06(monkeypatch):
+    """The helper and mc_lambda_moments' per-trial values, bit for bit."""
+    p = derive_params(ERA, 2_950, delta=0.001, force_z=200,
+                      force_scales=[3.0])
+    J = int(p.K * 3.0)
+    seen = _reported_values(monkeypatch)
+    for j in (1, 2):
+        mc_lambda_moments(ERA, p, 3.0, j, trials=200, seed=26,
+                          identity="iii")
+    for t, (tables, members) in enumerate(_trials(ERA, p, 3.0, 26, 200)):
+        slow = _assert_iii_matches_oracle(tables, members, J)
+        for j, vals in zip((1, 2), seen):
+            assert vals[t] == _power_sum_oracle(slow, j)
+
+
+def test_iii_j2_powers_are_python_float_powers(monkeypatch):
+    """numpy's ** 2 squares, and a libm pow that is not correctly rounded
+    differs from that in the last bit of some values.  Where it does, the
+    sum of trial 10 of seed 115 at criterion 06 is among those it changes
+    (2 of 8,000 trials), so the powers must stay Python's."""
+    p = derive_params(ERA, 2_950, delta=0.001, force_z=200,
+                      force_scales=[3.0])
+    seen = _reported_values(monkeypatch)
+    mc_lambda_moments(ERA, p, 3.0, 2, trials=11, seed=115, identity="iii")
+    *_, (tables, members) = _trials(ERA, p, 3.0, 115, 11)
+    inner = _inner_sums_oracle(tables, members, int(p.K * 3.0))
+    assert seen[0][10] == _power_sum_oracle(inner, 2)
+
+
+def test_iii_inner_sums_match_loop_two_classes_per_prime():
+    system = polynomial_system("n^2+1")
+    p = derive_params(system, 1_000, delta=0.001, force_z=200,
+                      force_scales=[3.0])
+    assert len(p.Q[3.0]) >= 2
+    for tables, members in _trials(system, p, 3.0, 27, 40):
+        _assert_iii_matches_oracle(tables, members, int(p.K * 3.0))
+
+
+def test_iii_inner_sums_one_member_none_and_outside_the_tables():
+    """One member gives a single column, which np.add.reduce would add
+    pairwise down axis 0; every single member of a trial must match.  At
+    criterion 06 every n - qh lies in the tables, so members moved below
+    and above [1, y] exercise the range mask."""
+    p = derive_params(ERA, 2_950, delta=0.001, force_z=200,
+                      force_scales=[3.0])
+    J = int(p.K * 3.0)
+    tables, members = next(_trials(ERA, p, 3.0, 28, 1))
+    assert J >= 9              # rows np.add.reduce would add pairwise
+    for n in members.tolist():
+        _assert_iii_matches_oracle(tables, np.array([n]), J)
+    for moved in (members - 2 * p.y, members + p.y):
+        _assert_iii_matches_oracle(tables, moved, J)
+        _assert_iii_matches_oracle(tables, moved[:1], J)
+    below = members - (p.K + 1) * p.y          # every n - qh below the tables
+    assert iii_inner_sums(tables, below, J).max() == 0.0
+    assert iii_inner_sums(tables, members[:0], J).shape == (0,)
+    _assert_iii_matches_oracle(tables, members[:0], J)
+
+
+def test_lambda_moment_iii_sigma2_one_exact(monkeypatch):
+    """sigma2 = 1 makes lambda identically 1, so every member's inner sum
+    is |Q_H| floor(KH) = 6: per trial, iii-j1 is 6 times the member count
+    and iii-j2 is 36 times it.  A dropped (q, h) term, or an h that runs
+    past the table's low end, changes some member's sum."""
+    p = toy_params()
+    assert len(p.Q[2.0]) * int(p.K * 2.0) == 6
+    seen = _reported_values(monkeypatch)
+    for j in (0, 1, 2):
+        mc_lambda_moments(ERA, p, 2.0, j, trials=20, seed=3, identity="iii")
+    counts, j1, j2 = seen
+    assert all(c > 0 for c in counts)
+    assert j1 == [6 * c for c in counts]
+    assert j2 == [36 * c for c in counts]
