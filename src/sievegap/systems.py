@@ -142,29 +142,79 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _divmod_poly(a: list[int], b: list[int],
-                 p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b mod p (coefficient lists, lowest
-    first, b with a nonzero leading coefficient)."""
-    r = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = r[i] * inv % p
-        q[i - db] = c
-        if c:
-            for j in range(db):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return q, _trim(r[:db])
+def _degrees(a: np.ndarray) -> np.ndarray:
+    """The degree of every column of a (row j the coefficient of x^j),
+    -1 for a zero column."""
+    rank = np.arange(1, len(a) + 1)[:, None] * (a != 0)
+    return rank.max(axis=0, initial=0) - 1
 
 
-def _gcd_poly(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of a (nonzero) and b mod p."""
-    while b:
-        a, b = b, _divmod_poly(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+def _inverse(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c^-1 mod p elementwise for c != 0 mod p: Fermat's c^(p-2), taken
+    only where c is not 1."""
+    inv = np.ones_like(c)
+    m = np.flatnonzero(c != 1)
+    inv[m] = _pow_mod(c[m], p[m] - 2, p[m])
+    return inv
+
+
+def _divmod_columns(a: np.ndarray, b: np.ndarray,
+                    p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-quotient q and pseudo-remainder r of a by b mod p in every
+    column: lc(b)^(e+1) a = q b + r with deg r < deg b, for e = deg a -
+    deg b, which is plain division where b is monic.
+
+    a is (k, n) and b is (m, n), row j the coefficient of x^j and column
+    i reduced mod the odd prime p[i] < 2^31; q has max(e) + 1 rows and r
+    has k.  A column with e < 0, b = 0 among them, gives q = 0 and r = a.
+    b x^e is aligned with a once per column, so step s eliminates the
+    coefficient of x^(deg a - s) in every column with s <= e by one row
+    operation, r -> lc(b) r - r_top b x^(e-s), which takes no inverse."""
+    k, n = a.shape
+    da, db = _degrees(a), _degrees(b)
+    e = np.where(db >= 0, da - db, -1)
+    cols = np.arange(n)
+    lead = b[np.maximum(db, 0), cols]
+    r, shifted = a.copy(), np.zeros_like(a)    # shifted: b x^e
+    q = np.zeros((e.max(initial=-1) + 1, n), dtype=np.int64)
+    groups = [(v, e == v) for v in np.unique(e[e >= 0]).tolist()]
+    for v, m in groups:
+        shifted[v:v + len(b), m] = b[:k - v, m]
+    for s in range(len(q)):                    # q[s]: coefficient of x^(e-s)
+        on = s <= e
+        top = r[np.where(on, da - s, 0), cols] * on
+        scale = np.where(on, lead, 1)
+        r[:k - s] *= scale
+        r[:k - s] -= top * shifted[s:]
+        r[:k - s] %= p
+        q[:s] *= scale
+        q[:s] %= p
+        q[s] = top
+    for v, m in groups:                        # low coefficient first
+        q[:v + 1, m] = q[v::-1, m]
+    return q, r
+
+
+def _gcd_columns(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The monic gcd mod p of a and b in every column, laid out as
+    :func:`_divmod_columns` takes them (a zero column where both are).
+
+    Euclid's algorithm on pseudo-remainders runs on the columns whose
+    divisor is not yet zero, trimmed to the rows their degrees use.  A
+    pseudo-remainder is a unit times the remainder, so one inverse per
+    column, where the last divisor is not monic, ends the gcd."""
+    g = np.zeros((max(len(a), len(b)), a.shape[1]), dtype=np.int64)
+    left = np.arange(a.shape[1])
+    while left.size:
+        db = _degrees(b)
+        done = db < 0
+        g[:len(a), left[done]] = a[:, done]
+        left, keep = left[~done], np.flatnonzero(~done)
+        top = int(db.max(initial=-1))
+        a, b = a[:, keep], b[:top + 1, keep]
+        a, b = b, _divmod_columns(a, b, p[left])[1][:top]
+    d = _degrees(g)
+    return g * _inverse(g[np.maximum(d, 0), np.arange(len(p))], p) % p
 
 
 def _pow_mod(c: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -188,7 +238,7 @@ def _square_mod(r: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
         prod[i:i + k] += r[i] * r % p
     prod %= p
     for t in range(2 * k - 2, k - 1, -1):      # x^t = x^(t-k) (x^k - f)
-        prod[t - k:t] -= prod[t] * f % p
+        prod[t - k:t] -= prod[t] * f
         prod[t - k:t] %= p
     return prod[:k]
 
@@ -205,7 +255,7 @@ def _pow_x_plus_a(a: int, e: np.ndarray, f: np.ndarray,
         r = _square_mod(r, f, p)
         xr = np.zeros_like(r)                  # x r = shift - top * f
         xr[1:] = r[:-1]
-        xr = (xr - r[-1] * f % p + a * r) % p
+        xr = (xr - r[-1] * f + a * r) % p
         r = np.where((e >> bit) & 1 == 1, xr, r)
     return r
 
@@ -262,72 +312,100 @@ def _cz_roots(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct roots mod p of the monic x^k + sum_j f[j] x^j, k =
     len(f) >= 3, as :func:`_low_roots` gives them.
 
-    Per prime, g = gcd(f, x^p - x), with x^p mod (f, p) from vectorised
-    square and multiply, is the product of (x - r) over the distinct
-    roots r.  Cantor-Zassenhaus round a splits every pending g of one
-    degree >= 3 at once: gcd(g, (x + a)^((p-1)/2) - 1) keeps the roots r
-    with r + a a nonzero square.  Some a below p splits any two roots,
-    so a counts up from 0.  Factors of degree 1 and 2 are solved after
-    the last round, one :func:`_low_roots` call per degree."""
-    qs = p.tolist()
+    Every polynomial is a column, one per prime, as in
+    :func:`_divmod_columns`.  g = gcd(f, x^p - x), with x^p mod (f, p)
+    from vectorised square and multiply, is the product of (x - r) over
+    the distinct roots r, taken for all primes by one
+    :func:`_gcd_columns`.  Cantor-Zassenhaus round a splits every
+    pending factor g of one degree >= 3 at once: g1 = gcd(g, (x +
+    a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero square, and
+    where it is proper, g1 and g / g1 replace g.  Some a below p splits
+    any two roots, so a counts up from 0.  Factors of degree 1 and 2 are
+    solved after the last round, one :func:`_low_roots` call per
+    degree."""
     h = _pow_x_plus_a(0, p, f, p)              # x^p mod (f, p)
     h[1] = (h[1] - 1) % p
-    # (column, monic factor of f whose roots are distinct roots of f)
-    todo = [(j, _gcd_poly(fj + [1], _trim(hj), q)) for j, (fj, hj, q)
-            in enumerate(zip(f.T.tolist(), h.T.tolist(), qs))]
-    found = ([], [])                # j, g_0[, g_1] per factor of degree 1, 2
+    g = _gcd_columns(np.vstack([f, np.ones_like(p)]), h, p)
+    col, deg = np.arange(len(p)), _degrees(g)
+    found = {1: [], 2: []}      # degree -> (column, low coefficients) parts
     a = 0
-    while todo:
-        for j, g in todo:
-            if 1 < len(g) <= 3:
-                found[len(g) - 2].extend((j, *g[:-1]))
-        todo, pending = [], [(j, g) for j, g in todo if len(g) > 3]
-        for k in sorted({len(g) for _, g in pending}):
-            batch = [(j, g) for j, g in pending if len(g) == k]
-            bp = p[[j for j, _ in batch]]
-            gl = np.array([g[:-1] for _, g in batch], dtype=np.int64).T
-            hs = _pow_x_plus_a(a, (bp - 1) // 2, gl, bp)
-            for (j, g), hj in zip(batch, hs.T.tolist()):
-                q = qs[j]
-                hj[0] = (hj[0] - 1) % q
-                g1 = _gcd_poly(g, _trim(hj), q)
-                if 1 < len(g1) < len(g):
-                    todo += [(j, g1), (j, _divmod_poly(g, g1, q)[0])]
-                else:
-                    todo.append((j, g))
+    while True:
+        for k, parts in found.items():
+            parts.append((col[deg == k], g[:k, deg == k]))
+        if not (deg > 2).any():
+            break
+        split = []
+        for k in np.unique(deg[deg > 2]).tolist():
+            j, gk = col[deg == k], g[:k + 1, deg == k]
+            q = p[j]
+            hk = _pow_x_plus_a(a, (q - 1) // 2, gk[:k], q)
+            hk[0] = (hk[0] - 1) % q
+            g1 = _gcd_columns(gk, hk, q)
+            d1 = _degrees(g1)
+            s = (d1 > 0) & (d1 < k)
+            split += [(j[~s], gk[:, ~s]), (j[s], g1[:, s]),
+                      (j[s], _divmod_columns(gk[:, s], g1[:, s], q[s])[0])]
+        col, g = _join(split)
+        deg = _degrees(g)
         a += 1
     pairs = []
-    for k, flat in enumerate(found, 2):
-        jg = np.array(flat, dtype=np.int64).reshape(-1, k).T
-        col, root = _low_roots(jg[1:], p[jg[0]])
-        pairs.append((jg[0][col], root))
+    for k, parts in found.items():
+        j, gk = _join(parts)
+        c, root = _low_roots(gk[:k], p[j])
+        pairs.append((j[c], root))
     return tuple(np.concatenate(v) for v in zip(*pairs))
+
+
+def _join(parts: list[tuple[np.ndarray, np.ndarray]]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate (column, polynomial) parts, the polynomials padded with
+    zero rows to the longest."""
+    rows = max(len(g) for _, g in parts)
+    return (np.concatenate([j for j, _ in parts]),
+            np.hstack([np.pad(g, ((0, rows - len(g)), (0, 0)))
+                       for _, g in parts]))
+
+
+def _residues(coeffs: Sequence[int], p: np.ndarray) -> np.ndarray:
+    """coeffs[j] mod p[i] at row j and column i: Horner over the 31-bit
+    limbs of |c|, most significant first, so integers of any size take
+    one path."""
+    mag = [abs(c) for c in coeffs]
+    n = max(1, -(-max(m.bit_length() for m in mag) // 31))
+    limbs = np.array([[m >> 31 * i & 0x7FFFFFFF for i in range(n - 1, -1, -1)]
+                      for m in mag], dtype=np.int64)
+    r = np.zeros((len(coeffs), len(p)), dtype=np.int64)
+    for limb in limbs.T:                       # r < 2^31, so r 2^31 + limb < 2^63
+        r = ((r << 31) + limb[:, None]) % p
+    neg = np.array([c < 0 for c in coeffs])
+    r[neg] = -r[neg] % p
+    return r
 
 
 def _roots_mod_primes(coeffs: Sequence[int], primes: np.ndarray) -> Classes:
     """Every root mod p of sum_j coeffs[j] x^j, for each of the distinct
     ``primes``, as int64 arrays (p, r) sorted by p and then r.
 
-    Every prime must be odd and below 2^31.  f is made monic mod p for
-    all primes at once and solved by :func:`_low_roots` at degree 1 and
-    2, by :func:`_cz_roots` above.  A prime dividing the leading
-    coefficient is solved for the lower-degree polynomial, and a prime
-    dividing every coefficient forbids all p classes.
+    Every prime must be odd and below 2^31.  The coefficients are
+    reduced and f made monic mod all primes at once, and f is solved by
+    :func:`_low_roots` at degree 1 and 2, by :func:`_cz_roots` above.  A
+    prime dividing the leading coefficient is solved for the
+    lower-degree polynomial, and a prime dividing every coefficient
+    forbids all p classes.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if primes.max(initial=0) >= MAX_ROOT_PRIME:
         raise DomainError(f"root finding mod p needs p < {MAX_ROOT_PRIME} "
                           f"(got {primes.max()})")
-    coeffs = _trim(list(coeffs))
-    if len(coeffs) <= 1:
-        c = coeffs[0] if coeffs else 0
-        return _columns([(p, r) for p in primes.tolist() if c % p == 0
-                         for r in range(p)])
-    low = np.array([coeffs[-1] % p == 0 for p in primes.tolist()], dtype=bool)
-    ps = primes[~low]
-    c = np.array([[coef % p for p in ps.tolist()] for coef in coeffs],
-                 dtype=np.int64)
-    f = c[:-1] * _pow_mod(c[-1], ps - 2, ps) % ps
+    coeffs = _trim(list(coeffs)) or [0]
+    c = _residues(coeffs, primes)
+    if len(coeffs) == 1:
+        ps = primes[c[0] == 0]
+        p = np.repeat(ps, ps)
+        return p, np.arange(len(p)) - np.repeat(np.cumsum(ps) - ps, ps)
+    low = c[-1] == 0
+    ps, c = primes[~low], c[:, ~low]
+    f = c[:-1] * _inverse(c[-1], ps) % ps
     col, root = (_low_roots if len(f) <= 2 else _cz_roots)(f, ps)
     sub = _roots_mod_primes(coeffs[:-1], primes[low]) if low.any() \
         else (primes[:0], primes[:0])

@@ -25,6 +25,9 @@ CASES = {
     # its figures were written by evaluating n^3+2 at every class mod p
     "system-info-cubic-1e5": ("system-info", "--file", "poly:n^3+2",
                               "--x", "100000"),
+    # degree 4: Cantor-Zassenhaus splits factors of degree 3 and 4
+    "system-info-quartic-1e5": ("system-info", "--file", "poly:n^4+n+7",
+                                "--x", "100000"),
     "system-info-quadratic": ("system-info", "--file", "poly:n^2+1",
                               "--x", "5000"),
     "system-info-quadratic-1e6": ("system-info", "--file", "poly:n^2+1",

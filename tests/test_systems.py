@@ -286,6 +286,238 @@ def test_quadratic_roots_near_2_31(coeffs, count):
     assert len(roots) == count
 
 
+# per-prime oracle for the column helpers: long division and Euclid on
+# coefficient lists, lowest first
+
+_trim = systems._trim
+
+
+def _divmod_poly(a: list[int], b: list[int],
+                 p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b mod p (coefficient lists, lowest
+    first, b with a nonzero leading coefficient)."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        q[i - db] = c
+        if c:
+            for j in range(db):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    return _trim(q), _trim(r[:db])
+
+
+def _gcd_poly(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a (nonzero) and b mod p."""
+    while b:
+        a, b = b, _divmod_poly(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mul_poly(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = (out[i + j] + c * d) % p
+    return _trim(out)
+
+
+def _add_poly(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(c + d) % p for c, d in zip(a, b)])
+
+
+def _as_columns(polys: list[list[int]], rows: int) -> np.ndarray:
+    out = np.zeros((rows, len(polys)), dtype=np.int64)
+    for i, c in enumerate(polys):
+        out[:len(c), i] = c
+    return out
+
+
+def _column(a: np.ndarray, i: int) -> list[int]:
+    return _trim(a[:, i].tolist())
+
+
+def _random_poly(rng: random.Random, p: int, degree: int) -> list[int]:
+    """Degree exactly ``degree`` mod p, -1 for the zero polynomial."""
+    if degree < 0:
+        return []
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+
+def _division_cases(rng: random.Random, p: int) -> list[tuple[list, list]]:
+    """(a, b) pairs mod p of degree <= 6, random and of the shapes that
+    long division over every column at once must keep apart."""
+    cases = [(_random_poly(rng, p, rng.randint(-1, 6)),
+              _random_poly(rng, p, rng.randint(-1, 6))) for _ in range(6)]
+    b = _random_poly(rng, p, 4)
+    drop = _add_poly(_mul_poly(b, _random_poly(rng, p, 2), p),
+                     _random_poly(rng, p, 1), p)  # remainder 3 degrees down
+    gap = _mul_poly(b, [rng.randrange(1, p), 0, 1], p)  # quotient x^2 + c
+    cases += [
+        (_random_poly(rng, p, 5), []),                   # zero divisor
+        (_random_poly(rng, p, 2), _random_poly(rng, p, 5)),  # a below b
+        (drop, b), (gap, b), ([], b), (b, b),
+        (_random_poly(rng, p, 6), [rng.randrange(1, p)]),
+        (_random_poly(rng, p, 6), _random_poly(rng, p, 3)[:-1] + [1])]
+    return cases
+
+
+def _column_primes(rng: random.Random, count: int) -> list[int]:
+    ps = []
+    while len(ps) < count:
+        p = rng.choice((rng.randrange(5, 1000), rng.randrange(1 << 30, 1 << 31)))
+        if is_prime(p):
+            ps.append(p)
+    return ps
+
+
+def _check_divmod(pairs: list[tuple[list, list]], ps: list[int],
+                  rows: int = 7) -> None:
+    a, b = _as_columns([x for x, _ in pairs], rows), \
+        _as_columns([y for _, y in pairs], rows)
+    q, r = systems._divmod_columns(a, b, np.array(ps, dtype=np.int64))
+    assert q.shape[1] == r.shape[1] == len(pairs)
+    for i, ((x, y), p) in enumerate(zip(pairs, ps)):
+        e = len(x) - len(y)
+        if not y or e < 0:
+            want = [], x
+        else:   # lc(b)^(e+1) a = q b + r
+            scale = pow(y[-1], e + 1, p)
+            want = _divmod_poly([c * scale % p for c in x], y, p)
+        assert (_column(q, i), _column(r, i)) == want, (x, y, p)
+
+
+def test_divmod_columns_matches_per_prime_oracle():
+    """Pseudo-division of random columns of degree <= 6 mod random primes
+    up to 2^31 against list long division of lc(b)^(e+1) a by b: zero
+    divisors, dividends below their divisor, remainders three degrees
+    down, zero quotient coefficients, and monic divisors, where it is
+    plain division."""
+    rng = random.Random(27)
+    for _ in range(30):
+        ps = _column_primes(rng, 14)
+        pairs = [c for p in ps[:1] for c in _division_cases(rng, p)]
+        _check_divmod(pairs, ps[:1] * len(pairs))
+        pairs = [rng.choice(_division_cases(rng, p)) for p in ps]
+        _check_divmod(pairs, ps)
+
+
+def test_divmod_columns_leading_coefficient_zero_mod_p():
+    """Coefficients written as multiples of p reduce to zero, so each
+    column's degree is below its row count and differs between columns."""
+    rng = random.Random(5)
+    ps = _column_primes(rng, 8)
+    pairs = []
+    for p in ps:
+        a = [rng.randrange(p) for _ in range(6)] + [p * rng.randint(1, 3)]
+        b = [rng.randrange(p) for _ in range(3)] + [0, 7 * p]
+        pairs.append(([c % p for c in a], [c % p for c in b]))
+    _check_divmod([(_trim(a), _trim(b)) for a, b in pairs], ps)
+
+
+def test_divmod_columns_zero_and_one_column():
+    q, r = systems._divmod_columns(np.zeros((7, 0), dtype=np.int64),
+                                   np.zeros((5, 0), dtype=np.int64),
+                                   np.zeros(0, dtype=np.int64))
+    assert q.shape == (0, 0) and r.shape == (7, 0)
+    rng = random.Random(3)
+    for p in _column_primes(rng, 5):
+        for pair in _division_cases(rng, p):
+            _check_divmod([pair], [p])
+
+
+def _check_gcd(pairs: list[tuple[list, list]], ps: list[int]) -> None:
+    a, b = _as_columns([x for x, _ in pairs], 13), \
+        _as_columns([y for _, y in pairs], 13)
+    g = systems._gcd_columns(a, b, np.array(ps, dtype=np.int64))
+    assert g.shape[1] == len(pairs)
+    for i, ((x, y), p) in enumerate(zip(pairs, ps)):
+        want = _gcd_poly(x, y, p) if x else _gcd_poly(y, x, p) if y else []
+        assert _column(g, i) == want, (x, y, p)
+
+
+def test_gcd_columns_matches_per_prime_oracle():
+    """Monic gcds of random columns of degree <= 12 mod random primes up
+    to 2^31, with a common factor of degree 0 to 6 planted, against
+    Euclid on lists; Euclid's steps differ in number between columns."""
+    rng = random.Random(2027)
+    for _ in range(20):
+        ps = _column_primes(rng, 16)
+        pairs = []
+        for p in ps:
+            g = _random_poly(rng, p, rng.randint(0, 6))
+            x, y = _division_cases(rng, p)[rng.randrange(14)]
+            pairs.append((_mul_poly(g, x, p) or g, _mul_poly(g, y, p)))
+        _check_gcd(pairs, ps)
+
+
+def test_gcd_columns_edge_columns():
+    """b = 0, b above a, a = b, a = 0 and a zero gcd where both are zero,
+    alone and together, and an empty batch."""
+    rng = random.Random(11)
+    ps = _column_primes(rng, 6)
+    f = [_random_poly(rng, p, 4) for p in ps]
+    pairs = [(f[0], []), (_random_poly(rng, ps[1], 2), f[1]), (f[2], f[2]),
+             ([], f[3]), ([], []), (_mul_poly(f[5], [1, 1], ps[5]), f[5])]
+    _check_gcd(pairs, ps)
+    for pair, p in zip(pairs, ps):
+        _check_gcd([pair], [p])
+    g = systems._gcd_columns(np.zeros((4, 0), dtype=np.int64),
+                             np.zeros((3, 0), dtype=np.int64),
+                             np.zeros(0, dtype=np.int64))
+    assert g.shape == (4, 0)
+
+
+def test_cantor_zassenhaus_rounds_with_several_degrees(monkeypatch):
+    """n(n-1)...(n-5), expanded, has the roots 0..5 at every prime above
+    6: g = f, whose degree-6 factor splits over rounds in which factors
+    of degree >= 3 survive a round and one round splits several
+    degrees."""
+    rounds = []
+    pow_x_plus_a = systems._pow_x_plus_a
+
+    def spy(a, e, f, p):
+        rounds.append((a, len(f)))
+        return pow_x_plus_a(a, e, f, p)
+
+    monkeypatch.setattr(systems, "_pow_x_plus_a", spy)
+    sextic = polynomial_system("n^6-15n^5+85n^4-225n^3+274n^2-120n")
+    primes = primes_in_range(6, 5000)
+    p, r = sextic.residue_tables(primes)
+    assert p.tolist() == np.repeat(primes, 6).tolist()
+    assert r.tolist() == list(range(6)) * len(primes)
+    degrees = {}
+    for a, k in rounds[1:]:        # rounds[0] is x^p mod f
+        degrees.setdefault(a, set()).add(k)
+    assert max(max(ks) for a, ks in degrees.items() if a > 0) >= 3
+    assert max(len(ks) for ks in degrees.values()) >= 2
+
+
+def test_residues_of_coefficients_above_2_63():
+    """Horner over 31-bit limbs against Python's % for coefficients at
+    and around the limb boundaries, negative ones and one above 2^100."""
+    ps = np.array([5, 7, 65537, (1 << 31) - 1] + NEAR_2_31[:3], dtype=np.int64)
+    coeffs = [0, 1, -1, (1 << 31) - 1, 1 << 31, -(1 << 62), (1 << 63) + 5,
+              -(1 << 93) - 17, 3 ** 70, -(7 ** 41)]
+    got = systems._residues(coeffs, ps)
+    assert got.tolist() == [[c % p for p in ps.tolist()] for c in coeffs]
+
+
+def test_roots_of_a_polynomial_with_coefficients_above_2_63():
+    """A cubic with a coefficient above 2^63 written in decimal and a
+    negative one, against evaluation at every class mod p."""
+    text = "-7n^3+12345678901234567890123n^2-98765n+123456789012345678901"
+    sys_ = polynomial_system(text)
+    assert max(abs(c) for c in sys_.poly.scaled_standard_coeffs()[0]) > 2 ** 63
+    primes = [int(p) for p in primes_upto(3000)]
+    assert all(sys_.residues(p) == brute_roots(sys_.poly, p) for p in primes)
+
+
 def test_root_finding_refuses_primes_from_2_31():
     p = (1 << 31) + 11
     assert is_prime(p)
