@@ -15,7 +15,7 @@ Modules:
 """
 
 from .constants import c_rho, c_rho_lower_bound, constants_report, rho_derangement
-from .rng import DEFAULT_SEED, derive_seed, substream
+from .rng import DEFAULT_SEED, derive_seed
 from .systems import (IntPolynomial, SievingSystem, eratosthenes, mertens_fit,
                       period, polynomial_system, sigma, system_from_spec,
                       twin_system)
@@ -27,6 +27,6 @@ __all__ = [
     "DEFAULT_SEED", "IntPolynomial", "ShiftVector", "SievingSystem",
     "c_rho", "c_rho_lower_bound", "constants_report", "derive_seed",
     "eratosthenes", "largest_gap", "mertens_fit", "period",
-    "polynomial_system", "rho_derangement", "sift", "sigma", "substream",
+    "polynomial_system", "rho_derangement", "sift", "sigma",
     "system_from_spec", "twin_system", "verify_empty", "__version__",
 ]

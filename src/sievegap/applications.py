@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import primality, primes_in_range, primes_upto
-from .rng import substream
+from .rng import derive_seed, uniform_residues
 from .systems import IntPolynomial, SievingSystem, polynomial_system
 from .window import ShiftVector, sift, verify_empty
 
@@ -114,11 +114,11 @@ class ConstructedRun:
 
 
 def _greedy_empty_shift(system: SievingSystem, primes: list[int], x: int,
-                        z: int, rng) -> tuple[ShiftVector, int]:
-    """Seeded random start, then coordinate ascent: re-choose each
-    prime's residue to maximize the initial empty run of the shifted
-    sifted set (primes in (z, x])."""
-    entries = {p: rng.randrange(p) for p in primes}
+                        z: int, key: int) -> tuple[ShiftVector, int]:
+    """Seeded random start (rng.uniform_residues(key, p)), then coordinate
+    ascent: re-choose each prime's residue to maximize the initial empty
+    run of the shifted sifted set (primes in (z, x])."""
+    entries = dict(zip(primes, uniform_residues(key, primes).tolist()))
     target = max(x, 4) * 4
 
     def initial_run() -> int:
@@ -178,8 +178,8 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
         raise DomainError("no prime sieves any value; cannot construct a run")
     # randomized shift, then greedy clean-up: give every prime whose
     # residue is still free the class that kills the first survivor
-    rng = substream(seed, "composite-run")
-    shift, L = _greedy_empty_shift(system, active, x, 1, rng)
+    shift, L = _greedy_empty_shift(system, active, x, 1,
+                                   derive_seed(seed, "composite-run"))
     if not verify_empty(system, x, shift, 1, L):
         raise DomainError("internal error: constructed interval not empty")
     b, P = shift.crt_value()
@@ -291,8 +291,8 @@ def coprimality_constructed(f, x: int, seed: int = 0) -> ConstructedCoprimality:
     primes = system.active_primes(x, d)
     if not primes:
         raise DomainError(f"no usable primes in ({d}, {x}]")
-    rng = substream(seed, "coprime")
-    shift, L = _greedy_empty_shift(system, primes, x, max(d, 1), rng)
+    shift, L = _greedy_empty_shift(system, primes, x, max(d, 1),
+                                   derive_seed(seed, "coprime"))
     if L < 2:
         raise DomainError("constructed gap shorter than 2; x too small")
     b, mod = shift.crt_value()

@@ -31,7 +31,7 @@ from .errors import SievegapError
 from .moments import (exact_first_moment, mc_first_moment, mc_lambda_moments,
                       mc_second_moment)
 from .primes import is_prime
-from .rng import DEFAULT_SEED, derive_seed, substream
+from .rng import DEFAULT_SEED, derive_seed
 from .systems import mertens_fit, system_from_spec
 from .window import ShiftVector, largest_gap, sift
 
@@ -285,7 +285,7 @@ def _cmd_cover_demo(cfg: dict) -> dict:
     fractions = []
     for t in range(cfg["trials"]):
         part = assign_indices(instance.s, plan,
-                              substream(cfg["seed"], "assign", t))
+                              derive_seed(cfg["seed"], "assign", t))
         fractions.append(run_cover(instance, plan, part, derive_seed(
             cfg["seed"], "trial", t)).uncovered_fraction)
     target = 10 * cfg["eta"]

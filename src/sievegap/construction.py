@@ -14,7 +14,6 @@ just below the first unmatched survivor.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import cover as cover_mod
 from .constants import c_rho
 from .errors import DomainError, EnumerationLimitError
-from .rng import derive_seed, substream
+from .rng import derive_seed, uniform_residues, uniforms
 from .systems import SievingSystem, estimate_rho, sigma
 from .window import ShiftVector, _strike, sift, verify_empty
 
@@ -325,6 +324,7 @@ def stage2_select(system: SievingSystem, params: Params,
     built = 0
     all_tables: dict[int, WeightTable] = {}      # kept only for covering
     chosen: dict[int, int] = {}
+    key = derive_seed(seed, "stage2")
     for H in params.Q:
         # iterating the returned dict holds no other reference to it, so a
         # scale's tables that are drawn at once are freed before the next
@@ -336,7 +336,7 @@ def stage2_select(system: SievingSystem, params: Params,
             elif len(surv):
                 all_tables[q] = tab
             else:
-                chosen[q] = tab.n_at(substream(seed, "stage2", q).random())
+                chosen[q] = tab.n_at(uniforms(key, q, 0))
     if not all_tables:
         return Stage2Result(chosen=dict(sorted(chosen.items())),
                             rejected=rejected, tables_built=built)
@@ -366,7 +366,7 @@ def stage2_select(system: SievingSystem, params: Params,
     plan = cover_mod.RoundPlan(beta=3.3, m=m, intervals=[
         (j / m, (j + 1) / m) for j in range(m)])
     part = cover_mod.assign_indices(len(samplers), plan,
-                                    substream(seed, "stage2-assign"))
+                                    derive_seed(seed, "stage2-assign"))
     res = cover_mod.run_cover(inst, plan, part,
                               derive_seed(seed, "stage2-cover"))
     chosen = {q: all_tables[q].n_at(res.last_u[i])
@@ -420,14 +420,14 @@ def _survivors_above(system: SievingSystem, shift: ShiftVector,
 
 
 def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
-                   y: int, survivors: list[int], rng: random.Random,
+                   y: int, survivors: list[int], key: int,
                    z_mid: int | None = None) -> Stage3Result:
     """Match survivors, the sorted members of [1, y] left by partial_shift,
     with distinct primes q in (z_mid, x], then certify [1, L] empty.
 
     Each survivor m gets b = m - min(I_q) (mod q) for the smallest
-    unused admissible q, so m is sieved by q; unmatched large primes
-    receive uniform residues.  Primes already fixed by an earlier stage
+    unused admissible q, so m is sieved by q; an unmatched large prime q
+    gets rng.uniform_residues(key, q).  Primes fixed by an earlier stage
     keep their residues.  When survivors outnumber the available primes
     the target shrinks to L = (first unmatched survivor) - 1 and ok is
     False; otherwise L = y.  z_mid defaults to x/2.  A wrong survivor
@@ -441,10 +441,10 @@ def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
     ok = len(survivors) <= len(large)
     length = y if ok else survivors[len(large)] - 1
     matched = min(len(survivors), len(large))
-    m, q = np.array(survivors[:matched], dtype=np.int64), large[:matched]
-    entries.update(zip(q.tolist(), ((m - least[:matched]) % q).tolist()))
-    for q in large[matched:].tolist():
-        entries[q] = rng.randrange(q)
+    b = uniform_residues(key, large)         # kept by the unmatched primes
+    b[:matched] = (np.array(survivors[:matched], dtype=np.int64)
+                   - least[:matched]) % large[:matched]
+    entries.update(zip(large.tolist(), b.tolist()))
     shift = ShiftVector(entries)
     if not verify_empty(system, x, shift, 1, length):
         raise DomainError("internal error: certification failed after cleanup")
@@ -481,7 +481,7 @@ def construct(system: SievingSystem, params: Params, seed: int,
               mode: str = "sample") -> ConstructResult:
     """Run stages 1-3 and certify the empty interval [1, L], L <= y."""
     z = params.z_eff
-    b1 = ShiftVector.uniform(system, z, substream(seed, "stage1"))
+    b1 = ShiftVector.uniform(system, z, derive_seed(seed, "stage1"))
     members = sift(system, z, b1, 1, params.y).members()
     rejected: list[int] = []
     partial, survivors = b1, members.tolist()
@@ -492,7 +492,7 @@ def construct(system: SievingSystem, params: Params, seed: int,
         # a chosen q <= z replaces b1's class at q, which members can't restore
         survivors = _survivors_above(system, partial, z, params.y)
     r3 = stage3_cleanup(system, params.x, partial, params.y, survivors,
-                        substream(seed, "stage3"), z_mid=z)
+                        derive_seed(seed, "stage3"), z_mid=z)
     return ConstructResult(shift=r3.shift, length=r3.length, params=params,
                            survivors_stage1=len(members),
                            survivors_stage2=r3.survivors,
@@ -513,7 +513,7 @@ def trivial_baseline(system: SievingSystem, x: int, seed: int) -> Stage3Result:
     c1_hat = float(sigma(system, 1, x)) * math.log(x)
     target = max(1, math.floor(rho_hat * x / (8 * c1_hat))) if c1_hat > 0 \
         else x // 4
-    b1 = ShiftVector.uniform(system, x // 2, substream(seed, "stage1"))
+    b1 = ShiftVector.uniform(system, x // 2, derive_seed(seed, "stage1"))
     survivors = sift(system, x // 2, b1, 1, target).members().tolist()
     return stage3_cleanup(system, x, b1, target, survivors,
-                          substream(seed, "stage3"))
+                          derive_seed(seed, "stage3"))

@@ -13,7 +13,6 @@ lie inside the set of vertices still alive at the start of their round.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -186,6 +185,17 @@ def _degree_sums(probs: np.ndarray, seq: np.ndarray) -> np.ndarray:
     return sums[inv]
 
 
+def _sampler_rows(instance: CoverInstance):
+    """(distinct, probs, row): the samplers some index draws from, in
+    order; their inclusion probabilities, one row per sampler; and for
+    each index i, the row of the sampler it draws from."""
+    used = np.bincount(instance.group, minlength=len(instance.samplers)) > 0
+    distinct = [instance.samplers[g] for g in np.flatnonzero(used).tolist()]
+    probs = np.stack([sm.inclusion_probs(instance.vertices)
+                      for sm in distinct])
+    return distinct, probs, (np.cumsum(used) - 1)[instance.group]
+
+
 def check_hypotheses(instance: CoverInstance, delta: float,
                      y: float | None = None) -> HypothesisReport:
     """Verify the covering hypotheses at scale y (default max(|V|, s)).
@@ -200,28 +210,20 @@ def check_hypotheses(instance: CoverInstance, delta: float,
     if y <= math.e ** math.e:
         raise DomainError("scale y too small for the size cap to make sense")
     conds: list[ConditionReport] = []
-
-    # row[i] is index i's row of probs; first[k] the first index of row k
-    used, first, row = np.unique(instance.group, return_index=True,
-                                 return_inverse=True)
-    distinct = [instance.samplers[g] for g in used.tolist()]
-    probs = np.stack([sm.inclusion_probs(instance.vertices)
-                      for sm in distinct])
+    distinct, probs, row = _sampler_rows(instance)
 
     size_cap = math.sqrt(math.log(y)) / math.log(math.log(y))
     worst_size = max(sm.max_size() for sm in distinct)
     conds.append(ConditionReport("edge_size", worst_size <= size_cap,
                                  float(worst_size), size_cap))
 
-    # a sampler's later indices never beat its first, so scanning the
-    # first indices in order finds the first index with the largest prob
+    # the offender is the first index whose sampler has the largest prob
     sparsity_cap = y ** (-0.5 - 0.01)
-    worst_p, worst_v = 0.0, None
-    for k in np.argsort(first).tolist():
-        j = int(np.argmax(probs[k]))
-        if probs[k, j] > worst_p:
-            worst_p = float(probs[k, j])
-            worst_v = (int(first[k]), int(instance.vertices[j]))
+    peak = probs.max(axis=1)
+    worst_p = float(peak.max())
+    i = int(np.argmax((peak == worst_p)[row]))
+    j = int(np.argmax(probs[row[i]]))
+    worst_v = (i, int(instance.vertices[j])) if worst_p > 0 else None
     conds.append(ConditionReport("sparsity", worst_p <= sparsity_cap,
                                  worst_p, sparsity_cap, worst_v))
 
@@ -302,18 +304,6 @@ def plan_rounds(eta: float, delta: float, C2: float,
     return RoundPlan(beta=beta, m=m, intervals=intervals)
 
 
-def _marks(rng: random.Random, s: int) -> np.ndarray:
-    """The next s values of rng.random(), bit for bit, from one
-    rng.randbytes(8 s) call, which leaves rng in the same state.
-
-    random() takes two 32-bit outputs a, b of the Mersenne Twister and
-    returns ((a >> 5) 2^26 + (b >> 6)) / 2^53; randbytes lays the same
-    outputs out in order as little-endian 32-bit words.
-    """
-    w = np.frombuffer(rng.randbytes(8 * s), dtype="<u4")
-    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * 2.0 ** -53
-
-
 def _partition(marks: np.ndarray, bounds: np.ndarray) -> dict[int, np.ndarray]:
     """Round j = 1..m receives {i : bounds[2j-2] <= marks[i] < bounds[2j-1]},
     in increasing order of i, for nondecreasing bounds a_1, b_1, ...,
@@ -326,15 +316,14 @@ def _partition(marks: np.ndarray, bounds: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def assign_indices(s: int, plan: RoundPlan,
-                   rng: random.Random) -> dict[int, np.ndarray]:
-    """Uniform marks t_i = rng.random(), i = 0..s-1; round j receives the
-    intp array of {i : t_i in interval j}, in increasing order.
-
-    Indices falling outside every interval stay unused.  If some round
-    would be empty, the whole marking is redrawn (bounded retries).  The
-    intervals must be disjoint and in increasing order, as plan_rounds
-    makes them, and s must be at least plan.m; either is refused before
-    any draw.
+                   key: int) -> dict[int, np.ndarray]:
+    """Marks t_i = rng.uniforms(key, i, a), i = 0..s-1, at attempt a = 0;
+    round j receives the intp array of {i : t_i in interval j}, in
+    increasing order, and indices in no interval stay unused.  While some
+    round is empty, the marking is redrawn at a + 1 (bounded retries).
+    The intervals must be disjoint and in increasing order, as
+    plan_rounds makes them, and s must be at least plan.m; either is
+    refused before any draw.
     """
     bounds = np.array([e for ab in plan.intervals for e in ab], dtype=float)
     if np.any(np.diff(bounds) < 0):
@@ -342,8 +331,8 @@ def assign_indices(s: int, plan: RoundPlan,
     if s < plan.m:
         raise DomainError(f"{plan.m} rounds need at least {plan.m} "
                           f"indices, got {s}")
-    for _ in range(ASSIGN_RETRY_CAP):
-        part = _partition(_marks(rng, s), bounds)
+    for attempt in range(ASSIGN_RETRY_CAP):
+        part = _partition(uniforms(key, np.arange(s), attempt), bounds)
         if all(len(idxs) for idxs in part.values()):
             return part
     raise DomainError("could not draw a marking with all rounds nonempty")
@@ -370,9 +359,7 @@ def degree_profile(instance: CoverInstance,
     n = len(instance.vertices)
     m = max(partition) if partition else 0
     degrees = np.zeros((m, n))
-    used, row = np.unique(instance.group, return_inverse=True)
-    probs = np.stack([instance.samplers[g].inclusion_probs(instance.vertices)
-                      for g in used.tolist()])
+    _, probs, row = _sampler_rows(instance)
     for j, idxs in partition.items():
         if len(idxs):
             degrees[j - 1] = _degree_sums(
@@ -405,8 +392,8 @@ def _draw_round(instance: CoverInstance, idx: np.ndarray, key: int,
     block draws attempts t..t+w-1 of every index still pending, with one
     sample call per sampler they draw from, and each index keeps the
     first of them that it accepts.  The width w starts at 1 and doubles
-    while the block holds at most DRAW_BLOCK draws, so DRAW_BLOCK <=
-    pending gives one attempt per block.
+    while the block holds at most DRAW_BLOCK draws; past DRAW_BLOCK
+    pending indices, a block draws in slices of DRAW_BLOCK indices.
 
     Returns, per position of idx, whether an attempt drew an edge that
     is nonempty and lies inside alive, and the uniform of that attempt
@@ -422,29 +409,33 @@ def _draw_round(instance: CoverInstance, idx: np.ndarray, key: int,
     t = 0
     while t < cap and len(pending):
         w = max(1, min(cap - t, t, DRAW_BLOCK // len(pending)))
-        # draw r * w + k is attempt t + k of the index at pending[r]
-        u = uniforms(key, idx[pending, None], t + np.arange(w)).ravel()
+        missed = []
+        for lo in range(0, len(pending), DRAW_BLOCK):
+            pos = pending[lo:lo + DRAW_BLOCK]
+            # draw r * w + k is attempt t + k of the index at pos[r]
+            u = uniforms(key, idx[pos, None], t + np.arange(w)).ravel()
+            g = grp[pos]
+            cuts = (np.flatnonzero(g[1:] != g[:-1]) + 1) * w
+            drawn = [instance.samplers[g[c // w]].sample(us)
+                     for c, us in zip([0, *cuts], np.split(u, cuts))]
+            members = np.concatenate([m for m, _ in drawn])
+            sizes = np.concatenate([n for _, n in drawn])
+            owner = np.repeat(np.arange(len(u)), sizes)
+            ok = (sizes > 0) & (np.bincount(owner[alive[rank_of(members)]],
+                                            minlength=len(u)) == sizes)
+            ok = ok.reshape(-1, w)
+            hit = ok.any(axis=1)
+            # each index's first accepted draw of the block, else its last
+            pick = np.arange(0, len(u), w) + np.where(
+                hit, ok.argmax(axis=1), w - 1)
+            last_u[pos] = u[pick]
+            first = np.zeros(len(u), dtype=bool)
+            first[pick[hit]] = True
+            kept.append(members[first[owner]])
+            accepted[pos[hit]] = True
+            missed.append(pos[~hit])
         t += w
-        g = grp[pending]
-        cuts = (np.flatnonzero(g[1:] != g[:-1]) + 1) * w
-        drawn = [instance.samplers[g[c // w]].sample(us)
-                 for c, us in zip([0, *cuts], np.split(u, cuts))]
-        members = np.concatenate([m for m, _ in drawn])
-        sizes = np.concatenate([n for _, n in drawn])
-        owner = np.repeat(np.arange(len(u)), sizes)
-        ok = (sizes > 0) & (np.bincount(owner[alive[rank_of(members)]],
-                                        minlength=len(u)) == sizes)
-        ok = ok.reshape(-1, w)
-        hit = ok.any(axis=1)
-        # each index's first accepted draw of the block, else its last
-        pick = np.arange(0, len(u), w) + np.where(hit, ok.argmax(axis=1),
-                                                  w - 1)
-        last_u[pending] = u[pick]
-        first = np.zeros(len(u), dtype=bool)
-        first[pick[hit]] = True
-        kept.append(members[first[owner]])
-        accepted[pending[hit]] = True
-        pending = pending[~hit]
+        pending = np.concatenate(missed)
     return accepted, last_u, np.concatenate(kept)
 
 

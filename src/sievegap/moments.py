@@ -24,7 +24,7 @@ import numpy as np
 from .construction import Params, WeightTable, build_weight_tables
 from .cover import sequential_sum
 from .errors import DomainError, EnumerationLimitError
-from .rng import substream
+from .rng import derive_seed
 from .systems import SievingSystem, period, sigma
 from .window import MAX_WINDOW, ShiftVector, _strike, sift
 
@@ -145,7 +145,7 @@ def exact_first_moment(system: SievingSystem, z: int, y: int) -> MomentReport:
 def _mc_counts(system: SievingSystem, z: int, y: int, trials: int,
                seed: int, label: str) -> list[int]:
     """|S cap [1, y]| for each of ``trials`` uniform shifts mod P(z), the
-    t-th drawn from substream(seed, label, t)."""
+    t-th keyed by derive_seed(seed, label, t)."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 0 <= y <= MAX_WINDOW:
@@ -155,7 +155,7 @@ def _mc_counts(system: SievingSystem, z: int, y: int, trials: int,
     classes = system.classes(z)
     counts = []
     for t in range(trials):
-        b = ShiftVector.uniform(system, z, substream(seed, label, t))
+        b = ShiftVector.uniform(system, z, derive_seed(seed, label, t))
         bits = np.ones(y, dtype=bool)
         _strike(bits, 1, *classes, b)
         counts.append(int(bits.sum()))
@@ -231,7 +231,7 @@ def mc_lambda_moments(system: SievingSystem, params: Params, H: float,
     vals = []
     for t in range(trials):
         b = ShiftVector.uniform(system, params.z_eff,
-                                substream(seed, "lam", t))
+                                derive_seed(seed, "lam", t))
         tables = build_weight_tables(system, params, b, H)
         if identity == "ii":
             v = sequential_sum([tab.total ** j for tab in tables.values()])

@@ -320,9 +320,9 @@ def _cz_roots(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pending factor g of one degree >= 3 at once: g1 = gcd(g, (x +
     a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero square, and
     where it is proper, g1 and g / g1 replace g.  Some a below p splits
-    any two roots, so a counts up from 0.  Factors of degree 1 and 2 are
-    solved after the last round, one :func:`_low_roots` call per
-    degree."""
+    any two roots, so a counts up from 0 and raises an internal error on
+    reaching p.  Factors of degree 1 and 2 are solved after the last
+    round, one :func:`_low_roots` call per degree."""
     h = _pow_x_plus_a(0, p, f, p)              # x^p mod (f, p)
     h[1] = (h[1] - 1) % p
     g = _gcd_columns(np.vstack([f, np.ones_like(p)]), h, p)
@@ -334,6 +334,9 @@ def _cz_roots(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             parts.append((col[deg == k], g[:k, deg == k]))
         if not (deg > 2).any():
             break
+        if p[col[deg > 2]].min() <= a:
+            raise DomainError(f"internal error: no a < p splits a factor "
+                              f"mod p = {p[col[deg > 2]].min()}")
         split = []
         for k in np.unique(deg[deg > 2]).tolist():
             j, gk = col[deg == k], g[:k + 1, deg == k]

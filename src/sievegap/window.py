@@ -8,12 +8,12 @@ position queries.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSystemError, DomainError
+from .rng import uniform_residues
 from .systems import SievingSystem
 
 MAX_WINDOW = 1 << 27     # one flag byte per integer: at most 128 MiB
@@ -52,9 +52,11 @@ class ShiftVector:
 
     @classmethod
     def uniform(cls, system: SievingSystem, x: int,
-                rng: random.Random) -> "ShiftVector":
-        """Independent uniform residue for each active prime p <= x."""
-        return cls({p: rng.randrange(p) for p in system.active_primes(x)})
+                key: int) -> "ShiftVector":
+        """b_p = rng.uniform_residues(key, p) at each active prime p <= x:
+        the shift at x is the restriction of the shift at any larger x."""
+        p = system.active_primes(x)
+        return cls(dict(zip(p, uniform_residues(key, p).tolist())))
 
 
 @dataclass

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sievegap.systems import SievingSystem
+from sievegap.window import ShiftVector
 
 
 def random_table_system(rng: random.Random, prime_cap: int = 50,
@@ -18,6 +19,23 @@ def random_table_system(rng: random.Random, prime_cap: int = 50,
         k = rng.randint(0, min(max_classes, p - 1))
         table[p] = tuple(sorted(rng.sample(range(p), k)))
     return SievingSystem("table", table=table)
+
+
+def splitmix_word(key: int, i: int, t: int) -> int:
+    """The 53-bit word of rng at counter (i, t), in Python ints: the top
+    bits of the SplitMix64 finalizer of key + gamma (i 2^24 + t)."""
+    mask = (1 << 64) - 1
+    z = (key + 0x9E3779B97F4A7C15 * ((i << 24) + t)) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) >> 11
+
+
+def random_shift(system: SievingSystem, x: int,
+                 rng: random.Random) -> ShiftVector:
+    """A uniform shift over the active primes <= x from a test's own
+    stream: rng.randrange(p) for each p in increasing order."""
+    return ShiftVector({p: rng.randrange(p) for p in system.active_primes(x)})
 
 
 def brute_members(system: SievingSystem, x: int, shift, lo: int, hi: int,

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import brute_members, random_table_system
+from conftest import brute_members, random_shift, random_table_system
 
 from sievegap.construction import (CUM_BLOCK, CUM_CHUNK, DEFAULT_M, Params,
                                    WeightTable, _survivors_above,
@@ -17,7 +17,7 @@ from sievegap.construction import (CUM_BLOCK, CUM_CHUNK, DEFAULT_M, Params,
                                    weight_lut)
 from sievegap.errors import DomainError, EnumerationLimitError
 from sievegap.primes import primes_in_range
-from sievegap.rng import substream
+from sievegap.rng import derive_seed, uniforms
 from sievegap.systems import (SievingSystem, eratosthenes, polynomial_system,
                               sigma)
 from sievegap.window import ShiftVector, sift, verify_empty
@@ -201,15 +201,15 @@ def test_derive_params_warns_on_large_delta():
 
 
 def test_stage1_deterministic():
-    a = ShiftVector.uniform(ERA, 50, substream(123, "stage1"))
-    b = ShiftVector.uniform(ERA, 50, substream(123, "stage1"))
+    a = ShiftVector.uniform(ERA, 50, derive_seed(123, "stage1"))
+    b = ShiftVector.uniform(ERA, 50, derive_seed(123, "stage1"))
     assert a.entries == b.entries
     assert set(a.entries) == set(ERA.active_primes(50))
     assert all(0 <= r < p for p, r in a.entries.items())
 
 
 def test_stage1_mod2_split():
-    ones = sum(ShiftVector.uniform(ERA, 10, substream(7, "s", t)).residue(2)
+    ones = sum(ShiftVector.uniform(ERA, 10, derive_seed(7, "s", t)).residue(2)
                for t in range(10_000))
     assert abs(ones / 10_000 - 0.5) < 0.03
 
@@ -226,7 +226,7 @@ def test_compute_ap_empty_cases():
 def test_compute_ap_matches_bruteforce():
     rng = random.Random(12)
     for _ in range(20):
-        b = ShiftVector.uniform(ERA, 24, rng)
+        b = random_shift(ERA, 24, rng)
         q, n, J, H = 29, rng.randint(-50, 50), 6, 2.0
         HM = H ** 4.6
         expect = []
@@ -244,7 +244,7 @@ def test_weight_lambda_definition():
     HM = 2.0 ** p.M
     sigma2 = float(sigma(ERA, HM, p.z_eff))
     for _ in range(30):
-        b = ShiftVector.uniform(ERA, p.z_eff, rng)
+        b = random_shift(ERA, p.z_eff, rng)
         n = rng.randint(-p.K * p.y + 1, p.y)
         ap = compute_AP(ERA, b, 2.0, 29, n, int(p.K * 2.0), M=p.M)
         in_s2 = all(
@@ -258,7 +258,7 @@ def test_weight_lambda_definition():
 
 def test_build_weight_tables_matches_pointwise():
     p = small_params()
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(1, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(1, "stage1"))
     tables = build_weight_tables(ERA, p, b, 2.0)
     tab = tables[29]
     for k in range(0, len(values(tab)), 17):
@@ -289,7 +289,7 @@ def test_build_weight_tables_matches_gather_oracle():
         cases.append((sys_, small_params(sys_, z=z, z_eff=z, Q={2.0: qs}),
                       len(cases)))
     for sys_, params, seed in cases:
-        b = ShiftVector.uniform(sys_, params.z_eff, substream(seed, "stage1"))
+        b = ShiftVector.uniform(sys_, params.z_eff, derive_seed(seed, "stage1"))
         for H in params.Q:
             got = build_weight_tables(sys_, params, b, H)
             want = gather_weight_tables(sys_, params, b, H)
@@ -312,7 +312,7 @@ def test_build_weight_tables_int16_codes_past_uint8():
     p = derive_params(ERA, 10_000, force_scales=[H])
     p = dataclasses.replace(
         p, M=M, sigma2={H: oracle_sigma2(ERA, H, M, p.z_eff)})
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(3, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(3, "stage1"))
     got = build_weight_tables(ERA, p, b, H)
     want = gather_weight_tables(ERA, p, b, H)
     assert list(got) == list(want) == p.Q[H]
@@ -350,7 +350,11 @@ def test_build_weight_tables_totals_pinned():
     them to 12 digits only."""
     params = derive_params(ERA, 2_950, delta=0.001, force_z=200,
                            force_scales=[3.0])
-    b = ShiftVector.uniform(ERA, params.z_eff, substream(606, "lam", 0))
+    # the stage-1 shift of the parent recipe, written out: one randrange
+    # per active prime from a random.Random seeded as the "lam" stream
+    rng = random.Random(derive_seed(606, "lam", 0))
+    b = ShiftVector({p: rng.randrange(p)
+                     for p in ERA.active_primes(params.z_eff)})
     tables = build_weight_tables(ERA, params, b, 3.0)
     assert {q: tab.total.hex() for q, tab in tables.items()} == {
         907: "0x1.72a0526a75a6cp+13", 911: "0x1.726876904c072p+13",
@@ -390,7 +394,7 @@ def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
     monkeypatch.setattr(construction, "sift", spy)
     H = 8.0                                          # H^M ~ 14,300
     p = small_params(z=40, z_eff=40, scales=[H], Q={H: [7]})
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(2, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(2, "stage1"))
     tab = build_weight_tables(ERA, p, b, H)[7]
     [(cutoffs, win)] = calls
     assert cutoffs == (p.z_eff, 1)
@@ -406,7 +410,7 @@ def test_build_weight_tables_sieves_s1_no_higher_than_z(monkeypatch):
 
 def test_stage2_deterministic_and_supported():
     p = small_params()
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(2, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(2, "stage1"))
     s1 = stage1_members(ERA, p, b)
     r1 = stage2_select(ERA, p, b, s1, seed=99)
     r2 = stage2_select(ERA, p, b, s1, seed=99)
@@ -418,7 +422,7 @@ def test_stage2_deterministic_and_supported():
 
 def test_stage2_point_mass():
     p = small_params()
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(3, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(3, "stage1"))
     tables = build_weight_tables(ERA, p, b, 2.0)
     tab = tables[29]
     k_star = int(np.argmax(values(tab)))
@@ -426,7 +430,8 @@ def test_stage2_point_mass():
     point[k_star] = 1.0
     tab = float_table(tab.H, tab.q, tab.n_lo, point)
     for t in range(20):
-        assert tab.n_at(substream(5, "s", t).random()) == tab.n_lo + k_star
+        assert tab.n_at(float(uniforms(derive_seed(5, "s"), t, 0))) == \
+            tab.n_lo + k_star
 
 
 def test_n_at_matches_whole_table_search():
@@ -510,7 +515,7 @@ def test_weight_tables_of_one_build_share_scratch_safely():
     gives when used alone; the first draw stops inside the table, so its
     later sums start from the sum it stored, not from the scratch."""
     p = derive_params(ERA, 2_950, force_scales=[2.0, 3.0])
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(4, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(4, "stage1"))
     assert (p.K + 1) * p.y > CUM_CHUNK
     qa, qb = p.Q[2.0][:2]
     us = {qa: 0.05, qb: 0.6}
@@ -539,7 +544,7 @@ def test_total_and_draw_expand_no_table():
     the build's shared scratch: they allocate under a quarter of the
     8 bytes per cell that a float64 copy of the table would take."""
     p = derive_params(ERA, 10_000, force_scales=[2.0, 3.0])
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(0, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(0, "stage1"))
     tab = next(iter(build_weight_tables(ERA, p, b, 3.0).values()))
     assert len(tab.codes) == 40_632
     tracemalloc.start()
@@ -554,13 +559,12 @@ def test_total_and_draw_expand_no_table():
 
 def test_stage2_sampling_frequencies():
     p = small_params()
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(4, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(4, "stage1"))
     tab = build_weight_tables(ERA, p, b, 2.0)[29]
     probs = values(tab) / tab.total
-    counts = np.zeros_like(probs)
     trials = 10_000
-    for t in range(trials):
-        counts[tab.n_at(substream(6, "t", t).random()) - tab.n_lo] += 1
+    drawn = tab.n_at(uniforms(derive_seed(6, "t"), np.arange(trials), 0))
+    counts = np.bincount(drawn - tab.n_lo, minlength=len(probs))
     for k in np.flatnonzero(probs > 0.01):
         se = math.sqrt(probs[k] * (1 - probs[k]) / trials)
         assert abs(counts[k] / trials - probs[k]) <= 3 * se + 1e-12
@@ -568,7 +572,7 @@ def test_stage2_sampling_frequencies():
 
 def test_stage2_cover_mode_supported():
     p = small_params()
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(8, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(8, "stage1"))
     r = stage2_select(ERA, p, b, stage1_members(ERA, p, b), seed=11,
                       mode="cover")
     tables = build_weight_tables(ERA, p, b, 2.0)
@@ -583,7 +587,7 @@ def test_stage2_caps_table_cells_before_building(monkeypatch):
     and drops them before building the next."""
     from sievegap import construction
     p = derive_params(ERA, 2_950, force_scales=[2.0, 3.0])
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(1, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(1, "stage1"))
     s1 = stage1_members(ERA, p, b)
     cells = [len(p.Q[H]) * (p.K + 1) * p.y for H in p.scales]
     want = {mode: stage2_select(ERA, p, b, s1, seed=5, mode=mode)
@@ -618,7 +622,7 @@ def test_stage2_rejects_every_all_zero_table():
     rejected in both modes; stage 3 still certifies [1, L]."""
     sys_ = SievingSystem("table", table={29: tuple(range(1, 29))})
     p = small_params(sys_, Q={2.0: [31]})
-    b = ShiftVector.uniform(sys_, p.z_eff, substream(10, "stage1"))
+    b = ShiftVector.uniform(sys_, p.z_eff, derive_seed(10, "stage1"))
     assert build_weight_tables(sys_, p, b, 2.0)[31].total == 0.0
     for mode in ("sample", "cover"):
         r = stage2_select(sys_, p, b, stage1_members(sys_, p, b), seed=17,
@@ -633,7 +637,7 @@ def test_stage2_rejects_every_all_zero_table():
 
 def test_apply_stage2_sieves_chosen_class():
     p = small_params()
-    b = ShiftVector.uniform(ERA, p.z_eff, substream(9, "stage1"))
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(9, "stage1"))
     r = stage2_select(ERA, p, b, stage1_members(ERA, p, b), seed=13)
     shifted = apply_stage2(ERA, b, r.chosen)
     for q, n_q in r.chosen.items():
@@ -654,7 +658,7 @@ def test_survivors_above_matches_oracle():
         if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(60)):
             continue
         cutoff, y = rng.choice([(7, 300), (13, 500), (23, 800)])
-        b = ShiftVector.uniform(sys_, cutoff, rng)
+        b = random_shift(sys_, cutoff, rng)
         above = [p for p in (int(p) for p in primes_in_range(cutoff, 60))
                  if sys_.residues(p) and rng.random() < 0.5]
         b.entries.update({p: rng.randrange(p) for p in above})
@@ -666,19 +670,17 @@ def test_survivors_above_matches_oracle():
 
 
 def test_stage3_empty_survivors_succeeds():
-    rng = substream(0, "s3")
     b = ShiftVector({p: 1 for p in ERA.active_primes(50)})
     # [1, 1] shifted: n=1 has (1-1)%2=0 in I_2, so no survivors
-    r = stage3_cleanup(ERA, 100, b, 0, [], rng)
+    r = stage3_cleanup(ERA, 100, b, 0, [], derive_seed(0, "s3"))
     assert r.ok and r.matched == 0
 
 
 def test_stage3_matches_and_removes_survivors():
-    rng = substream(1, "s3")
     x = 100
-    b1 = ShiftVector.uniform(ERA, x // 2, substream(21, "stage1"))
+    b1 = ShiftVector.uniform(ERA, x // 2, derive_seed(21, "stage1"))
     surv = [int(m) for m in sift(ERA, x // 2, b1, 1, 30).members()]
-    r = stage3_cleanup(ERA, x, b1, 30, surv, rng)
+    r = stage3_cleanup(ERA, x, b1, 30, surv, derive_seed(1, "s3"))
     if r.ok:
         assert r.matched == len(surv)
         assert r.length == 30
@@ -690,10 +692,9 @@ def test_stage3_matches_and_removes_survivors():
 
 def test_stage3_pigeonhole_failure():
     # x=100: large primes in (50, 100] number 10; a wide target overflows
-    rng = substream(2, "s3")
-    b1 = ShiftVector.uniform(ERA, 50, substream(22, "stage1"))
+    b1 = ShiftVector.uniform(ERA, 50, derive_seed(22, "stage1"))
     surv = [int(m) for m in sift(ERA, 50, b1, 1, 100).members()]
-    r = stage3_cleanup(ERA, 100, b1, 100, surv, rng)
+    r = stage3_cleanup(ERA, 100, b1, 100, surv, derive_seed(2, "s3"))
     assert not r.ok
     assert r.survivors > r.available
     # the target shrinks to just below the first unmatched survivor
@@ -705,16 +706,28 @@ def test_stage3_pigeonhole_failure():
 
 def test_stage3_never_certifies_a_short_survivor_list():
     """Stage 3 takes its survivors from the caller but certifies [1, L]
-    itself: here, leaving out any one survivor raises instead of
-    certifying."""
-    b1 = ShiftVector.uniform(ERA, 50, substream(21, "stage1"))
-    surv = [int(m) for m in sift(ERA, 50, b1, 1, 30).members()]
-    assert surv
-    assert stage3_cleanup(ERA, 100, b1, 30, surv, substream(1, "s3")).ok
-    for k in range(len(surv)):
-        with pytest.raises(DomainError, match="certification failed"):
-            stage3_cleanup(ERA, 100, b1, 30, surv[:k] + surv[k + 1:],
-                           substream(1, "s3"))
+    itself: leaving out any one survivor raises instead of certifying,
+    unless the uniform residue of an unmatched prime happens to sieve the
+    survivor left out, when [1, L] is truly empty."""
+    raised = 0
+    for seed in range(21, 31):
+        b1 = ShiftVector.uniform(ERA, 50, derive_seed(seed, "stage1"))
+        surv = [int(m) for m in sift(ERA, 50, b1, 1, 30).members()]
+        assert surv
+        assert stage3_cleanup(ERA, 100, b1, 30, surv,
+                              derive_seed(1, "s3")).ok
+        for k, m in enumerate(surv):
+            try:
+                r = stage3_cleanup(ERA, 100, b1, 30, surv[:k] + surv[k + 1:],
+                                   derive_seed(1, "s3"))
+            except DomainError as e:
+                assert "certification failed" in str(e)
+                raised += 1
+                continue
+            assert brute_members(ERA, 100, r.shift, 1, r.length) == []
+            assert any((m - r.shift.residue(q)) % q == 0
+                       for q in ERA.active_primes(100, 50)[r.matched:])
+    assert raised >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +752,7 @@ def test_construct_sifts_the_stage1_window_once(monkeypatch, x, scales, mode):
     from sievegap import construction
     p = derive_params(ERA, x, force_scales=scales)
     assert p.degraded == (scales is None)
-    b1 = ShiftVector.uniform(ERA, p.z_eff, substream(7, "stage1"))
+    b1 = ShiftVector.uniform(ERA, p.z_eff, derive_seed(7, "stage1"))
     calls = []
 
     def spy(system, x, shift, lo, hi, z=1):

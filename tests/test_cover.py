@@ -3,10 +3,10 @@ and the semi-random covering procedure."""
 
 import io
 import math
-import random
 
 import numpy as np
 import pytest
+from conftest import splitmix_word
 
 from sievegap import cover
 from sievegap.cli import dispatch
@@ -15,7 +15,7 @@ from sievegap.cover import (RESAMPLE_HARD_CAP, CoverInstance, EdgeSampler,
                             degree_profile, plan_rounds,
                             progression_instance, run_cover)
 from sievegap.errors import DomainError
-from sievegap.rng import ATTEMPT_BITS, derive_seed, substream, uniforms
+from sievegap.rng import ATTEMPT_BITS, derive_seed, uniforms
 
 
 class FullEdge(EdgeSampler):
@@ -289,8 +289,8 @@ def _lists(part):
 def test_assign_indices_concentration_and_determinism():
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
     s = 4000
-    a = assign_indices(s, plan, substream(3, "assign"))
-    b = assign_indices(s, plan, substream(3, "assign"))
+    a = assign_indices(s, plan, derive_seed(3, "assign"))
+    b = assign_indices(s, plan, derive_seed(3, "assign"))
     assert _lists(a) == _lists(b)
     for j, (lo, hi) in enumerate(plan.intervals, start=1):
         expect = s * (hi - lo)
@@ -311,11 +311,12 @@ def _partition_oracle(marks, plan):
     return part
 
 
-def _assign_oracle(s, plan, rng):
-    """Markings of s calls of rng.random(), redrawn until every round is
-    nonempty."""
-    while True:
-        part = _partition_oracle([rng.random() for _ in range(s)], plan)
+def _assign_oracle(s, plan, key):
+    """Markings of s scalar uniforms(key, i, attempt) calls, redrawn at the
+    next attempt until every round is nonempty."""
+    for attempt in range(cover.ASSIGN_RETRY_CAP):
+        part = _partition_oracle(
+            [float(uniforms(key, i, attempt)) for i in range(s)], plan)
         if all(part.values()):
             return part
 
@@ -323,8 +324,8 @@ def _assign_oracle(s, plan, rng):
 def test_assign_indices_matches_nested_loop_oracle():
     """The marks-to-rounds map equals the nested loop on every bound,
     its float neighbours and the 2^-53 grid points around it (which are
-    all random() can return near a bound that lies off the grid), and
-    assign_indices equals the loop over random() on real streams."""
+    all a uniform can be near a bound that lies off the grid), and
+    assign_indices equals the loop over scalar uniforms on real keys."""
     plans = [plan_rounds(0.05, 0.25, 4.0), plan_rounds(0.01, 0.25, 4.0,
                                                        beta=4.0),
              RoundPlan(beta=3.3, m=3, intervals=[(j / 3, (j + 1) / 3)
@@ -332,8 +333,8 @@ def test_assign_indices_matches_nested_loop_oracle():
     off_grid = 0
     for plan in plans:
         for seed in range(5):
-            assert _lists(assign_indices(2000, plan, substream(seed, "m"))) \
-                == _assign_oracle(2000, plan, substream(seed, "m"))
+            assert _lists(assign_indices(2000, plan, derive_seed(seed, "m"))) \
+                == _assign_oracle(2000, plan, derive_seed(seed, "m"))
         bounds = [e for ab in plan.intervals for e in ab]
         off_grid += sum(not (e * 2 ** 53).is_integer() for e in bounds)
         marks = [0.0, 0.999, math.nextafter(1.0, 0.0)]
@@ -347,46 +348,30 @@ def test_assign_indices_matches_nested_loop_oracle():
     assert off_grid >= 4
 
 
-@pytest.mark.parametrize("s", [1, 2, 623, 624, 625, 40_000])
-def test_marks_equal_a_random_loop(s):
-    """One randbytes call gives the next s values of random() bit for
-    bit and leaves the generator where s calls leave it, from a fresh
-    state, mid-stream, and half-way through a random() pair."""
-    for advance in (lambda r: None, lambda r: [r.random() for _ in range(7)],
-                    lambda r: r.getrandbits(32)):
-        rng, ref = random.Random(s), random.Random(s)
-        advance(rng)
-        advance(ref)
-        marks = cover._marks(rng, s)
-        assert marks.tobytes() == \
-            np.array([ref.random() for _ in range(s)]).tobytes()
-        assert rng.getstate() == ref.getstate()
-
-
 def test_assign_indices_single_index():
     plan = plan_rounds(0.3, 0.25, 4.0, beta=4.0)
     assert plan.m == 1
-    part = assign_indices(1, plan, substream(0, "a"))
+    part = assign_indices(1, plan, derive_seed(0, "a"))
     assert sum(len(v) for v in part.values()) <= 1
 
 
 def test_assign_indices_retry_exhaustion():
     plan = plan_rounds(0.01, 0.25, 4.0, beta=4.0)
     with pytest.raises(DomainError, match="could not draw a marking"):
-        assign_indices(plan.m, plan, substream(0, "a"))  # 4 rounds, 4 indices
+        assign_indices(plan.m, plan, derive_seed(0, "a"))  # 4 rounds, 4 indices
 
 
 @pytest.mark.parametrize("s", [0, 1, 3])
-def test_assign_indices_refuses_fewer_indices_than_rounds(s):
+def test_assign_indices_refuses_fewer_indices_than_rounds(s, monkeypatch):
     """Fewer indices than rounds are refused before any draw, with both
     counts in the message."""
     plan = plan_rounds(0.01, 0.25, 4.0, beta=4.0)
-    rng = substream(0, "a")
-    state = rng.getstate()
+    draws = []
+    monkeypatch.setattr(cover, "uniforms", lambda *a: draws.append(a))
     with pytest.raises(DomainError,
                        match=f"^4 rounds need at least 4 indices, got {s}$"):
-        assign_indices(s, plan, rng)
-    assert rng.getstate() == state
+        assign_indices(s, plan, derive_seed(0, "a"))
+    assert draws == []
 
 
 def test_partitions_as_lists_or_arrays_agree():
@@ -394,7 +379,7 @@ def test_partitions_as_lists_or_arrays_agree():
     and the run give the same results from them as from lists."""
     inst = progression_instance(200, 4.0, 0.05)
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
-    part = assign_indices(inst.s, plan, substream(18, "a"))
+    part = assign_indices(inst.s, plan, derive_seed(18, "a"))
     for idxs in part.values():
         assert idxs.dtype == np.intp and np.all(np.diff(idxs) > 0)
     as_lists = _lists(part)
@@ -449,12 +434,7 @@ def test_degree_profile_single_round_log_beta():
 
 
 def _uniform_reference(key, i, t):
-    """SplitMix64 finalizer of key + gamma (i 2^24 + t), in Python ints."""
-    mask = (1 << 64) - 1
-    z = (key + 0x9E3779B97F4A7C15 * ((i << ATTEMPT_BITS) + t)) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return ((z ^ (z >> 31)) >> 11) / 2 ** 53
+    return splitmix_word(key, i, t) / 2 ** 53
 
 
 def test_uniforms_equal_scalar_reference():
@@ -500,7 +480,7 @@ def test_run_cover_full_edge_covers_everything():
                          samplers=[FullEdge(n)],
                          group=np.zeros(1, dtype=np.intp), eta=0.05, C2=1.0)
     plan = plan_rounds(0.5, 0.25, 4.0, beta=4.0)
-    part = assign_indices(1, plan, substream(1, "a"))
+    part = assign_indices(1, plan, derive_seed(1, "a"))
     if not any(len(idxs) for idxs in part.values()):
         pytest.skip("index fell outside the marking intervals")
     res = run_cover(inst, plan, part, seed=2)
@@ -515,7 +495,7 @@ def test_run_cover_zero_probability_vertex_stays_uncovered():
         vertices=np.arange(n + 1, dtype=np.int64),
         samplers=inst.samplers, group=inst.group, eta=inst.eta, C2=inst.C2)
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
-    part = assign_indices(inst.s, plan, substream(4, "a"))
+    part = assign_indices(inst.s, plan, derive_seed(4, "a"))
     res = run_cover(inst, plan, part, seed=5)
     assert n in set(int(v) for v in res.uncovered)
 
@@ -535,7 +515,7 @@ def test_run_cover_support_containment_replayable():
     inst.group = np.repeat([0, 1], [inst.s, 60])
     per_index = _per_index(inst)
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
-    part = assign_indices(inst.s, plan, substream(6, "a"))
+    part = assign_indices(inst.s, plan, derive_seed(6, "a"))
     seed = 7
     res = run_cover(inst, plan, part, seed)
     alive = set(int(v) for v in inst.vertices)
@@ -568,7 +548,7 @@ def test_run_cover_tracks_recursion_kappa():
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
     fractions, kappas = [], []
     for t in range(60):
-        part = assign_indices(inst.s, plan, substream(8, "a", t))
+        part = assign_indices(inst.s, plan, derive_seed(8, "a", t))
         kappas.append(degree_profile(inst, part).kappa)
         res = run_cover(inst, plan, part, derive_seed(8, "t", t))
         fractions.append(res.uncovered_fraction)
@@ -581,7 +561,7 @@ def test_run_cover_tracks_recursion_kappa():
 def test_run_cover_deterministic():
     inst = progression_instance(200, 4.0, 0.05)
     plan = plan_rounds(0.05, 0.25, 4.0, beta=4.0)
-    part = assign_indices(inst.s, plan, substream(9, "a"))
+    part = assign_indices(inst.s, plan, derive_seed(9, "a"))
     r1 = run_cover(inst, plan, part, seed=10)
     r2 = run_cover(inst, plan, part, seed=10)
     assert np.array_equal(r1.accepted, r2.accepted)

@@ -19,7 +19,7 @@ from sievegap.moments import (correlation_exact, error_E, exact_first_moment,
 from sievegap.primes import primes_in_range
 from sievegap.systems import (SievingSystem, eratosthenes, period,
                               polynomial_system, sigma)
-from sievegap.rng import substream
+from sievegap.rng import derive_seed
 from sievegap.window import ShiftVector, sift
 
 ERA = eratosthenes()
@@ -388,7 +388,7 @@ def _trials(system, params, H, seed, trials):
     """(tables, members) of each trial of mc_lambda_moments."""
     for t in range(trials):
         b = ShiftVector.uniform(system, params.z_eff,
-                                substream(seed, "lam", t))
+                                derive_seed(seed, "lam", t))
         yield (build_weight_tables(system, params, b, H),
                sift(system, params.z_eff, b, 1, params.y).members())
 

@@ -473,6 +473,16 @@ def test_gcd_columns_edge_columns():
     assert g.shape == (4, 0)
 
 
+def test_cantor_zassenhaus_raises_when_no_round_splits(monkeypatch):
+    """With a gcd that never splits a factor, every column of n^3 + 2
+    stays pending until a reaches its prime: root finding raises an
+    internal error instead of counting a up for ever."""
+    monkeypatch.setattr(systems, "_gcd_columns", lambda a, b, p: a)
+    with pytest.raises(DomainError, match="^internal error: no a < p "
+                                          "splits a factor mod p = 5$"):
+        systems._roots_mod_primes([2, 0, 0, 1], primes_in_range(3, 50))
+
+
 def test_cantor_zassenhaus_rounds_with_several_degrees(monkeypatch):
     """n(n-1)...(n-5), expanded, has the roots 0..5 at every prime above
     6: g = f, whose degree-6 factor splits over rounds in which factors

@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (brute_gap, brute_members, brute_verify_empty,
-                      random_table_system)
+                      random_shift, random_table_system)
 
 from sievegap import window
 from sievegap.construction import construct, derive_params
 from sievegap.errors import DomainError
 from sievegap.primes import primes_upto
+from sievegap.rng import derive_seed
 from sievegap.systems import (SievingSystem, eratosthenes, period,
                               polynomial_system, sigma)
 from sievegap.window import (CERTIFY_CHUNK, MAX_WINDOW, ShiftVector,
@@ -42,8 +43,7 @@ def test_shift_vector_crt_value_consistent():
 
 
 def test_shift_vector_uniform_in_range():
-    rng = random.Random(0)
-    b = ShiftVector.uniform(ERA, 50, rng)
+    b = ShiftVector.uniform(ERA, 50, derive_seed(0, "stage1"))
     assert set(b.entries) == set(ERA.active_primes(50))
     assert all(0 <= r < p for p, r in b.entries.items())
 
@@ -63,14 +63,14 @@ def test_sift_periodicity():
         sys_ = random_table_system(rng, prime_cap=13)
         x = 13
         P = period(sys_, x)
-        b = ShiftVector.uniform(sys_, x, rng)
+        b = random_shift(sys_, x, rng)
         win = sift(sys_, x, b, 1, 2 * P)
         assert np.array_equal(win.bits[:P], win.bits[P:])
 
 
 def test_sift_monotone_in_cutoff():
     rng = random.Random(42)
-    b = ShiftVector.uniform(ERA, 50, rng)
+    b = random_shift(ERA, 50, rng)
     small = set(sift(ERA, 20, b, 1, 500).members())
     large = set(sift(ERA, 50, b, 1, 500).members())
     assert large <= small
@@ -94,7 +94,7 @@ def test_sift_matches_bruteforce_random_systems():
         sys_ = random_table_system(rng)
         if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(50)):
             continue
-        b = ShiftVector.uniform(sys_, 50, rng)
+        b = random_shift(sys_, 50, rng)
         z = rng.choice([1, 1, 7])
         win = sift(sys_, 50, b, -100, 400, z=z)
         assert list(win.members()) == brute_members(sys_, 50, b, -100, 400, z)
@@ -152,7 +152,7 @@ def test_largest_gap_matches_scan_oracle():
         sys_ = random_table_system(rng)
         if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(50)):
             continue
-        b = ShiftVector.uniform(sys_, 50, rng)
+        b = random_shift(sys_, 50, rng)
         win = sift(sys_, 50, b, 1, 2000)
         length, left, sentinel = brute_gap(list(win.members()), 1, 2000)
         gap = largest_gap(win)
@@ -169,7 +169,7 @@ def test_verify_empty_agrees_with_sift():
         sys_ = random_table_system(rng)
         if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(50)):
             continue
-        b = ShiftVector.uniform(sys_, 50, rng)
+        b = random_shift(sys_, 50, rng)
         lo = rng.randint(-50, 50)
         hi = lo + rng.randint(0, 60)
         assert verify_empty(sys_, 50, b, lo, hi) == \
@@ -199,7 +199,7 @@ def test_verify_empty_matches_brute_oracle(chunk, monkeypatch):
     outcomes = set()
 
     def check(sys_, x, z):
-        b = ShiftVector.uniform(sys_, x, rng)
+        b = random_shift(sys_, x, rng)
         windows = []
         for base in (0, -10 ** 9, 10 ** 9):
             lo = base + rng.randint(-300, 300)
@@ -271,7 +271,7 @@ def test_verify_empty_batches_candidates():
     table = {p: tuple(rng.sample(range(p), (p - 1) // 2))
              for p in map(int, primes_upto(2000))}
     half = SievingSystem("table", table=table)
-    b = ShiftVector.uniform(half, 2000, rng)
+    b = random_shift(half, 2000, rng)
     tracemalloc.start()
     try:
         assert verify_empty(half, 2000, b, -CERTIFY_CHUNK,
