@@ -212,11 +212,12 @@ def composite_run_constructed(f, X: int, seed: int) -> ConstructedRun:
 
 
 def _has_prime_factor_above(g: int, d: int) -> bool:
-    """True iff g has a prime factor > d (strip the small ones)."""
+    """True iff g has a prime factor > d (strip the small ones).  Every
+    prime divides 0, so g = 0 has one."""
+    if g == 0:
+        return True
     g = abs(g)
-    for p in (int(p) for p in primes_upto(max(d, 2))):
-        if p > d:
-            break
+    for p in primes_upto(d).tolist():
         while g % p == 0:
             g //= p
     return g > 1

@@ -35,9 +35,6 @@ from .rng import DEFAULT_SEED, derive_seed
 from .systems import mertens_fit, system_from_spec
 from .window import ShiftVector, largest_gap, sift
 
-SUBCOMMANDS = ("system-info", "gaps", "construct", "cover-demo", "moments",
-               "constants", "composite-runs", "coprime")
-
 MOMENT_IDENTITIES = ("i-first-exact", "i-first-mc", "i-second-mc",
                      "ii-j0", "ii-j1", "ii-j2", "iii-j0", "iii-j1", "iii-j2")
 

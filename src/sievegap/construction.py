@@ -30,7 +30,7 @@ DEFAULT_M = 4.6
 DEFAULT_K = 3
 DEFAULT_XI = 1.1
 CUM_BLOCK = 256      # weight-table cells per stored running sum
-CUM_CHUNK = 32 * CUM_BLOCK   # cells per running-sum pass: a 64 KB buffer
+CUM_CHUNK = 32 * CUM_BLOCK   # cells expanded per pass over a table
 MAX_TABLE_CELLS = 2 ** 30   # weight-table cells stage 2 may hold at once
 
 
@@ -146,29 +146,20 @@ class WeightTable:
     n_lo: int                    # codes[k] is the cell of n = n_lo + k
     codes: np.ndarray            # |AP| per cell, or J + 1 where lambda = 0
     lut: np.ndarray              # lambda of each code, shared by a scale
-    # scratch that the tables of one build share: float64 for at least
-    # len(codes) + 1 cells and intp for CUM_CHUNK.  No call leaves state in
-    # them, so the tables may be used in any order; a table built without
-    # them makes its own.
-    buf: np.ndarray | None = field(default=None, repr=False, compare=False)
-    idx: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # float64 scratch of at least len(codes) + 1 cells, which the tables
+    # of one build share.  No call leaves state in it, so the tables may
+    # be used in any order.
+    buf: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.buf is None:
-            self.buf = np.empty(len(self.codes) + 1)
-        if self.idx is None:
-            self.idx = np.empty(CUM_CHUNK, dtype=np.intp)
         # the running sums before each block of CUM_BLOCK cells, stored as
         # far as the first _summed cells reach
         self._starts = np.zeros(len(self.codes) // CUM_BLOCK + 1)
         self._summed = 0
 
     def _expand(self, lo: int, out: np.ndarray) -> None:
-        """lambda of the cells from lo on, one per cell of out (at most
-        CUM_CHUNK), through the index scratch."""
-        idx = self.idx[:len(out)]
-        np.copyto(idx, self.codes[lo:lo + len(out)])
-        self.lut.take(idx, out=out, mode="clip")
+        """lambda of the cells from lo on, one per cell of out."""
+        self.lut.take(self.codes[lo:lo + len(out)], out=out, mode="clip")
 
     @cached_property
     def total(self) -> float:
@@ -197,12 +188,6 @@ class WeightTable:
             self._starts[k:k + len(ends)] = ends
             self._summed = lo + len(run) - 1
         return self._starts[:self._summed // CUM_BLOCK + 1]
-
-    @property
-    def starts(self) -> np.ndarray:
-        """The running sums before each block of CUM_BLOCK cells, summed to
-        the end of the table."""
-        return self._sum_to(np.inf)
 
     def n_at(self, u):
         """The n drawn by each uniform in u (an array, or one float in
@@ -274,7 +259,7 @@ def build_weight_tables(system: SievingSystem, params: Params,
         w[in_s1 & ~s2.bits] = J + 2
     lut = weight_lut(params.sigma2[H], J)
     code_type = np.uint8 if J + 1 < 255 else np.int16
-    buf, idx = np.empty(cells + 1), np.empty(CUM_CHUNK, dtype=np.intp)
+    buf = np.empty(cells + 1)
     out = {}
     for q in qs:
         off = n_lo + q - lo_all
@@ -285,7 +270,7 @@ def build_weight_tables(system: SievingSystem, params: Params,
         np.minimum(acc, J + 1, out=acc)
         out[q] = WeightTable(H=H, q=q, n_lo=n_lo, lut=lut,
                              codes=acc.astype(code_type, copy=False),
-                             buf=buf, idx=idx)
+                             buf=buf)
     return out
 
 

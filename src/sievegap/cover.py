@@ -197,16 +197,14 @@ def _sampler_rows(instance: CoverInstance):
 
 
 def check_hypotheses(instance: CoverInstance, delta: float,
-                     y: float | None = None) -> HypothesisReport:
-    """Verify the covering hypotheses at scale y (default max(|V|, s)).
+                     y: float) -> HypothesisReport:
+    """Verify the covering hypotheses at scale y, which must exceed e^e.
 
     Checks: edge-size cap (log y)^{1/2}/loglog y, per-edge sparsity
     y^{-1/2-1/100}, codegree sum y^{-1/2}, per-vertex degree sum within
     eta of C2, and 10^{2 delta} <= C2 <= 100, for 0 < delta < 1/2.
     """
     _check_delta(delta)
-    if y is None:
-        y = float(max(len(instance.vertices), instance.s))
     if y <= math.e ** math.e:
         raise DomainError("scale y too small for the size cap to make sense")
     conds: list[ConditionReport] = []
@@ -272,9 +270,12 @@ def plan_rounds(eta: float, delta: float, C2: float,
                 beta: float | None = None) -> RoundPlan:
     """Choose beta, the round count m, and the marking intervals.
 
-    beta defaults to the smallest grid value 10^{2 delta} + 0.1 k
-    (k >= 1) with beta > 10^{2 delta} > beta log beta / (beta - 1); an
-    explicit beta is accepted if it satisfies the same inequalities.
+    beta must satisfy beta > 10^{2 delta} > beta log beta / (beta - 1).
+    It defaults to 10^{2 delta} + 0.1, the first value of the grid
+    10^{2 delta} + 0.1 k (k >= 1): every grid value passes the first
+    inequality, and beta log beta / (beta - 1) increases for beta > 1,
+    so the grid holds an admissible value exactly when its first value
+    is one.  An explicit beta is accepted if it satisfies both.
     m = ceil(log(1/eta) / log beta); interval j has length
     beta^{1-j} log(beta) / C2.
     """
@@ -282,13 +283,9 @@ def plan_rounds(eta: float, delta: float, C2: float,
         raise DomainError("eta must lie in (0, 1)")
     _check_delta(delta)
     if beta is None:
-        thr = 10.0 ** (2 * delta)
-        k = 1
-        while not _beta_admissible(thr + 0.1 * k, delta):
-            k += 1
-            if k > 10_000:
-                raise DomainError("no admissible beta found on the grid")
-        beta = thr + 0.1 * k
+        beta = 10.0 ** (2 * delta) + 0.1
+        if not _beta_admissible(beta, delta):
+            raise DomainError("no admissible beta found on the grid")
     elif not _beta_admissible(beta, delta):
         raise DomainError(f"beta={beta} violates the admissibility inequalities")
     m = max(1, math.ceil(math.log(1 / eta) / math.log(beta)))

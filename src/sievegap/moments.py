@@ -98,17 +98,15 @@ def correlation_exact(system: SievingSystem, U, H: float, M: float, z: int,
     """Pr(U + b2 subset of S_{H^M, z} + b2 shifted ... ) — precisely, the
     probability over a uniform shift that every u in U survives the
     primes in (H^M, z]: product of (1 - |N_p - I_p| / p) with
-    N_p = U mod p.
+    N_p = U mod p.  The product is exact, a Fraction when exact is set
+    and otherwise rounded once to a float.
     """
     U = sorted(set(int(u) for u in U))
-    out = Fraction(1) if exact else 1.0
+    out = Fraction(1)
     for p, res in _classes_by_prime(system, z, H ** M):
         forbidden = {(u - r) % p for u in U for r in res}
-        if exact:
-            out *= Fraction(p - len(forbidden), p)
-        else:
-            out *= (p - len(forbidden)) / p
-    return out
+        out *= Fraction(p - len(forbidden), p)
+    return out if exact else float(out)
 
 
 # ---------------------------------------------------------------------------

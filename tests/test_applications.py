@@ -170,6 +170,25 @@ def test_small_prime_classes_divide_every_value(f):
 # coprimality witnesses
 
 
+def test_prime_factor_above_matches_trial_division():
+    """g has a prime factor > d: every prime divides 0, and otherwise the
+    largest prime factor of |g| exceeds d."""
+    def largest(g):
+        top, p = 0, 2
+        while g > 1:
+            while g % p == 0:
+                g, top = g // p, p
+            p += 1
+        return top
+
+    for d in (0, 1, 2, 5):
+        assert applications._has_prime_factor_above(0, d)
+        for g in range(-60, 61):
+            if g:
+                assert applications._has_prime_factor_above(g, d) == \
+                    (largest(abs(g)) > d), (g, d)
+
+
 def test_coprime_witness_search_verified():
     w = coprimality_witness("n", 17, 3000)
     assert w.found

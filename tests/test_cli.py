@@ -330,6 +330,14 @@ BAD_FLAGS = {
                                      "--x", "200"],
     "moments-ii-j1-no-forbidden-class": ["moments", "--system", "poly:1",
                                          "--identity", "ii-j1"],
+    # no scale has admissible primes at x = 1000
+    "moments-ii-j1-degraded": ["moments", "--system", "eratosthenes",
+                               "--identity", "ii-j1", "--x", "1000"],
+    "cover-demo-scale-y-10": ["cover-demo", "--vertices", "1000",
+                              "--scale-y", "10"],
+    # 10^{0.02} is below beta log beta / (beta - 1) at beta = 10^{0.02} + 0.1
+    "cover-demo-delta-0.01": ["cover-demo", "--vertices", "1000",
+                              "--delta", "0.01"],
 }
 for _argv in (_CONSTRUCT, _MOMENTS_II):
     for _z in ("0", "-5"):
@@ -368,7 +376,13 @@ def test_bad_numeric_flag_exits_1(case, capsys):
     ("construct-no-forbidden-class",
      "no prime <= 200 has a forbidden class, so the system sieves nothing"),
     ("moments-ii-j1-no-forbidden-class",
-     "no prime <= 1000 has a forbidden class, so the system sieves nothing")])
+     "no prime <= 1000 has a forbidden class, so the system sieves nothing"),
+    ("moments-ii-j1-degraded",
+     "construction is degraded at this x: no prime family; pass "
+     "--force-scales or a larger --x"),
+    ("cover-demo-scale-y-10",
+     "scale y too small for the size cap to make sense"),
+    ("cover-demo-delta-0.01", "no admissible beta found on the grid")])
 def test_bad_flag_message_names_the_option(case, message, capsys):
     """The error names the option, not a quantity derived from it."""
     assert run_cli(BAD_FLAGS[case])[0] == 1
@@ -601,6 +615,24 @@ def test_system_info_cubic_past_1e5():
     rep = run_json(["system-info", "--file", "poly:n^3+2", "--x", "200000"])
     validate(rep)
     assert rep["result"]["x"] == 200000
+
+
+def test_construct_with_no_admissible_scale_runs_degraded():
+    rep = run_json(["construct", "--system", "eratosthenes", "--x", "10000",
+                    "--force-scales", "1000"])
+    params = rep["result"]["params"]
+    assert params["degraded"] is True and params["scales"] == []
+    assert "no scale has admissible primes; running degraded" in \
+        params["warnings"]
+
+
+@pytest.mark.parametrize("k,bound,n", [(2, 5, 0), (3, 50, 4)])
+def test_coprime_with_zero_values_ends(k, bound, n):
+    """f = (n - 1)(n - 2) is 0 at n = 1 and 2, and gcd(0, 0) = 0 has every
+    prime as a factor: at n = 0 both values are 0."""
+    rep = run_json(["coprime", "--poly", "n^2-3n+2", "--k", str(k),
+                    "--bound", str(bound)])
+    assert rep["result"]["found"] is True and rep["result"]["n"] == n
 
 
 def test_composite_runs_psi12_is_composite():

@@ -253,6 +253,42 @@ def test_plan_rounds_grid_default_matches_m():
     assert plan.beta > thr > plan.beta * math.log(plan.beta) / (plan.beta - 1)
 
 
+def _grid_beta_walk(delta):
+    """The first admissible beta = 10^{2 delta} + 0.1 k, k = 1..10,000,
+    found by walking the grid, or None."""
+    thr = 10.0 ** (2 * delta)
+    for k in range(1, 10_001):
+        beta = thr + 0.1 * k
+        if beta > thr and thr > beta * math.log(beta) / (beta - 1):
+            return beta
+    return None
+
+
+def test_plan_rounds_default_beta_equals_the_grid_walk():
+    """Only k = 1 can pass, since beta log beta / (beta - 1) increases:
+    the default beta and m are the walk's on a fine grid of delta, and
+    both refuse below the boundary near delta = 0.018, on either side of
+    which two deltas one ulp apart are checked."""
+    lo, hi = 0.001, 0.05
+    assert _grid_beta_walk(lo) is None and _grid_beta_walk(hi) is not None
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _grid_beta_walk(mid) is not None else (mid, hi)
+    assert 0.017 < hi < 0.019
+    deltas = [k / 2000 for k in range(1, 1000)] + [lo, hi]
+    for delta in deltas:
+        beta = _grid_beta_walk(delta)
+        if beta is None:
+            with pytest.raises(DomainError,
+                               match="^no admissible beta found on the grid$"):
+                plan_rounds(0.05, delta, 4.0)
+            continue
+        plan = plan_rounds(0.05, delta, 4.0)
+        assert plan.beta == beta
+        assert plan.m == max(1, math.ceil(math.log(1 / 0.05)
+                                         / math.log(beta)))
+
+
 def test_plan_rounds_single_round_for_large_eta():
     assert plan_rounds(0.5, 0.25, 4.0, beta=4.0).m == 1
 

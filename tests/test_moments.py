@@ -167,6 +167,18 @@ def test_correlation_monotone_under_subsets():
         assert full <= sub + 1e-15
 
 
+def test_correlation_float_is_the_exact_product_rounded_once():
+    rng = random.Random(29)
+    quad = polynomial_system("n^2+1")
+    for _ in range(20):
+        U = [rng.randint(-500, 500) for _ in range(rng.randint(0, 5))]
+        for sys_, z in ((ERA, 60), (ERA, 2000), (quad, 3000)):
+            got = correlation_exact(sys_, U, 2.0, 4.6, z)
+            assert type(got) is float
+            assert got == float(correlation_exact(sys_, U, 2.0, 4.6, z,
+                                                  exact=True))
+
+
 def test_correlation_matches_full_enumeration():
     # primes in (H^M, z] with H^M ~ 3.17: {5, 7, 11, 13}, P2 = 5005
     H, M, z = 1.2857, 4.6, 13
