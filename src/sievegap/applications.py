@@ -118,30 +118,29 @@ def _greedy_empty_shift(system: SievingSystem, primes: list[int], x: int,
     """Seeded random start (rng.uniform_residues(key, p)), then coordinate
     ascent: re-choose each prime's residue to maximize the initial empty
     run of the shifted sifted set (primes in (z, x])."""
-    entries = dict(zip(primes, uniform_residues(key, primes).tolist()))
+    shift = ShiftVector().with_residues(primes, uniform_residues(key, primes))
     target = max(x, 4) * 4
 
     def initial_run() -> int:
-        surv = sift(system, x, ShiftVector(entries), 1, target, z=z).members()
+        surv = sift(system, x, shift, 1, target, z=z).members()
         return int(surv[0]) - 1 if len(surv) else target
 
     for _ in range(3):
-        improved = False
-        for p in sorted(primes, reverse=True):
-            base = entries[p]
+        start = shift.b.copy()
+        for i in reversed(range(len(shift.p))):
+            base = int(shift.b[i])
             best_r, best_len = base, initial_run()
-            for r in range(p):
+            for r in range(int(shift.p[i])):
                 if r == base:
                     continue
-                entries[p] = r
+                shift.b[i] = r
                 run = initial_run()
                 if run > best_len:
                     best_r, best_len = r, run
-            entries[p] = best_r
-            improved = improved or best_r != base
-        if not improved:
+            shift.b[i] = best_r
+        if np.array_equal(shift.b, start):
             break
-    return ShiftVector(entries), initial_run()
+    return shift, initial_run()
 
 
 def _pick_cutoff(system: SievingSystem, X: int) -> int:

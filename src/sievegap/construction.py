@@ -367,14 +367,14 @@ def apply_stage2(system: SievingSystem, shift: ShiftVector,
     b = n_q - min(I_q) puts the whole class n = n_q (mod q) among the
     removed integers without requiring pre-normalized residue sets.
     """
-    out = dict(shift.entries)
-    least = dict(zip(*(a.tolist() for a in system.least_classes(
-        max(chosen, default=0), min(chosen, default=2) - 1))))
-    for q, n_q in chosen.items():
-        if q not in least:
-            raise DomainError(f"q={q} has an empty residue set")
-        out[q] = (n_q - least[q]) % q
-    return ShiftVector(out)
+    q = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+    n_q = np.fromiter(chosen.values(), dtype=np.int64, count=len(chosen))
+    least = ShiftVector().with_residues(*system.least_classes(  # min I_p
+        q.max(initial=0), q.min(initial=2) - 1))
+    empty = q[~least.fixes(q)]
+    if len(empty):
+        raise DomainError(f"q={empty[0]} has an empty residue set")
+    return shift.with_residues(q, n_q - least.at(q))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +398,8 @@ def _survivors_above(system: SievingSystem, shift: ShiftVector,
     if y < 1:
         return []
     win = sift(system, cutoff, shift, 1, y)
-    p, r = system.classes(max(shift.entries, default=cutoff), cutoff)
-    keep = np.array([q in shift.entries for q in p.tolist()], dtype=bool)
+    p, r = system.classes(shift.p.max(initial=cutoff), cutoff)
+    keep = shift.fixes(p)
     _strike(win.bits, 1, p[keep], r[keep], shift)
     return [int(m) for m in win.members()]
 
@@ -419,18 +419,15 @@ def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
     list gives no false certificate: a failed certification raises.
     """
     half = x // 2 if z_mid is None else z_mid
-    entries = dict(partial_shift.entries)
     qs, least = system.least_classes(x, half)
-    free = np.array([q not in entries for q in qs.tolist()], dtype=bool)
+    free = ~partial_shift.fixes(qs)
     large, least = qs[free], least[free]
     ok = len(survivors) <= len(large)
     length = y if ok else survivors[len(large)] - 1
     matched = min(len(survivors), len(large))
     b = uniform_residues(key, large)         # kept by the unmatched primes
-    b[:matched] = (np.array(survivors[:matched], dtype=np.int64)
-                   - least[:matched]) % large[:matched]
-    entries.update(zip(large.tolist(), b.tolist()))
-    shift = ShiftVector(entries)
+    b[:matched] = np.asarray(survivors[:matched], np.int64) - least[:matched]
+    shift = partial_shift.with_residues(large, b)
     if not verify_empty(system, x, shift, 1, length):
         raise DomainError("internal error: certification failed after cleanup")
     return Stage3Result(ok=ok, shift=shift, length=length,

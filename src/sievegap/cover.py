@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, fits_in_memory
 from .rng import derive_seed, uniforms
 
 ASSIGN_RETRY_CAP = 100
 RESAMPLE_FACTOR = 5.0       # attempts per index ~ factor / alive fraction
 RESAMPLE_HARD_CAP = 20_000  # < 2^rng.ATTEMPT_BITS, so attempts never collide
 MAX_EDGES = 1 << 40         # rng.uniforms keeps indices below 2^40 apart
-DEGREE_CHUNK = 1 << 22      # partial sums the degree check holds at once
+DEGREE_CHUNK = 1 << 22      # partial sums the degree checks hold at once
 DRAW_BLOCK = 1 << 18        # draws one block of covering attempts holds
 
 
@@ -106,19 +106,13 @@ def progression_instance(n_vertices: int, C2: float, eta: float,
     if not (1 <= n_vertices < MAX_EDGES and 1 <= s < MAX_EDGES):
         raise DomainError(f"need 1 to 2^40 - 1 vertices and edges, got "
                           f"N={n_vertices} and {s:.6g} edges")
-    return CoverInstance(
-        vertices=_allocate(np.arange, n_vertices, np.int64, "vertices"),
-        samplers=[ProgressionSampler(n_vertices)],
-        group=_allocate(np.zeros, s, np.intp, "edges"), eta=eta, C2=C2)
-
-
-def _allocate(make, n: int, dtype, what: str) -> np.ndarray:
-    """make(n, dtype=dtype), refused with its size when memory is short."""
-    try:
-        return make(n, dtype=dtype)
-    except MemoryError:
-        raise DomainError(f"a family of {n} {what} does not fit in "
-                          f"memory") from None
+    with fits_in_memory(f"a family of {n_vertices} vertices"):
+        vertices = np.arange(n_vertices, dtype=np.int64)
+    with fits_in_memory(f"a family of {s} edges"):
+        group = np.zeros(s, dtype=np.intp)
+    return CoverInstance(vertices=vertices,
+                         samplers=[ProgressionSampler(n_vertices)],
+                         group=group, eta=eta, C2=C2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +154,18 @@ def sequential_sum(values) -> float:
     return float(np.cumsum(np.r_[0.0, values])[-1])
 
 
+def _gathered_sum(values: np.ndarray, index: np.ndarray) -> float:
+    """sequential_sum(values[index]), gathered DEGREE_CHUNK terms at a
+    time: each chunk adds the running total into its first term, so the
+    additions and their order are those of one pass."""
+    total = 0.0
+    for c in range(0, len(index), DEGREE_CHUNK):
+        part = values[index[c:c + DEGREE_CHUNK]]
+        part[0] += total
+        total = float(np.add.accumulate(part, out=part)[-1])
+    return total
+
+
 def _degree_sums(probs: np.ndarray, seq: np.ndarray) -> np.ndarray:
     """sum_k probs[seq[k]] for each vertex, added in the order of seq as
     the loop degree += probs[seq[k]] adds it.
@@ -180,8 +186,8 @@ def _degree_sums(probs: np.ndarray, seq: np.ndarray) -> np.ndarray:
     sums = np.empty(cols.shape[1])
     step = max(1, DEGREE_CHUNK // len(seq))
     for c in range(0, len(sums), step):
-        sums[c:c + step] = np.add.accumulate(cols[seq, c:c + step],
-                                             axis=0)[-1]
+        part = cols[seq, c:c + step]
+        sums[c:c + step] = np.add.accumulate(part, axis=0, out=part)[-1]
     return sums[inv]
 
 
@@ -227,7 +233,7 @@ def check_hypotheses(instance: CoverInstance, delta: float,
 
     codeg_cap = y ** -0.5
     bounds = np.array([sm.codegree_bound() for sm in distinct], dtype=float)
-    codeg = sequential_sum(bounds[row])         # in index order
+    codeg = _gathered_sum(bounds, row)           # in index order
     conds.append(ConditionReport("codegree", codeg <= codeg_cap,
                                  codeg, codeg_cap))
 

@@ -13,6 +13,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .errors import fits_in_memory
+
 # OEIS A014233: psi_k is the least odd composite that is a strong
 # pseudoprime to each of the first k prime bases, so those k bases decide
 # every n < psi_k (psi_12 and psi_13: Sorenson and Webster, Math. Comp. 2017)
@@ -46,9 +48,10 @@ def _ensure(limit: int) -> None:
     if limit <= _cached_limit:
         return
     limit = max(limit, 2 * _cached_limit, 1 << 16)
-    _cached_flags = sieve_flags(limit)
-    _cached_primes = np.flatnonzero(_cached_flags).astype(np.int64)
-    _cached_limit = limit
+    with fits_in_memory(f"a prime sieve to {limit}"):
+        flags = sieve_flags(limit)
+        primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    _cached_flags, _cached_primes, _cached_limit = flags, primes, limit
 
 
 def primes_upto(limit: int) -> np.ndarray:

@@ -3,14 +3,20 @@
 The shift b lives in Z/P(x)Z but is stored per-prime (a residue modulo
 each relevant prime): P(x) has thousands of bits already at modest x,
 so b is never materialized as one big integer except for explicit CRT
-position queries.
+position queries.  `ShiftVector` holds the primes it fixes as one sorted
+int64 array and their residues as another, so that reading b at every
+class of a class table is one `searchsorted`, and the stages set
+residues by merging arrays instead of building dicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DegenerateSystemError, DomainError
 from .rng import uniform_residues
@@ -21,29 +27,59 @@ CERTIFY_CHUNK = 1 << 16  # integers verify_empty certifies at once
 CERTIFY_BATCH = 1 << 16  # candidate witnesses verify_empty holds at once
 
 
-@dataclass
 class ShiftVector:
-    """A shift b mod P(x), stored as residues modulo each active prime.
+    """A shift b mod P(x), stored as residues modulo the primes it fixes.
 
-    ``entries`` maps each prime p <= x with I_p nonempty to b mod p.
-    Missing primes are treated as residue 0 by readers, so the zero
-    shift is just an empty map.
+    ``p`` holds those primes in increasing order and ``b`` their residues,
+    0 <= b < p, both int64.  A prime the shift does not fix reads residue
+    0, so the zero shift fixes no prime.  The constructor takes a mapping
+    from primes to any integer residue and reduces each modulo its prime.
     """
 
-    entries: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("p", "b")
 
-    def residue(self, p: int) -> int:
-        return self.entries.get(p, 0) % p
+    def __init__(self, residues: Mapping[int, int] | None = None):
+        primes = sorted(residues or {})
+        self.p = np.array(primes, dtype=np.int64)
+        self.b = np.array([residues[q] % q for q in primes], dtype=np.int64)
+
+    @classmethod
+    def _of(cls, p: np.ndarray, b: np.ndarray) -> "ShiftVector":
+        out = cls.__new__(cls)
+        out.p, out.b = p, b
+        return out
+
+    @property
+    def entries(self) -> Mapping[int, int]:
+        """A read-only {p: b_p} view of the shift."""
+        return MappingProxyType(dict(zip(self.p.tolist(), self.b.tolist())))
+
+    def fixes(self, p: np.ndarray) -> np.ndarray:
+        """Whether the shift fixes a residue at each prime of p."""
+        return _locate(self.p, p)[1]
 
     def at(self, p: np.ndarray) -> np.ndarray:
         """b mod p for each entry of the int64 prime array p."""
-        return np.array([self.entries.get(q, 0) % q for q in p.tolist()],
-                        dtype=np.int64)
+        i, hit = _locate(self.p, p)
+        out = np.zeros(i.shape, dtype=np.int64)
+        out[hit] = self.b[i[hit]]
+        return out
+
+    def with_residues(self, p: ArrayLike, b: ArrayLike) -> "ShiftVector":
+        """The shift with b_q = b mod q at each prime q of p, replacing any
+        residue it held at q; p holds distinct primes in any order."""
+        p = np.asarray(p, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64) % p
+        keep = ~_locate(np.sort(p), self.p)[1]
+        ps = np.concatenate((self.p[keep], p))
+        order = np.argsort(ps, kind="stable")
+        return ShiftVector._of(ps[order],
+                               np.concatenate((self.b[keep], b))[order])
 
     def crt_value(self) -> tuple[int, int]:
         """(b mod P, P) as explicit integers, for position mapping only."""
         b, mod = 0, 1
-        for p, r in sorted(self.entries.items()):
+        for p, r in zip(self.p.tolist(), self.b.tolist()):
             # b' = b + mod * t with b' == r (mod p)
             t = (r - b) * pow(mod % p, -1, p) % p
             b += mod * t
@@ -55,8 +91,18 @@ class ShiftVector:
                 key: int) -> "ShiftVector":
         """b_p = rng.uniform_residues(key, p) at each active prime p <= x:
         the shift at x is the restriction of the shift at any larger x."""
-        p = system.active_primes(x)
-        return cls(dict(zip(p, uniform_residues(key, p).tolist())))
+        p = system.least_classes(x)[0]
+        return cls._of(p, uniform_residues(key, p))
+
+
+def _locate(keys: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each prime of p, a position in the increasing array keys, and
+    whether keys holds that prime there."""
+    i = np.searchsorted(keys, p)
+    if not len(keys):
+        return i, np.zeros(i.shape, dtype=bool)
+    i = np.minimum(i, len(keys) - 1)
+    return i, keys[i] == p
 
 
 @dataclass

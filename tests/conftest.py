@@ -45,11 +45,11 @@ def brute_members(system: SievingSystem, x: int, shift, lo: int, hi: int,
     n is allowed at p iff n mod p avoids (I_p + b_p) mod p; the per-prime
     allowed table is precomputed so the inner loop is a lookup.
     """
-    tables = []
+    tables, b = [], shift.entries
     for p in system.active_primes(x, z):
         allowed = bytearray([1]) * p
         for r in system.residues(p):
-            allowed[(r + shift.residue(p)) % p] = 0
+            allowed[(r + b.get(p, 0)) % p] = 0
         tables.append((p, bytes(allowed)))
     out = []
     for n in range(lo, hi + 1):
@@ -66,7 +66,7 @@ def brute_verify_empty(system: SievingSystem, x: int, shift, lo: int,
         return True
     primes = system.active_primes(x, z)
     tables = {p: set(system.residues(p)) for p in primes}
-    offsets = {p: shift.residue(p) for p in primes}
+    offsets = {p: shift.entries.get(p, 0) for p in primes}
     for n in range(lo, hi + 1):
         sieved = False
         for p in primes:

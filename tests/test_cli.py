@@ -576,6 +576,29 @@ def test_cover_demo_family_too_large_for_memory_exits_1(flags, edges,
         f"error: a family of {edges} edges does not fit in memory\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gaps", "--system", "eratosthenes", "--x", "100000000000",
+     "--window", "1..10"],
+    ["system-info", "--file", "eratosthenes", "--x", "100000000000"],
+    ["construct", "--system", "eratosthenes", "--x", "100000000000"]])
+def test_prime_sieve_too_large_for_memory_exits_1(argv, monkeypatch, capsys):
+    """An x whose prime sieve cannot be allocated exits 1 with an error
+    line naming the sieve, not a MemoryError traceback.  The allocation
+    failure is faked above 10^8."""
+    from sievegap import primes
+    real = primes.sieve_flags
+
+    def fake_sieve_flags(limit):
+        if limit > 10 ** 8:
+            raise MemoryError
+        return real(limit)
+
+    monkeypatch.setattr(primes, "sieve_flags", fake_sieve_flags)
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: a prime sieve to 100000000000 does not fit in memory\n")
+
+
 @pytest.mark.parametrize("identity", ["i-first-mc", "i-second-mc"])
 def test_moments_monte_carlo_identities_run(identity):
     rep = run_json(["moments", "--system", "eratosthenes",

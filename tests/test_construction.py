@@ -209,7 +209,7 @@ def test_stage1_deterministic():
 
 
 def test_stage1_mod2_split():
-    ones = sum(ShiftVector.uniform(ERA, 10, derive_seed(7, "s", t)).residue(2)
+    ones = sum(ShiftVector.uniform(ERA, 10, derive_seed(7, "s", t)).entries[2]
                for t in range(10_000))
     assert abs(ones / 10_000 - 0.5) < 0.03
 
@@ -227,12 +227,13 @@ def test_compute_ap_matches_bruteforce():
     rng = random.Random(12)
     for _ in range(20):
         b = random_shift(ERA, 24, rng)
+        bp = b.entries
         q, n, J, H = 29, rng.randint(-50, 50), 6, 2.0
         HM = H ** 4.6
         expect = []
         for h in range(1, J + 1):
             m = n + q * h
-            if all((m - b.residue(p)) % p != 0
+            if all((m - bp.get(p, 0)) % p != 0
                    for p in ERA.active_primes(HM)):
                 expect.append(m)
         assert compute_AP(ERA, b, H, q, n, J) == expect
@@ -245,10 +246,11 @@ def test_weight_lambda_definition():
     sigma2 = float(sigma(ERA, HM, p.z_eff))
     for _ in range(30):
         b = random_shift(ERA, p.z_eff, rng)
+        bp = b.entries
         n = rng.randint(-p.K * p.y + 1, p.y)
         ap = compute_AP(ERA, b, 2.0, 29, n, int(p.K * 2.0), M=p.M)
         in_s2 = all(
-            all((m - b.residue(pp)) % pp != 0
+            all((m - bp.get(pp, 0)) % pp != 0
                 for pp in ERA.active_primes(p.z_eff, HM))
             for m in ap)
         expect = sigma2 ** -len(ap) if in_s2 else 0.0
@@ -641,7 +643,20 @@ def test_apply_stage2_sieves_chosen_class():
     r = stage2_select(ERA, p, b, stage1_members(ERA, p, b), seed=13)
     shifted = apply_stage2(ERA, b, r.chosen)
     for q, n_q in r.chosen.items():
-        assert (n_q - shifted.residue(q)) % q in ERA.residues(q)
+        assert (n_q - shifted.entries[q]) % q in ERA.residues(q)
+
+
+def test_apply_stage2_refuses_empty_residue_set():
+    """A chosen q with I_q empty cannot sieve its class: apply_stage2
+    names the first such q, in the order chosen lists them."""
+    sys_ = SievingSystem("table", table={5: (2,), 7: (), 11: (1, 4), 13: ()})
+    b = ShiftVector({5: 1})
+    with pytest.raises(DomainError, match="q=13 has an empty residue set"):
+        apply_stage2(sys_, b, {11: 3, 13: 0, 7: 2})
+    with pytest.raises(DomainError, match="q=7 has an empty residue set"):
+        apply_stage2(sys_, b, {7: 0})
+    assert apply_stage2(sys_, b, {11: 3, 5: 9}).entries == {5: 2, 11: 2}
+    assert apply_stage2(sys_, b, {}).entries == {5: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +676,8 @@ def test_survivors_above_matches_oracle():
         b = random_shift(sys_, cutoff, rng)
         above = [p for p in (int(p) for p in primes_in_range(cutoff, 60))
                  if sys_.residues(p) and rng.random() < 0.5]
-        b.entries.update({p: rng.randrange(p) for p in above})
+        b = ShiftVector({**b.entries,
+                         **{p: rng.randrange(p) for p in above}})
         expect = [m for m in brute_members(sys_, cutoff, b, 1, y)
                   if all(m in brute_members(sys_, p, b, m, m, z=p - 1)
                          for p in above)]
@@ -725,7 +741,7 @@ def test_stage3_never_certifies_a_short_survivor_list():
                 raised += 1
                 continue
             assert brute_members(ERA, 100, r.shift, 1, r.length) == []
-            assert any((m - r.shift.residue(q)) % q == 0
+            assert any((m - r.shift.entries.get(q, 0)) % q == 0
                        for q in ERA.active_primes(100, 50)[r.matched:])
     assert raised >= 20
 

@@ -235,6 +235,24 @@ def test_codegree_sum_is_the_left_to_right_loop():
     assert cond.ok is False
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 22])
+def test_codegree_sum_in_chunks_equals_the_unchunked_sum(monkeypatch, chunk):
+    """Summed DEGREE_CHUNK indices at a time, each chunk carrying the
+    running total into its first addition, the codegree sum is the one
+    sequential sum over every index's bound, bit for bit."""
+    from sievegap import cover
+    bounds = np.array([1.0, 2.0 ** -60, 1 / 3, 3e-7, 0.1])
+    group = np.random.default_rng(6).integers(0, 5, size=2000)
+    inst = CoverInstance(vertices=np.arange(50, dtype=np.int64),
+                         samplers=[CodegreeEdge(b) for b in bounds.tolist()],
+                         group=group, eta=0.05, C2=4.0)
+    whole = cover.sequential_sum(bounds[group])
+    monkeypatch.setattr(cover, "DEGREE_CHUNK", chunk)
+    [cond] = [c for c in check_hypotheses(inst, 0.25, y=1e5).conditions
+              if c.name == "codegree"]
+    assert cond.worst.hex() == whole.hex()
+
+
 # ---------------------------------------------------------------------------
 # round planning
 

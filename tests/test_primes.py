@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from sievegap import primes
+from sievegap.errors import DomainError
 from sievegap.primes import is_prime, primality, primes_upto, sieve_flags
 
 
@@ -61,3 +63,22 @@ def test_primality_matches_sympy_below_psi13():
     ns += [psi + delta for psi in A014233 for delta in (-2, 2)]
     for n in (n for n in ns if n < A014233[-1]):
         assert primality(n) == (sympy.isprime(n), "deterministic"), n
+
+
+def test_prime_sieve_too_large_for_memory_is_refused(monkeypatch):
+    """A sieve that cannot be allocated raises DomainError with its limit,
+    not MemoryError, and leaves the cached sieve as it was.  The
+    allocation failure is faked above 10^8."""
+    real = primes.sieve_flags
+
+    def fake_sieve_flags(limit):
+        if limit > 10 ** 8:
+            raise MemoryError
+        return real(limit)
+
+    monkeypatch.setattr(primes, "sieve_flags", fake_sieve_flags)
+    small = primes_upto(1000).tolist()
+    with pytest.raises(DomainError, match=r"^a prime sieve to 100000000000 "
+                                          r"does not fit in memory$"):
+        primes_upto(10 ** 11)
+    assert primes_upto(1000).tolist() == small and is_prime(997)

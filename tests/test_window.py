@@ -28,8 +28,46 @@ ERA = eratosthenes()
 
 def test_shift_vector_residue_default_zero():
     b = ShiftVector({5: 3})
-    assert b.residue(5) == 3
-    assert b.residue(7) == 0
+    assert b.entries.get(5, 0) == 3
+    assert b.entries.get(7, 0) == 0
+    assert b.at(np.array([5, 7])).tolist() == [3, 0]
+    assert ShiftVector().at(np.array([2, 3])).tolist() == [0, 0]
+
+
+def test_shift_vector_lookups_match_dict_oracle():
+    """at, fixes and with_residues against a dict {p: b_p} on random
+    shifts: the empty shift, absent primes, overridden primes and primes
+    added past the largest fixed one, given in any order."""
+    rng = random.Random(30)
+    primes = [int(p) for p in primes_upto(400)]
+    for trial in range(200):
+        held = rng.sample(primes[:60], rng.randint(0, 40)) if trial else []
+        d = {p: rng.randrange(p) for p in held}
+        b = ShiftVector(d)
+        assert list(b.p) == sorted(d) and b.entries == d
+        ask = np.array(rng.sample(primes, rng.randint(0, 60)),
+                       dtype=np.int64)
+        assert b.at(ask).tolist() == [d.get(p, 0) for p in ask.tolist()]
+        assert b.fixes(ask).tolist() == [p in d for p in ask.tolist()]
+        top = max(held, default=2)
+        new = rng.sample(held, len(held) // 3) + rng.sample(
+            [p for p in primes if p > top], rng.randint(0, 5))
+        rng.shuffle(new)
+        r = [rng.randrange(-10 ** 6, 10 ** 6) for _ in new]
+        merged = b.with_residues(np.array(new, dtype=np.int64), r)
+        assert merged.entries == {**d, **{p: v % p for p, v in zip(new, r)}}
+        assert list(merged.p) == sorted(merged.entries)
+        assert b.entries == d                       # b itself is unchanged
+
+
+def test_shift_vector_constructor_reduces_and_entries_round_trip():
+    b = ShiftVector({7: 7 + 3, 5: -1, 3: 2 ** 64 + 1, 2: 2 ** 63})
+    assert b.entries == {2: 0, 3: (2 ** 64 + 1) % 3, 5: 4, 7: 3}
+    assert b.p.dtype == b.b.dtype == np.int64
+    assert ShiftVector(b.entries).entries == b.entries
+    assert ShiftVector().entries == {} and len(ShiftVector({}).p) == 0
+    with pytest.raises(TypeError):
+        b.entries[2] = 1                            # a read-only view
 
 
 def test_shift_vector_crt_value_consistent():
