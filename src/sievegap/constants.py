@@ -24,12 +24,13 @@ def c_rho(rho: float, tol: float = 1e-9) -> float:
     """sup{delta in (0, 1/2) : (4+delta) 10^{2 delta} / log(1/(2 delta)) < rho}.
 
     Bisection on the increasing boundary function, bracket
-    [tol, 1/2 - tol], capped at 1/2.
+    [tol, 1/2 - tol], capped at 1/2.  tol must exceed 2^-55, or 1/2 - tol
+    rounds to 1/2, where the boundary function divides by log 1 = 0.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    if not 0 < tol < 0.25:
-        raise DomainError(f"tol must lie in (0, 1/4), got {tol}")
+    if not 2.0 ** -55 < tol < 0.25:
+        raise DomainError(f"tol must lie in (2^-55, 1/4), got {tol}")
     lo, hi = tol, 0.5 - tol
     if _boundary(lo) >= rho:
         # even the smallest bracketed delta fails; the true sup is below tol

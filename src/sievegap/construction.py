@@ -336,7 +336,7 @@ def stage2_select(system: SievingSystem, params: Params,
             ap = self.tab.n_at(u)[:, None] + self.steps[None, :]
             pos = np.minimum(np.searchsorted(surv, ap), len(surv) - 1)
             hit = surv[pos] == ap
-            return ap[hit], hit.sum(axis=1)
+            return pos[hit], hit.sum(axis=1)
 
     samplers = [_ProgressionEdge(all_tables[q]) for q in order]
     inst = cover_mod.CoverInstance(vertices=surv, samplers=samplers,
@@ -392,41 +392,39 @@ class Stage3Result:
 
 
 def _survivors_above(system: SievingSystem, shift: ShiftVector,
-                     cutoff: int, y: int) -> list[int]:
+                     cutoff: int, y: int) -> np.ndarray:
     """Members of [1, y] surviving primes <= cutoff and every shift entry
     already fixed for a prime > cutoff."""
-    if y < 1:
-        return []
     win = sift(system, cutoff, shift, 1, y)
     p, r = system.classes(shift.p.max(initial=cutoff), cutoff)
     keep = shift.fixes(p)
     _strike(win.bits, 1, p[keep], r[keep], shift)
-    return [int(m) for m in win.members()]
+    return win.members()
 
 
 def stage3_cleanup(system: SievingSystem, x: int, partial_shift: ShiftVector,
-                   y: int, survivors: list[int], key: int,
-                   z_mid: int | None = None) -> Stage3Result:
-    """Match survivors, the sorted members of [1, y] left by partial_shift,
-    with distinct primes q in (z_mid, x], then certify [1, L] empty.
+                   y: int, survivors: np.ndarray, key: int,
+                   z_mid: int) -> Stage3Result:
+    """Match survivors, the sorted int64 array of the members of [1, y]
+    left by partial_shift, with distinct primes q in (z_mid, x], then
+    certify [1, L] empty.
 
     Each survivor m gets b = m - min(I_q) (mod q) for the smallest
     unused admissible q, so m is sieved by q; an unmatched large prime q
     gets rng.uniform_residues(key, q).  Primes fixed by an earlier stage
     keep their residues.  When survivors outnumber the available primes
     the target shrinks to L = (first unmatched survivor) - 1 and ok is
-    False; otherwise L = y.  z_mid defaults to x/2.  A wrong survivor
-    list gives no false certificate: a failed certification raises.
+    False; otherwise L = y.  A wrong survivor array gives no false
+    certificate: a failed certification raises.
     """
-    half = x // 2 if z_mid is None else z_mid
-    qs, least = system.least_classes(x, half)
+    qs, least = system.least_classes(x, z_mid)
     free = ~partial_shift.fixes(qs)
     large, least = qs[free], least[free]
     ok = len(survivors) <= len(large)
-    length = y if ok else survivors[len(large)] - 1
+    length = y if ok else int(survivors[len(large)]) - 1
     matched = min(len(survivors), len(large))
     b = uniform_residues(key, large)         # kept by the unmatched primes
-    b[:matched] = np.asarray(survivors[:matched], np.int64) - least[:matched]
+    b[:matched] = survivors[:matched] - least[:matched]
     shift = partial_shift.with_residues(large, b)
     if not verify_empty(system, x, shift, 1, length):
         raise DomainError("internal error: certification failed after cleanup")
@@ -466,7 +464,7 @@ def construct(system: SievingSystem, params: Params, seed: int,
     b1 = ShiftVector.uniform(system, z, derive_seed(seed, "stage1"))
     members = sift(system, z, b1, 1, params.y).members()
     rejected: list[int] = []
-    partial, survivors = b1, members.tolist()
+    partial, survivors = b1, members
     if not params.degraded:
         r2 = stage2_select(system, params, b1, members, seed, mode=mode)
         rejected = r2.rejected
@@ -496,6 +494,6 @@ def trivial_baseline(system: SievingSystem, x: int, seed: int) -> Stage3Result:
     target = max(1, math.floor(rho_hat * x / (8 * c1_hat))) if c1_hat > 0 \
         else x // 4
     b1 = ShiftVector.uniform(system, x // 2, derive_seed(seed, "stage1"))
-    survivors = sift(system, x // 2, b1, 1, target).members().tolist()
+    survivors = sift(system, x // 2, b1, 1, target).members()
     return stage3_cleanup(system, x, b1, target, survivors,
-                          derive_seed(seed, "stage3"))
+                          derive_seed(seed, "stage3"), z_mid=x // 2)

@@ -1,13 +1,15 @@
 """Hypergraph covering rounds: hypothesis checks, round planning, and a
 semi-random covering procedure verified statistically.
 
-An instance is a vertex set, a list of random-edge samplers with exact
+An instance is a vertex array, a list of random-edge samplers with exact
 per-vertex inclusion probabilities, and s indices, each naming the
 sampler it draws from; the probabilities summed over the indices come
-to roughly a constant C2 per vertex.  The covering procedure assigns
-each index to one of m rounds via a uniform mark falling into disjoint
-intervals of geometric lengths, then greedily keeps sampled edges that
-lie inside the set of vertices still alive at the start of their round.
+to roughly a constant C2 per vertex.  A sampler draws edges as positions
+into the vertex array; the vertices' labels only name them in reports.
+The covering procedure assigns each index to one of m rounds via a
+uniform mark falling into disjoint intervals of geometric lengths, then
+greedily keeps sampled edges that lie inside the set of vertices still
+alive at the start of their round.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class EdgeSampler:
 
     def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edges drawn by the uniforms u, as (members, sizes): edge k
-        is the sizes[k] vertex labels that follow the first k edges in
-        members."""
+        is the sizes[k] vertex positions, indices into the instance's
+        vertices in [0, N), that follow the first k edges in members."""
         raise NotImplementedError
 
     def max_size(self) -> int:
@@ -83,8 +85,8 @@ class ProgressionSampler(EdgeSampler):
 
 @dataclass
 class CoverInstance:
-    # integer labels, treated as [0, N) ranks; run_cover holds one rank
-    # per integer from the smallest label to the largest
+    # integer labels, naming in reports the vertices that samplers draw
+    # as positions 0..N-1 of this array
     vertices: np.ndarray
     samplers: list[EdgeSampler]   # the edge distributions
     group: np.ndarray             # intp: index i draws from samplers[group[i]]
@@ -390,7 +392,7 @@ class CoverResult:
 
 
 def _draw_round(instance: CoverInstance, idx: np.ndarray, key: int,
-                cap: int, rank_of, alive: np.ndarray):
+                cap: int, alive: np.ndarray):
     """Attempts t = 0..cap-1 of the round's index array idx, in blocks: a
     block draws attempts t..t+w-1 of every index still pending, with one
     sample call per sampler they draw from, and each index keeps the
@@ -401,6 +403,7 @@ def _draw_round(instance: CoverInstance, idx: np.ndarray, key: int,
     Returns, per position of idx, whether an attempt drew an edge that
     is nonempty and lies inside alive, and the uniform of that attempt
     (else of attempt cap-1); then the members of every accepted edge.
+    A drawn member outside [0, len(alive)) is refused.
     """
     grp = instance.group[idx]
     # pending holds positions of idx, kept sorted by group so that each
@@ -423,8 +426,12 @@ def _draw_round(instance: CoverInstance, idx: np.ndarray, key: int,
                      for c, us in zip([0, *cuts], np.split(u, cuts))]
             members = np.concatenate([m for m, _ in drawn])
             sizes = np.concatenate([n for _, n in drawn])
+            if len(members) and not (
+                    0 <= members.min() <= members.max() < len(alive)):
+                raise DomainError(
+                    "a sampler drew a vertex outside the instance")
             owner = np.repeat(np.arange(len(u)), sizes)
-            ok = (sizes > 0) & (np.bincount(owner[alive[rank_of(members)]],
+            ok = (sizes > 0) & (np.bincount(owner[alive[members]],
                                             minlength=len(u)) == sizes)
             ok = ok.reshape(-1, w)
             hit = ok.any(axis=1)
@@ -457,29 +464,13 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
     rng.uniforms(derive_seed(seed, "cover", j), i, t), and the accepted
     edge is the first of attempts 0, 1, ... inside the alive set.
     Because of the freeze, a round draws a block of attempts of all its
-    pending indices at once (see _draw_round).  A drawn label is ranked
-    through one table over [smallest label, largest label], so the
-    labels should span a range not much wider than their count.
-    partition maps round j to its indices, as any int sequence (a list
-    or an index array, as assign_indices returns); a round it lacks has
-    no indices.
+    pending indices at once (see _draw_round).  Edges are positions into
+    instance.vertices, and uncovered lists the labels of the vertices
+    left alive.  partition maps round j to its indices, as any int
+    sequence (a list or an index array, as assign_indices returns); a
+    round it lacks has no indices.
     """
-    labels = instance.vertices
-    # rank[v - lo] is the first position of label v, or -1 for no label
-    uniq, first = np.unique(labels, return_index=True)
-    lo, hi = (int(uniq[0]), int(uniq[-1])) if len(uniq) else (0, -1)
-    rank = np.full(hi - lo + 1, -1, dtype=np.intp)
-    rank[uniq - lo] = first
-
-    def rank_of(members: np.ndarray) -> np.ndarray:
-        if len(members) and not lo <= members.min() <= members.max() <= hi:
-            raise DomainError("a sampler drew a vertex outside the instance")
-        r = rank[members - lo]
-        if np.any(r < 0):
-            raise DomainError("a sampler drew a vertex outside the instance")
-        return r
-
-    alive = np.ones(len(labels), dtype=bool)
+    alive = np.ones(len(instance.vertices), dtype=bool)
     accepted = np.zeros(instance.s, dtype=bool)
     last_u = np.full(instance.s, np.nan)
     trace = []
@@ -490,10 +481,9 @@ def run_cover(instance: CoverInstance, plan: RoundPlan,
                   max(1, int(math.ceil(RESAMPLE_FACTOR / max(frac, 1e-9)))))
         idxs = np.asarray(partition.get(j, ()), dtype=np.intp)
         ok, last_u[idxs], members = _draw_round(
-            instance, idxs, derive_seed(seed, "cover", j), cap, rank_of,
-            alive_start)
+            instance, idxs, derive_seed(seed, "cover", j), cap, alive_start)
         accepted[idxs] = ok
-        alive[rank_of(members)] = False
+        alive[members] = False
         trace.append({"round": j, "alive_fraction_start": float(frac),
                       "indices": len(idxs), "accepted": int(ok.sum()),
                       "attempt_cap": cap})

@@ -129,10 +129,14 @@ def sift(system: SievingSystem, x: int, shift: ShiftVector,
     """Exact membership of (S_{z,x} + b) on [lo, hi] by strided marking.
 
     n is a member iff (n - b) mod p is not in I_p for every prime
-    p in (z, x].
+    p in (z, x].  The bounds must lie in [-2^62, 2^62], where every
+    offset the marker forms fits in int64.
     """
     if lo > hi:
         raise DomainError(f"empty window [{lo}, {hi}]")
+    if not -(1 << 62) <= lo <= hi <= 1 << 62:
+        raise DomainError(
+            f"window bounds must lie in [-2^62, 2^62], got [{lo}, {hi}]")
     if hi - lo + 1 > MAX_WINDOW:
         raise DomainError(f"window wider than {MAX_WINDOW}; chunk the request")
     if z >= x:

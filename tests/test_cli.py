@@ -283,6 +283,16 @@ BAD_FLAGS = {
     "constants-tol-0": ["constants", "--rho", "1", "--tol", "0"],
     "constants-tol-neg": ["constants", "--rho", "1", "--tol", "-1"],
     "constants-tol-1": ["constants", "--rho", "1", "--tol", "1"],
+    # 1/2 - tol rounds to 1/2
+    "constants-tol-2.7e-17": ["constants", "--rho", "1", "--tol", "2.7e-17"],
+    "constants-tol-1e-300": ["constants", "--rho", "1", "--tol", "1e-300"],
+    # past int64, or wrapping around once shifted
+    "gaps-window-past-2^63": ["gaps", "--system", "eratosthenes", "--x",
+                              "10", "--window=99999999999999999999.."
+                              "100000000000000000000"],
+    "gaps-window-near-minus-2^63": [
+        "gaps", "--system", "eratosthenes", "--x", "10",
+        "--window=-9223372036854775803..-9223372036854775743"],
     "composite-runs-constructed-X-0": ["composite-runs", "--poly", "n^2+1",
                                        "--X", "0", "--constructed"],
     "composite-runs-constructed-X-neg": ["composite-runs", "--poly", "n^2+1",
@@ -358,6 +368,12 @@ def test_bad_numeric_flag_exits_1(case, capsys):
 
 @pytest.mark.parametrize("case,message", [
     ("constants-derangement-0", "d must be >= 1"),
+    ("constants-tol-2.7e-17", "tol must lie in (2^-55, 1/4), got 2.7e-17"),
+    ("constants-tol-1e-300", "tol must lie in (2^-55, 1/4), got 1e-300"),
+    ("gaps-window-past-2^63", "window bounds must lie in [-2^62, 2^62], got "
+     "[99999999999999999999, 100000000000000000000]"),
+    ("gaps-window-near-minus-2^63", "window bounds must lie in [-2^62, 2^62], "
+     "got [-9223372036854775803, -9223372036854775743]"),
     ("construct-delta-neg", "delta must be >= 0, got -0.01"),
     ("construct-delta-neg-half", "delta must be >= 0, got -0.5"),
     ("moments-delta-neg", "delta must be >= 0, got -1.0"),

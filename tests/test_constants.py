@@ -50,11 +50,16 @@ def test_c_rho_rejects_nonpositive():
 
 
 def test_c_rho_rejects_tol_outside_open_quarter():
-    """The bracket [tol, 1/2 - tol] needs 0 < tol < 1/4."""
-    for tol in (0.0, -1.0, 0.25, 1.0, float("nan")):
-        with pytest.raises(DomainError, match="tol"):
+    """The bracket [tol, 1/2 - tol] needs tol < 1/4, and tol > 2^-55:
+    below, 1/2 - tol rounds to 1/2, where the boundary function would
+    divide by log 1 = 0.  Just above 2^-55 it still bisects."""
+    for tol in (0.0, -1.0, 0.25, 1.0, float("nan"), 2.0 ** -55, 2.7e-17,
+                1e-300, 5e-324):
+        with pytest.raises(DomainError,
+                           match=r"tol must lie in \(2\^-55, 1/4\)"):
             c_rho(1.0, tol)
     assert c_rho(1.0, 0.2) == 0.2             # the sup lies below the bracket
+    assert c_rho(1.0, 3e-17) == pytest.approx(0.0078412467401, abs=1e-13)
 
 
 def test_rho_derangement_values():

@@ -582,6 +582,41 @@ def test_stage2_cover_mode_supported():
         assert values(tables[q])[n - tables[q].n_lo] > 0
 
 
+def test_stage2_cover_edges_are_positions_of_progression_survivors(
+        monkeypatch):
+    """The covering instance stage 2 builds has the stage-1 survivors as
+    vertices, and the edge a progression sampler draws for a uniform is
+    the positions of exactly the survivors on {n_q + q h : 1 <= h <= KH},
+    with n_q the table's draw for that uniform."""
+    from sievegap import construction
+    run_cover, seen = construction.cover_mod.run_cover, []
+
+    def spy(instance, *args):
+        seen.append(instance)
+        return run_cover(instance, *args)
+
+    monkeypatch.setattr(construction.cover_mod, "run_cover", spy)
+    p = derive_params(ERA, 3_000, force_scales=[2.0, 3.0])
+    b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(4, "stage1"))
+    s1 = stage1_members(ERA, p, b)
+    stage2_select(ERA, p, b, s1, seed=6, mode="cover")
+    (inst,) = seen
+    assert inst.vertices is s1
+    where = {int(v): i for i, v in enumerate(s1)}
+    u = uniforms(derive_seed(6, "edges"), np.arange(50), 0)
+    hits = 0
+    for sm in inst.samplers:
+        members, sizes = sm.sample(u)
+        edges = np.split(members, np.cumsum(sizes)[:-1])
+        q, J = sm.tab.q, int(p.K * sm.tab.H)
+        for n, edge in zip(sm.tab.n_at(u).tolist(), edges):
+            expect = [where[n + q * h] for h in range(1, J + 1)
+                      if n + q * h in where]
+            assert edge.tolist() == expect
+            hits += len(expect)
+    assert hits > 0
+
+
 def test_stage2_caps_table_cells_before_building(monkeypatch):
     """Stage 2 refuses to hold more than MAX_TABLE_CELLS cells at once,
     before it builds any table: every scale's tables in cover mode, the
@@ -681,22 +716,23 @@ def test_survivors_above_matches_oracle():
         expect = [m for m in brute_members(sys_, cutoff, b, 1, y)
                   if all(m in brute_members(sys_, p, b, m, m, z=p - 1)
                          for p in above)]
-        assert _survivors_above(sys_, b, cutoff, y) == expect
-        assert _survivors_above(sys_, b, cutoff, 0) == []
+        assert _survivors_above(sys_, b, cutoff, y).tolist() == expect
 
 
 def test_stage3_empty_survivors_succeeds():
     b = ShiftVector({p: 1 for p in ERA.active_primes(50)})
     # [1, 1] shifted: n=1 has (1-1)%2=0 in I_2, so no survivors
-    r = stage3_cleanup(ERA, 100, b, 0, [], derive_seed(0, "s3"))
+    r = stage3_cleanup(ERA, 100, b, 0, np.empty(0, dtype=np.int64),
+                       derive_seed(0, "s3"), z_mid=50)
     assert r.ok and r.matched == 0
 
 
 def test_stage3_matches_and_removes_survivors():
     x = 100
     b1 = ShiftVector.uniform(ERA, x // 2, derive_seed(21, "stage1"))
-    surv = [int(m) for m in sift(ERA, x // 2, b1, 1, 30).members()]
-    r = stage3_cleanup(ERA, x, b1, 30, surv, derive_seed(1, "s3"))
+    surv = sift(ERA, x // 2, b1, 1, 30).members()
+    r = stage3_cleanup(ERA, x, b1, 30, surv, derive_seed(1, "s3"),
+                       z_mid=x // 2)
     if r.ok:
         assert r.matched == len(surv)
         assert r.length == 30
@@ -709,8 +745,9 @@ def test_stage3_matches_and_removes_survivors():
 def test_stage3_pigeonhole_failure():
     # x=100: large primes in (50, 100] number 10; a wide target overflows
     b1 = ShiftVector.uniform(ERA, 50, derive_seed(22, "stage1"))
-    surv = [int(m) for m in sift(ERA, 50, b1, 1, 100).members()]
-    r = stage3_cleanup(ERA, 100, b1, 100, surv, derive_seed(2, "s3"))
+    surv = sift(ERA, 50, b1, 1, 100).members()
+    r = stage3_cleanup(ERA, 100, b1, 100, surv, derive_seed(2, "s3"),
+                       z_mid=50)
     assert not r.ok
     assert r.survivors > r.available
     # the target shrinks to just below the first unmatched survivor
@@ -728,14 +765,14 @@ def test_stage3_never_certifies_a_short_survivor_list():
     raised = 0
     for seed in range(21, 31):
         b1 = ShiftVector.uniform(ERA, 50, derive_seed(seed, "stage1"))
-        surv = [int(m) for m in sift(ERA, 50, b1, 1, 30).members()]
-        assert surv
+        surv = sift(ERA, 50, b1, 1, 30).members()
+        assert len(surv)
         assert stage3_cleanup(ERA, 100, b1, 30, surv,
-                              derive_seed(1, "s3")).ok
-        for k, m in enumerate(surv):
+                              derive_seed(1, "s3"), z_mid=50).ok
+        for k, m in enumerate(surv.tolist()):
             try:
-                r = stage3_cleanup(ERA, 100, b1, 30, surv[:k] + surv[k + 1:],
-                                   derive_seed(1, "s3"))
+                r = stage3_cleanup(ERA, 100, b1, 30, np.delete(surv, k),
+                                   derive_seed(1, "s3"), z_mid=50)
             except DomainError as e:
                 assert "certification failed" in str(e)
                 raised += 1

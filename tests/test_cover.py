@@ -704,50 +704,45 @@ def test_run_cover_blocks_do_not_change_results(monkeypatch):
     assert 0 < len(res.uncovered)
 
 
-class ShiftedEdge(EdgeSampler):
-    """Another sampler's edges with every label v mapped to 3 v + 7."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def sample(self, u):
-        members, sizes = self.inner.sample(u)
-        return 3 * members + 7, sizes
-
-
-@pytest.mark.parametrize("label", [-1, 1, 3, 6])
-def test_run_cover_refuses_a_label_outside_the_instance(label):
-    """A drawn label below the smallest vertex, in a gap of the labels or
-    above the largest one is refused, not ranked."""
+@pytest.mark.parametrize("position", [-1, 1, 3, 6])
+def test_run_cover_refuses_a_label_outside_the_instance(position):
+    """Samplers draw positions: on three vertices labelled 0, 2 and 5,
+    positions -1, N = 3 and N + 3 = 6 are refused, while position 1 is
+    the vertex labelled 2 and covers it, although no vertex has label 1."""
 
     class Fixed(EdgeSampler):
         def sample(self, u):
-            return np.full(len(u), label, dtype=np.int64), np.ones(
+            return np.full(len(u), position, dtype=np.int64), np.ones(
                 len(u), dtype=np.int64)
 
     inst = CoverInstance(vertices=np.array([0, 2, 5], dtype=np.int64),
                          samplers=[Fixed()],
                          group=np.zeros(4, dtype=np.intp), eta=0.05, C2=4.0)
     plan = RoundPlan(beta=3.3, m=1, intervals=[(0.0, 1.0)])
+    if 0 <= position < len(inst.vertices):
+        res = run_cover(inst, plan, {1: [0, 1, 2, 3]}, seed=14)
+        assert res.accepted.all()        # one round: alive is frozen
+        assert res.uncovered.tolist() == [0, 5]
+        return
     with pytest.raises(DomainError,
                        match="a sampler drew a vertex outside the instance"):
         run_cover(inst, plan, {1: [0, 1, 2, 3]}, seed=14)
 
 
 @pytest.mark.parametrize("step", [1, -1])
-def test_run_cover_ranks_labels_not_positions(step):
-    """Labels 3 k + 7, listed in increasing or decreasing order, give the
-    outcome of the same family on labels k."""
+def test_run_cover_relabelled_vertices_give_the_same_run(step):
+    """The same position samplers on vertices labelled 3 k + 7, listed in
+    increasing or decreasing order, draw and accept as on vertices k;
+    uncovered holds the new labels at the positions left alive."""
     inst, plan, part = _mixed_instance()
-    shifted = CoverInstance(vertices=(3 * inst.vertices + 7)[::step],
-                            samplers=[ShiftedEdge(sm) for sm in inst.samplers],
-                            group=inst.group, eta=inst.eta, C2=inst.C2)
+    labels = (3 * inst.vertices + 7)[::step]
+    relabelled = CoverInstance(vertices=labels, samplers=inst.samplers,
+                               group=inst.group, eta=inst.eta, C2=inst.C2)
     res = run_cover(inst, plan, part, seed=15)
-    got = run_cover(shifted, plan, part, seed=15)
+    got = run_cover(relabelled, plan, part, seed=15)
     assert np.array_equal(got.accepted, res.accepted)
     assert np.array_equal(got.last_u, res.last_u, equal_nan=True)
-    assert sorted(got.uncovered.tolist()) == \
-        (3 * res.uncovered + 7).tolist()
+    assert got.uncovered.tolist() == labels[res.uncovered].tolist()
     assert got.rounds_trace == res.rounds_trace
 
 

@@ -127,15 +127,20 @@ def test_sift_member_count_identity_over_period():
 
 
 def test_sift_matches_bruteforce_random_systems():
+    """Also at each end of the allowed bounds [-2^62, 2^62]."""
     rng = random.Random(2024)
-    for _ in range(20):
-        sys_ = random_table_system(rng)
-        if any(len(sys_.residues(p)) >= p for p in sys_.active_primes(50)):
-            continue
-        b = random_shift(sys_, 50, rng)
-        z = rng.choice([1, 1, 7])
-        win = sift(sys_, 50, b, -100, 400, z=z)
-        assert list(win.members()) == brute_members(sys_, 50, b, -100, 400, z)
+    for lo, hi in ((-100, 400), (-(1 << 62), -(1 << 62) + 300),
+                   ((1 << 62) - 300, 1 << 62)):
+        for _ in range(20):
+            sys_ = random_table_system(rng)
+            if any(len(sys_.residues(p)) >= p
+                   for p in sys_.active_primes(50)):
+                continue
+            b = random_shift(sys_, 50, rng)
+            z = rng.choice([1, 1, 7])
+            win = sift(sys_, 50, b, lo, hi, z=z)
+            assert list(win.members()) == brute_members(sys_, 50, b, lo, hi,
+                                                        z)
 
 
 def test_sift_rejects_bad_arguments():
@@ -147,6 +152,13 @@ def test_sift_rejects_bad_arguments():
         sift(ERA, 5, ShiftVector({}), 1, MAX_WINDOW + 2)
     with pytest.raises(DomainError):          # a 128 MiB flag array at most
         sift(ERA, 5, ShiftVector({}), 1, 2 ** 27 + 1)
+    # offsets past int64 would wrap around silently
+    for lo, hi in ((-(1 << 62) - 1, -(1 << 62) + 5),
+                   ((1 << 62) - 5, (1 << 62) + 1),
+                   (-(1 << 63) + 5, -(1 << 63) + 65),
+                   (10 ** 20, 10 ** 20 + 1)):
+        with pytest.raises(DomainError, match=r"\[-2\^62, 2\^62\]"):
+            sift(ERA, 10, ShiftVector({3: 1, 7: 5}), lo, hi)
 
 
 def test_sift_degenerate_prime_errors():
