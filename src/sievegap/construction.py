@@ -29,7 +29,7 @@ from .window import ShiftVector, _strike, sift, verify_empty
 DEFAULT_M = 4.6
 DEFAULT_K = 3
 DEFAULT_XI = 1.1
-CUM_BLOCK = 256      # weight-table cells per stored running sum
+CUM_BLOCK = 256      # weight-table cells per block sum
 CUM_CHUNK = 32 * CUM_BLOCK   # cells expanded per pass over a table
 MAX_TABLE_CELLS = 2 ** 30   # weight-table cells stage 2 may hold at once
 
@@ -146,68 +146,58 @@ class WeightTable:
     n_lo: int                    # codes[k] is the cell of n = n_lo + k
     codes: np.ndarray            # |AP| per cell, or J + 1 where lambda = 0
     lut: np.ndarray              # lambda of each code, shared by a scale
-    # float64 scratch of at least len(codes) + 1 cells, which the tables
-    # of one build share.  No call leaves state in it, so the tables may
-    # be used in any order.
+    # float64 scratch of at least len(codes) cells, which the tables of one
+    # build share.  No call leaves state in it, so the tables may be used
+    # in any order.
     buf: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        # the running sums before each block of CUM_BLOCK cells, stored as
-        # far as the first _summed cells reach
-        self._starts = np.zeros(len(self.codes) // CUM_BLOCK + 1)
-        self._summed = 0
-
-    def _expand(self, lo: int, out: np.ndarray) -> None:
-        """lambda of the cells from lo on, one per cell of out."""
-        self.lut.take(self.codes[lo:lo + len(out)], out=out, mode="clip")
+    def _values(self) -> np.ndarray:
+        """lambda of every cell, expanded into the float scratch CUM_CHUNK
+        cells at a time."""
+        size = len(self.codes)
+        vals = self.buf[:size]
+        for lo in range(0, size, CUM_CHUNK):
+            self.lut.take(self.codes[lo:lo + CUM_CHUNK],
+                          out=vals[lo:lo + CUM_CHUNK], mode="clip")
+        return vals
 
     @cached_property
     def total(self) -> float:
-        """numpy's pairwise sum of the whole table, expanded into the
-        float scratch."""
-        size = len(self.codes)
-        for lo in range(0, size, CUM_CHUNK):
-            self._expand(lo, self.buf[lo:min(lo + CUM_CHUNK, size)])
-        return float(self.buf[:size].sum())
+        """numpy's pairwise sum of the whole table."""
+        return float(self._values().sum())
 
-    def _sum_to(self, r: float) -> np.ndarray:
-        """The stored running sums, extended CUM_CHUNK cells at a time until
-        one exceeds r or the table ends.  Each chunk is summed in the float
-        scratch after the sum before it, which makes exactly np.cumsum's
-        additions over the whole table."""
-        size = len(self.codes)
-        while self._summed < size and \
-                self._starts[self._summed // CUM_BLOCK] <= r:
-            lo = self._summed
-            run = self.buf[:min(CUM_CHUNK, size - lo) + 1]
-            run[0] = self._starts[lo // CUM_BLOCK]
-            self._expand(lo, run[1:])
-            np.cumsum(run, out=run)
-            ends = run[CUM_BLOCK::CUM_BLOCK]
-            k = lo // CUM_BLOCK + 1
-            self._starts[k:k + len(ends)] = ends
-            self._summed = lo + len(run) - 1
-        return self._starts[:self._summed // CUM_BLOCK + 1]
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The running sums of the block sums: one before each block of
+        CUM_BLOCK cells and one after the last.  A block sum is numpy's
+        sum() of the block's cells."""
+        vals = self._values()
+        full = len(vals) - len(vals) % CUM_BLOCK
+        tail = [vals[full:].sum()] if full < len(vals) else []
+        return np.cumsum(np.r_[
+            0.0, vals[:full].reshape(-1, CUM_BLOCK).sum(axis=1), tail])
 
     def n_at(self, u):
         """The n drawn by each uniform in u (an array, or one float in
-        [0, 1)): the first cell whose running sum exceeds u total."""
+        [0, 1)).  With r = u total, the block is the last whose start is at
+        most r, and the cell the first in it whose running sum from the
+        block's start exceeds r - start.  Each is capped at the last block
+        or cell where the running sums still grow, so no draw lands on a
+        cell of weight 0."""
         if self.total <= 0:
             raise DomainError("cannot sample from an all-zero weight table")
         r = np.atleast_1d(np.asarray(u, dtype=float)) * self.total
-        # a stored start above every r ends the search as the whole table's
-        starts = self._sum_to(r.max(initial=-np.inf))
-        b = np.searchsorted(starts, r, side="right") - 1
-        # each draw's own block, zero-padded past the end of the table,
-        # summed from its stored start as np.cumsum sums the whole table
+        starts = self.starts
+        b = np.minimum(np.searchsorted(starts, r, side="right"),
+                       np.searchsorted(starts, starts[-1])) - 1
+        # each draw's own block, zero-padded past the end of the table
         cell = (b * CUM_BLOCK)[:, None] + np.arange(CUM_BLOCK)
-        size = len(self.codes)
-        block = np.where(cell < size,
+        block = np.where(cell < len(self.codes),
                          self.lut[self.codes.take(cell, mode="clip")], 0.0)
-        c = np.cumsum(np.concatenate((starts[b, None], block), axis=1),
-                      axis=1)
-        k = b * CUM_BLOCK + (c[:, 1:] <= r[:, None]).sum(axis=1)
-        n = self.n_lo + np.minimum(k, size - 1)
+        c = np.cumsum(block, axis=1)
+        k = np.minimum((c <= (r - starts[b])[:, None]).sum(axis=1),
+                       (c < c[:, -1:]).sum(axis=1))
+        n = self.n_lo + b * CUM_BLOCK + k
         return n if np.ndim(u) else int(n[0])
 
 
@@ -236,8 +226,8 @@ def build_weight_tables(system: SievingSystem, params: Params,
     and J + 2 per member failing the (H^M, z] sieve, in the narrowest
     unsigned type that holds J (J + 2); a table is then a sum of J shifted
     slices of it, clipped at J + 1.  The tables share the lookup table and
-    one float scratch of (K+1)y + 1 cells, into which `total` and the
-    running sums expand them.
+    one float scratch of (K+1)y cells, into which `total` and `starts`
+    expand them.
     """
     K, y, M, z = params.K, params.y, params.M, params.z_eff
     HM = H ** M
@@ -259,7 +249,7 @@ def build_weight_tables(system: SievingSystem, params: Params,
         w[in_s1 & ~s2.bits] = J + 2
     lut = weight_lut(params.sigma2[H], J)
     code_type = np.uint8 if J + 1 < 255 else np.int16
-    buf = np.empty(cells + 1)
+    buf = np.empty(cells)
     out = {}
     for q in qs:
         off = n_lo + q - lo_all
@@ -272,6 +262,23 @@ def build_weight_tables(system: SievingSystem, params: Params,
                              codes=acc.astype(code_type, copy=False),
                              buf=buf)
     return out
+
+
+class ProgressionEdge(cover_mod.EdgeSampler):
+    """The edge of a drawn n_q: the positions in survivors, a sorted array,
+    of the members of {n_q + q h : 1 <= h <= J}, J = len(table.lut) - 2."""
+
+    def __init__(self, table: WeightTable, survivors: np.ndarray):
+        self.tab = table
+        self.survivors = survivors
+        self.steps = table.q * np.arange(1, len(table.lut) - 1)
+
+    def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        surv = self.survivors
+        ap = self.tab.n_at(u)[:, None] + self.steps[None, :]
+        pos = np.minimum(np.searchsorted(surv, ap), len(surv) - 1)
+        hit = surv[pos] == ap
+        return pos[hit], hit.sum(axis=1)
 
 
 @dataclass
@@ -326,19 +333,7 @@ def stage2_select(system: SievingSystem, params: Params,
         return Stage2Result(chosen=dict(sorted(chosen.items())),
                             rejected=rejected, tables_built=built)
     order = sorted(all_tables)
-
-    class _ProgressionEdge(cover_mod.EdgeSampler):
-        def __init__(self, tab: WeightTable):
-            self.tab = tab
-            self.steps = tab.q * np.arange(1, int(params.K * tab.H) + 1)
-
-        def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            ap = self.tab.n_at(u)[:, None] + self.steps[None, :]
-            pos = np.minimum(np.searchsorted(surv, ap), len(surv) - 1)
-            hit = surv[pos] == ap
-            return pos[hit], hit.sum(axis=1)
-
-    samplers = [_ProgressionEdge(all_tables[q]) for q in order]
+    samplers = [ProgressionEdge(all_tables[q], surv) for q in order]
     inst = cover_mod.CoverInstance(vertices=surv, samplers=samplers,
                                    group=np.arange(len(samplers)),
                                    eta=0.05, C2=1.0)

@@ -1,6 +1,8 @@
 """Three-stage randomized gap construction and the trivial baseline."""
 
+import bisect
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -91,7 +93,7 @@ def float_table(H, q, n_lo, vals):
     """A WeightTable holding an arbitrary float table: cell k has the code
     k, and the lookup table is the floats themselves."""
     return WeightTable(H=H, q=q, n_lo=n_lo, codes=np.arange(len(vals)),
-                       lut=vals, buf=np.empty(len(vals) + 1))
+                       lut=vals, buf=np.empty(len(vals)))
 
 
 def values(tab):
@@ -99,10 +101,36 @@ def values(tab):
     return tab.lut[tab.codes]
 
 
-def whole_table_starts(vals):
-    """The running sums before each CUM_BLOCK-cell block, from one
-    np.cumsum over the whole table."""
-    return np.r_[0.0, np.cumsum(vals)[CUM_BLOCK - 1::CUM_BLOCK]]
+def block_starts(vals):
+    """The running sums of the block sums, one before each CUM_BLOCK-cell
+    block and one after the last: each block summed alone by numpy's
+    sum(), the blocks added up one at a time."""
+    out = [0.0]
+    for lo in range(0, len(vals), CUM_BLOCK):
+        out.append(out[-1] + vals[lo:lo + CUM_BLOCK].sum())
+    return np.array(out)
+
+
+def block_search(vals, us):
+    """The cell a scalar two-level search picks for each uniform in us.
+    With r = u total, the block is the last whose start is at most r and
+    the cell the first in it whose running sum from the block's start
+    exceeds r - start, each capped at the last block or cell of positive
+    weight."""
+    starts = block_starts(vals).tolist()
+    total = float(vals.sum())
+    blocks = [vals[lo:lo + CUM_BLOCK].tolist()
+              for lo in range(0, len(vals), CUM_BLOCK)]
+    runs = [list(itertools.accumulate(block)) for block in blocks]
+    last_block = max(b for b, block in enumerate(blocks) if any(block))
+    out = []
+    for u in us:
+        r = u * total
+        b = min(bisect.bisect_right(starts, r) - 1, last_block)
+        k = bisect.bisect_right(runs[b], r - starts[b])
+        last = max(i for i, v in enumerate(blocks[b]) if v > 0)
+        out.append(b * CUM_BLOCK + min(k, last))
+    return out
 
 
 def small_params(system=ERA, **overrides) -> Params:
@@ -299,9 +327,9 @@ def test_build_weight_tables_matches_gather_oracle():
             for q, tab in want.items():
                 assert got[q].codes.dtype == np.uint8
                 assert np.array_equal(values(got[q]), values(tab))
-                starts = got[q]._sum_to(np.inf)
-                assert np.array_equal(starts, tab._sum_to(np.inf))
-                assert np.array_equal(starts, whole_table_starts(values(tab)))
+                assert np.array_equal(got[q].starts, tab.starts)
+                assert np.array_equal(got[q].starts,
+                                      block_starts(values(tab)))
                 assert got[q].total == tab.total
 
 
@@ -436,86 +464,64 @@ def test_stage2_point_mass():
             tab.n_lo + k_star
 
 
-def test_n_at_matches_whole_table_search():
-    """A draw picks the cell that a search of the whole table's cumulative
-    sum picks, also when it lands exactly on a running sum; the stored
-    running sums, built CUM_CHUNK cells at a time, are the whole table's
-    np.cumsum at every CUM_BLOCK-th cell, bit for bit."""
+def test_n_at_matches_block_search():
+    """Every draw is the scalar two-level search's, in one batch and one
+    at a time: at u = 0 and 1 - 2^-53, at every block start and at every
+    running sum inside a block, where r lands exactly on a boundary."""
     rng = random.Random(8)
-    for size in (1, 5, CUM_BLOCK - 1, CUM_BLOCK, CUM_BLOCK + 1,
-                 3 * CUM_BLOCK, 1000, CUM_CHUNK - 1, CUM_CHUNK,
-                 CUM_CHUNK + 1, 3 * CUM_CHUNK + 5):
+    for size in (1, 5, CUM_BLOCK - 1, CUM_BLOCK, CUM_BLOCK + 1, 1000,
+                 CUM_CHUNK - 1, CUM_CHUNK, CUM_CHUNK + 1, 3 * CUM_CHUNK + 5):
         vals = np.array([rng.random() * (rng.random() < 0.6)
                          for _ in range(size)])
         vals[0] += 0.5
         tab = float_table(2.0, 29, -7, vals)
-        assert np.array_equal(tab._sum_to(np.inf), whole_table_starts(vals))
-        cum = np.cumsum(vals)
-        us = [rng.random() for _ in range(100)] + [0.0] + \
-            [c / tab.total for c in cum]
-        want = []
-        for u in us:
-            k = int(np.searchsorted(cum, u * tab.total, side="right"))
-            want.append(tab.n_lo + min(k, size - 1))
-            assert tab.n_at(u) == want[-1]
-        assert tab.n_at(np.array(us)).tolist() == want
+        starts = block_starts(vals)
+        assert np.array_equal(tab.starts, starts)
+        runs = [starts[lo // CUM_BLOCK] + np.cumsum(vals[lo:lo + CUM_BLOCK])
+                for lo in range(0, size, CUM_BLOCK)]
+        us = np.r_[0.0, 1 - 2 ** -53, starts / tab.total,
+                   np.concatenate(runs) / tab.total,
+                   [rng.random() for _ in range(100)]]
+        want = [tab.n_lo + k for k in block_search(vals, us)]
+        assert tab.n_at(us).tolist() == want
+        assert [tab.n_at(float(u)) for u in us[:120]] == want[:120]
 
 
-def stored_starts(tab):
-    """The running sums a WeightTable has stored so far."""
-    return tab._starts[:tab._summed // CUM_BLOCK + 1]
-
-
-def test_n_at_sums_only_as_far_as_drawn():
-    """A draw extends the stored running sums CUM_CHUNK cells at a time
-    only through the chunk of the cell it picks.  Whatever order the draws
-    come in (increasing, decreasing, or one batch over the whole table),
-    the stored sums are a prefix of the whole table's np.cumsum, bit for
-    bit, and every draw is the whole-table search's."""
-    rng = random.Random(9)
-    for size in (1, 5, CUM_BLOCK - 1, CUM_BLOCK, CUM_BLOCK + 1,
-                 3 * CUM_BLOCK, 1000, CUM_CHUNK - 1, CUM_CHUNK,
-                 CUM_CHUNK + 1, 3 * CUM_CHUNK + 5):
-        vals = np.array([rng.random() * (rng.random() < 0.6)
-                         for _ in range(size)])
-        vals[0] += 0.5
-        whole, cum = whole_table_starts(vals), np.cumsum(vals)
-        us = sorted(rng.random() for _ in range(40))
-
-        def search(u, total):
-            k = int(np.searchsorted(cum, u * total, side="right"))
-            return -7 + min(k, size - 1)
-
-        for order in (us, us[::-1]):
-            tab = float_table(2.0, 29, -7, vals)
-            reach = 0
-            for u in order:
-                n = tab.n_at(u)
-                assert n == search(u, tab.total)
-                reach = max(reach, n + 7)
-                assert tab._summed == min(
-                    size, (reach // CUM_CHUNK + 1) * CUM_CHUNK)
-                got = stored_starts(tab)
-                assert np.array_equal(got, whole[:len(got)])
-        tab = float_table(2.0, 29, -7, vals)
-        spread = np.array(us[::-1] + [0.0, 1 - 2 ** -53])
-        assert tab.n_at(spread).tolist() == [search(u, tab.total)
-                                             for u in spread]
-        assert np.array_equal(stored_starts(tab), whole)
-        assert np.array_equal(tab._sum_to(np.inf), whole)
+def test_n_at_never_draws_zero_weight():
+    """Tables whose zero cells fill whole blocks at the start and in the
+    middle, and at the end either whole blocks or five cells, with uint8
+    and int16 codes: no draw lands on a cell of weight 0, also at u = 1 - 2^-53,
+    where r may pass the sum of the block sums, and at every block start
+    below the total."""
+    rng = np.random.default_rng(32)
+    size = 6 * CUM_BLOCK + 37
+    for J, code_type in ((3, np.uint8), (300, np.int16)):
+        lut = weight_lut(0.7, J)
+        for end in 4 * [5 * CUM_BLOCK - 9, size - 5]:
+            codes = rng.integers(0, J + 2, size=size).astype(code_type)
+            for lo, hi in ((0, 2 * CUM_BLOCK + 3),
+                           (3 * CUM_BLOCK, 4 * CUM_BLOCK), (end, size)):
+                codes[lo:hi] = J + 1
+            tab = WeightTable(H=2.0, q=29, n_lo=-7, codes=codes, lut=lut,
+                              buf=np.empty(size))
+            vals = values(tab)
+            starts = block_starts(vals)
+            us = np.r_[0.0, 1 - 2 ** -53,
+                       starts[starts < tab.total] / tab.total,
+                       rng.random(200)]
+            drawn = tab.n_at(us) - tab.n_lo
+            assert (vals[drawn] > 0).all(), us[vals[drawn] == 0]
 
 
 def test_n_at_of_no_uniforms_is_empty():
     tab = float_table(2.0, 29, -7, np.ones(3 * CUM_CHUNK))
     assert tab.n_at(np.array([])).shape == (0,)
-    assert tab._summed == 0
 
 
 def test_weight_tables_of_one_build_share_scratch_safely():
     """Two tables of one build_weight_tables call share one float scratch.
-    Used interleaved, each gives the total, draws and running sums it
-    gives when used alone; the first draw stops inside the table, so its
-    later sums start from the sum it stored, not from the scratch."""
+    Used interleaved, each gives the total, draws and block starts it gives
+    when used alone."""
     p = derive_params(ERA, 2_950, force_scales=[2.0, 3.0])
     b = ShiftVector.uniform(ERA, p.z_eff, derive_seed(4, "stage1"))
     assert (p.K + 1) * p.y > CUM_CHUNK
@@ -523,22 +529,22 @@ def test_weight_tables_of_one_build_share_scratch_safely():
     us = {qa: 0.05, qb: 0.6}
 
     def use(tab):
-        return tab.total, tab.n_at(us[tab.q]), tab._sum_to(np.inf)
+        return tab.total, tab.n_at(us[tab.q]), tab.starts
 
     alone = {q: use(build_weight_tables(ERA, p, b, 2.0)[q])
              for q in (qa, qb)}
     tables = build_weight_tables(ERA, p, b, 2.0)
     a, bt = tables[qa], tables[qb]
     assert a.buf is bt.buf
-    totals = a.total, bt.total
-    draws = a.n_at(us[qa]), bt.n_at(us[qb])
-    assert 0 < a._summed < len(a.codes)
-    starts = a._sum_to(np.inf), bt._sum_to(np.inf)
-    for i, q in enumerate((qa, qb)):
-        total, n, whole = alone[q]
-        assert totals[i] == total and draws[i] == n
-        assert np.array_equal(starts[i], whole)
-        assert np.array_equal(whole, whole_table_starts(values(tables[q])))
+    a_total, b_starts = a.total, bt.starts
+    a_draw = a.n_at(us[qa])
+    got = {qa: (a_total, a_draw, a.starts),
+           qb: (bt.total, bt.n_at(us[qb]), b_starts)}
+    for q in (qa, qb):
+        total, n, starts = alone[q]
+        assert got[q][:2] == (total, n)
+        assert np.array_equal(got[q][2], starts)
+        assert np.array_equal(starts, block_starts(values(tables[q])))
 
 
 def test_total_and_draw_expand_no_table():
